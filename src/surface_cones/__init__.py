@@ -43,7 +43,6 @@ from .lattice import (
     arithmetic_genus,
     intersect,
     riemann_roch_chi,
-    self_intersection,
     virtual_and_expected_dim,
 )
 from .cones import (

@@ -230,6 +230,8 @@ class DivisorClass:
             raise ModelValidationError(
                 f"expected {self.model.rank} coordinates, got {len(self.coords)}"
             )
+        if all(isinstance(c, Fraction) for c in self.coords):
+            return
         longest: tuple = ()
         for c in self.coords:
             k = _field_key(c)
@@ -251,20 +253,22 @@ class DivisorClass:
         return all(isinstance(c, Fraction) and c == 0 for c in self.coords)
 
     def _check_model(self, other: "DivisorClass"):
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError("divisor classes belong to different models")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._check_model(other)
-        return DivisorClass(self.model, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        pairs = zip(self.coords, other.coords)
+        return DivisorClass(self.model, tuple(a + b if a and b else a or b for a, b in pairs))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._check_model(other)
-        return DivisorClass(self.model, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        pairs = zip(self.coords, other.coords)
+        return DivisorClass(self.model, tuple(a - b if b else a for a, b in pairs))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.model, tuple(-c for c in self.coords))
@@ -274,7 +278,7 @@ class DivisorClass:
             scale = _coerce(scale)
         except TypeError:
             return NotImplemented
-        return DivisorClass(self.model, tuple(scale * c for c in self.coords))
+        return DivisorClass(self.model, tuple(scale * c if c else c for c in self.coords))
 
     __rmul__ = __mul__
 
@@ -283,25 +287,23 @@ class DivisorClass:
 
 
 def intersect(x: DivisorClass, y: DivisorClass) -> Exact:
-    """Intersection pairing on the blow-up: Y-block by gram_Y, E-block by -1."""
+    """Intersection pairing on the blow-up: Y-block by gram_Y, E-block by -1.
+
+    Multiplies only where both coordinates and the Gram entry are nonzero;
+    the canonical zero is the rational 0 and every ``Scalar`` is nonzero.
+    """
     x._check_model(y)
-    m = x.model.base.rank
-    gram = x.model.base.gram_Y
+    xs, ys = x.coords, y.coords
     total: Exact = Fraction(0)
-    for i in range(m):
-        if isinstance(x.coords[i], Fraction) and x.coords[i] == 0:
-            continue
-        row = gram[i]
-        for j in range(m):
-            if row[j] != 0:
-                total = total + x.coords[i] * row[j] * y.coords[j]
-    for k in range(m, x.model.rank):
-        total = total - x.coords[k] * y.coords[k]
+    for i, row in enumerate(x.model.base.gram_Y):
+        if xs[i]:
+            for j, g in enumerate(row):
+                if g and ys[j]:
+                    total = total + xs[i] * g * ys[j]
+    for k in range(x.model.base.rank, len(xs)):
+        if xs[k] and ys[k]:
+            total = total - xs[k] * ys[k]
     return total
-
-
-def self_intersection(x: DivisorClass) -> Exact:
-    return intersect(x, x)
 
 
 def arithmetic_genus(c: DivisorClass) -> Fraction:

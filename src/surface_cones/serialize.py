@@ -15,7 +15,6 @@ from typing import Any
 from .errors import CertificateError, ModelValidationError
 from .lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
 from .scalar import (
-    Exact,
     compare,
     scalar_from_json,
     scalar_to_json,
@@ -220,14 +219,6 @@ def verify_certificate(doc) -> VerifyResult:
     raise CertificateError(f"unknown certificate kind: {kind!r}")
 
 
-def _ample_pairing(alpha: DivisorClass, delta: Fraction) -> Exact:
-    model = alpha.model
-    value = intersect(alpha, model.line())
-    for i in range(1, model.r + 1):
-        value = value - delta * intersect(alpha, model.exceptional(i))
-    return value
-
-
 def _verify_ray(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
@@ -252,7 +243,7 @@ def _verify_ray(doc) -> str | None:
         return "alpha_identity violated"
     if compare(intersect(curve.cls, k_minus_sl), -1) > 0:
         return "curve_pairing_bound violated"
-    if delta <= 0 or sign(_ample_pairing(alpha, delta)) < 0:
+    if delta <= 0 or sign(intersect(alpha, model.ample_h(delta))) < 0:
         return "alpha_dot_h_nonneg violated"
     return None
 
@@ -286,7 +277,7 @@ def _verify_strict(doc) -> str | None:
     if doc.get("delta") is None:
         return "alpha_dot_h_nonneg violated"
     delta = Fraction(doc["delta"])
-    if delta <= 0 or sign(_ample_pairing(alpha, delta)) < 0:
+    if delta <= 0 or sign(intersect(alpha, model.ample_h(delta))) < 0:
         return "alpha_dot_h_nonneg violated"
     if sign(intersect(alpha, curve)) > 0:
         return "alpha_dot_C_nonpos violated"

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, PreconditionError
 from .lattice import BlowupModel, DivisorClass, intersect
-from .scalar import Exact, as_fraction, compare, sign, sqrt_scalar, to_float
+from .scalar import Exact, as_fraction, compare, sign, sqrt_scalar
 from .thresholds import choose_positive_delta, delta_cap
 
 
@@ -138,17 +138,26 @@ def _quadratic_gt_zero(c2: Fraction, c1: Fraction, c0: Fraction) -> list[_Interv
     return [((-c1 + root) / (2 * c2), True, (-c1 - root) / (2 * c2), True)]
 
 
+def _floor(x: Exact) -> int:
+    """Exact floor of a rational or of a + b*sqrt(d), at any tower depth.
+
+    With root = isqrt(floor(b^2*d)), n below lies in (x - 2, x], so one
+    exact comparison settles it.
+    """
+    if isinstance(x, Fraction):
+        return math.floor(x)
+    b = x.radical_part
+    root = math.isqrt(_floor(b * b * x.radicand))
+    n = _floor(x.rational_part) + (root if sign(b) > 0 else -root - 1)
+    return n + 1 if compare(n + 1, x) <= 0 else n
+
+
 def _rational_strictly_between(lower: Exact, upper: Exact | None) -> Fraction:
-    """A rational strictly above ``lower`` and strictly below ``upper``."""
+    """The least j/2^k above ``lower``, for the smallest k >= 1 that stays below ``upper``."""
     denom = 1
     for _ in range(128):
         denom *= 2
-        j = math.floor(to_float(lower) * denom) + 1
-        while compare(Fraction(j, denom), lower) <= 0:
-            j += 1
-        while j > 1 and compare(Fraction(j - 1, denom), lower) > 0:
-            j -= 1
-        candidate = Fraction(j, denom)
+        candidate = Fraction(_floor(lower * denom) + 1, denom)
         if upper is None or compare(candidate, upper) < 0:
             return candidate
     raise InternalConsistencyError("failed to certify a rational interior point")

@@ -165,17 +165,14 @@ def delta_cap(model: BlowupModel) -> Fraction:
 def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None:
     """Largest delta = cap/2^k with alpha.(L - delta*sum E_i) >= 0, or None.
 
-    The pairing with L is fixed, so halving terminates whenever it is
-    positive; the choice is deterministic and recorded in certificates.
+    Each candidate is one pairing with ``ample_h(delta)``, which raises
+    :class:`PreconditionError` for a cap <= 0.  The pairing with L is fixed,
+    so halving terminates whenever it is positive; the choice is
+    deterministic and recorded in certificates.
     """
-    model = alpha.model
-    alpha_l = intersect(alpha, model.line())
-    penalty: Exact = Fraction(0)
-    for i in range(1, model.r + 1):
-        penalty = penalty + intersect(alpha, model.exceptional(i))
     delta = cap
     for _ in range(64):
-        if sign(alpha_l - delta * penalty) >= 0:
+        if sign(intersect(alpha, alpha.model.ample_h(delta))) >= 0:
             return delta
         delta = delta / 2
     return None

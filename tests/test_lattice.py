@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from helpers import abelian_surface, enriques_surface, k3_surface, p2_blowup, p2_surface
 from surface_cones.errors import (
     AdjunctionParityError,
+    MixedRadicandError,
     ModelMismatchError,
     ModelValidationError,
     PreconditionError,
@@ -20,8 +21,48 @@ from surface_cones.lattice import (
     riemann_roch_chi,
     virtual_and_expected_dim,
 )
+from surface_cones.scalar import make_scalar, sqrt_scalar
+from surface_cones.serialize import blowup_from_json, blowup_to_json
 
 small_ints = st.integers(min_value=-4, max_value=4)
+
+SQRT2 = sqrt_scalar(2)
+TOWER_TOP = sqrt_scalar(3 + SQRT2)  # depth 2, over Q(sqrt 2)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+tower_coords = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(lambda a, b: a + b * SQRT2, small_fractions, small_fractions),
+    st.builds(
+        lambda a, b, c: a + b * SQRT2 + c * TOWER_TOP,
+        small_fractions, small_fractions, small_fractions,
+    ),
+)
+pairing_models = st.one_of(
+    st.builds(p2_blowup, st.integers(min_value=0, max_value=6)),
+    st.builds(BlowupModel, st.just(abelian_surface()), st.integers(min_value=0, max_value=3)),
+    st.builds(BlowupModel, st.just(enriques_surface()), st.integers(min_value=0, max_value=3)),
+)
+
+
+def dense_intersect(x, y):
+    """Reference pairing: every term of the double sum, zeros included."""
+    m = x.model.base.rank
+    gram = x.model.base.gram_Y
+    total = Fraction(0)
+    for i in range(m):
+        for j in range(m):
+            total = total + x.coords[i] * gram[i][j] * y.coords[j]
+    for k in range(m, x.model.rank):
+        total = total - x.coords[k] * y.coords[k]
+    return total
+
+
+@st.composite
+def divisor_pairs(draw):
+    model = draw(pairing_models)
+    coords = st.lists(tower_coords, min_size=model.rank, max_size=model.rank)
+    return model.divisor(draw(coords)), model.divisor(draw(coords))
 
 
 class TestModelValidation:
@@ -92,6 +133,36 @@ class TestIntersection:
     def test_model_mismatch(self):
         with pytest.raises(ModelMismatchError):
             intersect(p2_blowup(1).line(), p2_blowup(2).line())
+
+    @given(divisor_pairs())
+    def test_sparse_kernel_matches_dense_reference(self, pair):
+        x, y = pair
+        assert intersect(x, y) == dense_intersect(x, y)
+        assert intersect(x, x) == dense_intersect(x, x)
+
+    @given(divisor_pairs(), small_fractions)
+    def test_vector_ops_match_coordinatewise(self, pair, a):
+        x, y = pair
+        assert (x + y).coords == tuple(u + v for u, v in zip(x.coords, y.coords))
+        assert (x - y).coords == tuple(u - v for u, v in zip(x.coords, y.coords))
+        assert (a * x).coords == tuple(a * u for u in x.coords)
+        assert ((1 + SQRT2) * x).coords == tuple((1 + SQRT2) * u for u in x.coords)
+
+    def test_equal_models_parsed_separately_pair(self):
+        doc = blowup_to_json(BlowupModel(enriques_surface(), 2))
+        first, second = blowup_from_json(doc), blowup_from_json(doc)
+        assert first is not second and first == second
+        assert intersect(first.line(), second.line()) == 2
+        assert (first.line() - second.exceptional(1)).model == first
+
+    def test_unequal_models_with_same_rank_mismatch(self):
+        with pytest.raises(ModelMismatchError):
+            intersect(BlowupModel(abelian_surface(), 1).line(),
+                      BlowupModel(enriques_surface(), 1).line())
+
+    def test_mixed_towers_rejected(self):
+        with pytest.raises(MixedRadicandError):
+            p2_blowup(1).divisor([make_scalar(1, 1, 2), make_scalar(1, 1, 3)])
 
     @given(st.lists(small_ints, min_size=4, max_size=4),
            st.lists(small_ints, min_size=4, max_size=4),

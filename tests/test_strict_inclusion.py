@@ -11,6 +11,7 @@ from surface_cones.lattice import BlowupModel, SurfaceModel, intersect
 from surface_cones.scalar import as_fraction, compare, make_scalar, sign, sqrt_scalar
 from surface_cones.strict_inclusion import (
     ConditionLabel,
+    _rational_strictly_between,
     alpha_from_s,
     condition_sets,
     gamma_witness,
@@ -134,6 +135,26 @@ class TestSolveSSystem:
             for interval in solve_s_system(model):
                 assert interval.sample is not None
                 assert exact_feasible(model, interval.sample)
+
+
+class TestRationalStrictlyBetween:
+    @pytest.mark.parametrize(
+        "lower",
+        [
+            Fraction(10**400),
+            Fraction(-(10**400), 3),
+            make_scalar(10**400, 1, 2),
+            make_scalar(1, -(10**400), 3),
+        ],
+    )
+    def test_huge_lower_bound_is_exact(self, lower):
+        point = _rational_strictly_between(lower, None)
+        assert compare(point, lower) > 0
+        assert compare(point - Fraction(1, 2), lower) <= 0
+
+    def test_least_half_integer_above_a_surd(self):
+        assert _rational_strictly_between(make_scalar(-3, 1, 10), None) == Fraction(1, 2)
+        assert _rational_strictly_between(make_scalar(0, -1, 2), None) == Fraction(-1)
 
 
 class TestAlphaFromS:

@@ -307,3 +307,16 @@ class TestDeltaChooser:
         model = p2_blowup(2)
         bad = -model.line()
         assert choose_positive_delta(bad, Fraction(1, 4)) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_exactly_k_halvings(self, k):
+        model = p2_blowup(2)
+        cap = Fraction(1, 4)
+        # alpha.(L - delta*(E_1 + E_2)) = cap/2^k - delta: negative until delta = cap/2^k
+        alpha = model.divisor([cap / 2**k, -1, 0])
+        assert choose_positive_delta(alpha, cap) == cap / 2**k
+
+    @pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4)])
+    def test_nonpositive_cap_rejected(self, cap):
+        with pytest.raises(PreconditionError):
+            choose_positive_delta(p2_blowup(2).line(), cap)
