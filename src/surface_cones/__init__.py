@@ -71,6 +71,7 @@ from .thresholds import (
     MainTheoremReport,
     RayContainmentCert,
     ThresholdContext,
+    certify_list,
     check_conditions,
     k_minus_sl_h_negative,
     main_theorem_check,

@@ -168,13 +168,7 @@ def _cmd_thresholds(config: RunConfig, doc: dict) -> int:
 
 def _cmd_certify_ray(config: RunConfig, doc: dict) -> int:
     model, curves = _model_and_curves(doc)
-    ctx = ThresholdContext.from_model(model)
-    certs = [
-        thresholds.ray_certificate(
-            model, c, thresholds.s_threshold(ctx, int(-c.self_int))
-        )
-        for c in curves
-    ]
+    certs = thresholds.certify_list(model, curves)
     report = {
         "kind": "certificate_list",
         "command": "certify-ray",

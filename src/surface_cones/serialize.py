@@ -42,6 +42,12 @@ def _number_from_json(doc, field: str) -> Fraction:
         raise ModelValidationError(f"not a rational number: {doc!r}", field)
 
 
+def _positive_int_from_json(doc, field: str) -> int:
+    if isinstance(doc, bool) or not isinstance(doc, int) or doc < 1:
+        raise ModelValidationError(f"expected a positive integer, got {doc!r}", field)
+    return doc
+
+
 def surface_to_json(surface: SurfaceModel) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "chi": _number_to_json(surface.chi),
@@ -227,11 +233,12 @@ def _verify_ray(doc) -> str | None:
         return f"curve_record_consistent violated ({exc})"
     if not doc.get("valid", False):
         return "certificate marked invalid"
-    n, level = int(doc["n"]), int(doc["level"])
+    n = _positive_int_from_json(doc["n"], "n")
+    level = _positive_int_from_json(doc["level"], "level")
     s = scalar_from_json(doc["s"])
     t0 = scalar_from_json(doc["t0"])
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    delta = Fraction(doc["delta"])
+    delta = _number_from_json(doc["delta"], "delta")
     if sign(intersect(alpha, alpha)) != 0:
         return "alpha_sq_zero violated"
     if compare(t0, Fraction(1, n)) < 0:
@@ -276,7 +283,7 @@ def _verify_strict(doc) -> str | None:
         return "alpha_sq_zero violated"
     if doc.get("delta") is None:
         return "alpha_dot_h_nonneg violated"
-    delta = Fraction(doc["delta"])
+    delta = _number_from_json(doc["delta"], "delta")
     if delta <= 0 or sign(intersect(alpha, model.ample_h(delta))) < 0:
         return "alpha_dot_h_nonneg violated"
     if sign(intersect(alpha, curve)) > 0:

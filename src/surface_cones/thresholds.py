@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -155,7 +155,12 @@ def delta_cap(model: BlowupModel) -> Fraction:
     """Default upper bound for the uniform delta; overridable by environment."""
     override = os.environ.get(_DELTA_CAP_ENV)
     if override:
-        cap = Fraction(override)
+        try:
+            cap = Fraction(override)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"{_DELTA_CAP_ENV} must be a rational number, got {override!r}"
+            )
         if cap <= 0:
             raise PreconditionError(f"{_DELTA_CAP_ENV} must be positive, got {cap}")
         return cap
@@ -273,6 +278,42 @@ def ray_certificate(
     )
 
 
+def certify_list(
+    model: BlowupModel, curves: Sequence[NegativeCurveRecord]
+) -> list[RayContainmentCert]:
+    """Certificate of every curve at its own level n = -C^2, one build per S_r-orbit.
+
+    Equals ``ray_certificate(model, c, s_threshold(ctx, n), level=n)`` on each
+    curve.  A permutation of the E_i is an isometry fixing K, L and every
+    h = L - delta*sum E_i, so n, p, s, t0, delta, the checks and the verdict
+    are constant on an orbit, and alpha(sigma C) = sigma(alpha(C)).  Swapping
+    positions where C has equal coordinates fixes C, so each E-coordinate of
+    alpha is a function of C's value there.  The first curve of each orbit is
+    built in full, in list order, so a precondition error is raised at the
+    same curve as a per-curve loop would raise it.
+    """
+    ctx = ThresholdContext.from_model(model)
+    m = model.base.rank
+    built: dict[tuple, RayContainmentCert] = {}
+    certificates = []
+    for curve in curves:
+        coords = [int(c) for c in curve.cls.coords]
+        key = (tuple(coords[:m]), tuple(sorted(coords[m:])), curve.self_int, curve.genus)
+        rep = built.get(key)
+        if rep is None:
+            n = int(-curve.self_int)
+            rep = built[key] = ray_certificate(model, curve, s_threshold(ctx, n), level=n)
+            certificates.append(rep)
+            continue
+        alpha = rep.alpha
+        if alpha is not None:
+            value_at = dict(zip(rep.curve.cls.coords[m:], alpha.coords[m:]))
+            e_block = tuple(value_at[c] for c in curve.cls.coords[m:])
+            alpha = DivisorClass(model, alpha.coords[:m] + e_block)
+        certificates.append(replace(rep, curve=curve, alpha=alpha))
+    return certificates
+
+
 def s_monotonicity(ctx: ThresholdContext, nu: int) -> list[Exact]:
     """Thresholds s_1 < s_2 < ... < s_nu, with the strict order verified exactly."""
     values = [s_threshold(ctx, n) for n in range(1, nu + 1)]
@@ -361,14 +402,10 @@ def main_theorem_check(
         if not 0 <= p <= pi:
             raise PreconditionError(f"curve with genus {record.genus} outside 0 <= p <= {pi}")
     s = s_threshold(ctx, nu)
-    certificates = []
-    for record in curves:
-        n = int(-record.self_int)
-        certificate = ray_certificate(model, record, s_threshold(ctx, n), level=n)
+    certificates = tuple(certify_list(model, curves))
+    for certificate in certificates:
         if compare(certificate.s, s) > 0:
             raise InternalConsistencyError("curve threshold exceeds the top threshold")
-        certificates.append(certificate)
-    certificates = tuple(certificates)
     k_minus_sl = model.canonical() - s * model.line()
     counterexamples: list[SampledCounterexample] = []
     for k in range(samples):

@@ -109,6 +109,23 @@ class TestCertifyAndVerify:
         code, _, _ = run_cli(["verify", str(path)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("field, value", [("n", 0), ("level", 0), ("delta", "1/0")])
+    def test_zero_denominator_field_exit_one(self, capsys, tmp_path, field, value):
+        certs_path = tmp_path / "certs.json"
+        run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
+        cert = json.loads(certs_path.read_text())["certificates"][3]
+        cert[field] = value
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", cert)], capsys)
+        assert code == 1
+        assert f"{field}:" in err
+
+    @pytest.mark.parametrize("cap", ["abc", "1/0"])
+    def test_malformed_delta_cap_exit_one(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("SURFACE_CONES_DELTA_CAP", cap)
+        code, _, err = run_cli(["certify-ray", "--input", "fixture:p2_r12"], capsys)
+        assert code == 1
+        assert "SURFACE_CONES_DELTA_CAP" in err
+
     def test_unknown_kind_exit_one(self, capsys, tmp_path):
         path = write_json(tmp_path, "odd.json", {"kind": "mystery"})
         code, _, _ = run_cli(["verify", str(path)], capsys)

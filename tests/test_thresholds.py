@@ -1,17 +1,23 @@
 """Thresholds, r-conditions, ray certificates, and the cone-equality sampler."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import abelian_surface, k3_surface, p2_blowup, p2_surface, standard_minus_one_records
+from surface_cones import serialize
+from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
 from surface_cones.errors import InternalConsistencyError, PreconditionError, ThresholdError
-from surface_cones.lattice import BlowupModel, SurfaceModel, intersect
+from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
 from surface_cones.scalar import as_fraction, compare, make_scalar, sign, sqrt_scalar
 from surface_cones.thresholds import (
     ThresholdContext,
+    certify_list,
     check_conditions,
     choose_positive_delta,
     k_minus_sl_h_negative,
@@ -161,6 +167,130 @@ class TestRayCertificate:
                     model.canonical() - (s + shift) * model.line()
                 )
                 assert rebuilt == shifted
+
+
+FIXTURES = (
+    "abelian", "enriques", "k3_generic", "p2_r1", "p2_r9",
+    "p2_r10", "p2_r11", "p2_r12", "p2_r17",
+)
+
+
+def per_curve_certificates(model, curves):
+    ctx = ThresholdContext.from_model(model)
+    return [
+        ray_certificate(model, c, s_threshold(ctx, int(-c.self_int)), level=int(-c.self_int))
+        for c in curves
+    ]
+
+
+def assert_same_certificates(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in dataclasses.fields(a):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def permute_e(divisor, perm):
+    """sigma(divisor): the coordinate of E_(i+1) moves to E_(perm[i]+1)."""
+    m = divisor.model.base.rank
+    e_block = [None] * divisor.model.r
+    for i, c in enumerate(divisor.coords[m:]):
+        e_block[perm[i]] = c
+    return DivisorClass(divisor.model, divisor.coords[:m] + tuple(e_block))
+
+
+def levels_one_and_two(model):
+    """Plane (-1)- and (-2)-curves in five orbits, four of them with two or more members.
+
+    The two quartic orbits share degree, square and genus and differ only in
+    their E-multisets (2,2,2,1^6 and 3,1^9).
+    """
+    line = model.pullback([1])
+    e = model.exceptional
+
+    def curve(degree, *mults):
+        cls = degree * line
+        for i, m in enumerate(mults, start=1):
+            cls = cls - m * e(i)
+        return cls
+
+    classes = [e(i) for i in range(1, 7)]
+    classes += [line - e(i) - e(j) for i, j in ((1, 2), (3, 4), (2, 5), (1, 6))]
+    classes += [line - e(i) - e(j) - e(k) for i, j, k in ((1, 2, 3), (4, 5, 6), (2, 4, 7))]
+    classes += [curve(4, 2, 2, 2, 1, 1, 1, 1, 1, 1), curve(4, 3, *[1] * 9)]
+    classes += [e(7), line - e(8) - e(9), curve(4, 1, 1, 1, 1, 1, 1, 2, 2, 2)]
+    return [NegativeCurveRecord.from_class(c) for c in classes]
+
+
+class TestCertifyList:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_per_curve_build_on_fixtures(self, name):
+        doc = load_fixture(name)
+        model = serialize.blowup_from_json(doc)
+        curves = [serialize.curve_from_json(model, c) for c in doc["curves"]]
+        try:
+            expected = per_curve_certificates(model, curves)
+        except ThresholdError as exc:
+            with pytest.raises(ThresholdError, match=re.escape(str(exc))):
+                certify_list(model, curves)
+            return
+        assert_same_certificates(certify_list(model, curves), expected)
+
+    def test_invalid_orbit_members_copy_the_failure(self):
+        doc = load_fixture("p2_r9")
+        model = serialize.blowup_from_json(doc)
+        curves = [serialize.curve_from_json(model, c) for c in doc["curves"]]
+        certs = certify_list(model, curves)
+        assert len({c.failing for c in certs}) == 1
+        assert not any(c.valid for c in certs) and all(c.alpha is None for c in certs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.permutations(range(17)))
+    def test_permuted_list_gets_permuted_certificates(self, perm):
+        model = p2_blowup(17)
+        curves = levels_one_and_two(model)
+        assert {c.self_int for c in curves} == {-1, -2}
+        moved = [NegativeCurveRecord.from_class(permute_e(c.cls, perm)) for c in curves]
+        expected = [
+            dataclasses.replace(cert, curve=m, alpha=permute_e(cert.alpha, perm))
+            for cert, m in zip(per_curve_certificates(model, curves), moved)
+        ]
+        got = certify_list(model, moved)
+        assert_same_certificates(got, expected)
+        assert all(c.valid for c in got)
+        for cert in got:
+            doc = serialize.ray_certificate_to_json(model, cert)
+            assert serialize.verify_certificate(doc).ok
+
+    def test_orbits_differing_only_in_base_coordinates(self):
+        # (1, 1) - 2E_1 and (1, -1) - 2E_2 share square -4, genus 0, E-multiset
+        # and C.L, but are not related by a permutation of the E_i
+        surface = SurfaceModel(chi=2, kY_sq=0, gram_Y=((2, 0), (0, -2)), k_Y=(0, 0), a_Y=(1, 0))
+        model = BlowupModel(surface, 19)
+        curves = [
+            NegativeCurveRecord.from_class(model.divisor([1, b] + [0] * i + [-2] + [0] * (18 - i)))
+            for b, i in ((1, 0), (-1, 1))
+        ]
+        certs = certify_list(model, curves)
+        assert all(c.valid for c in certs)
+        assert_same_certificates(certs, per_curve_certificates(model, curves))
+
+    def test_contracted_curve_raises_at_the_same_index(self):
+        model = p2_blowup(17)
+        e = model.exceptional
+        classes = [e(1), e(2), model.pullback([1]) - e(1) - e(2), e(3) - e(4), e(5), e(4) - e(3)]
+        curves = [NegativeCurveRecord.from_class(c) for c in classes]
+        failed_at = None
+        for i in range(len(curves)):
+            try:
+                per_curve_certificates(model, curves[i : i + 1])
+            except PreconditionError as exc:
+                failed_at, message = i, str(exc)
+                break
+        assert failed_at == 3
+        assert len(certify_list(model, curves[:failed_at])) == failed_at
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            certify_list(model, curves)
 
 
 class TestMonotonicity:
