@@ -127,8 +127,8 @@ def _model_and_curves(doc: dict) -> tuple[BlowupModel, list[zariski.NegativeCurv
 
 def _bounds(doc: dict, model: BlowupModel) -> segre.SegreBounds:
     if "nu" in doc or "pi" in doc:
-        nu = int(doc.get("nu", 1))
-        pi = int(doc.get("pi", 0))
+        nu = serialize._int_from_json(doc.get("nu", 1), "nu")
+        pi = serialize._int_from_json(doc.get("pi", 0), "pi")
         return segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
     return segre.segre_bounds(model.base.chi)
 

@@ -13,15 +13,15 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import CertificateError, ModelValidationError
-from .lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
-from .scalar import (
-    compare,
-    scalar_from_json,
-    scalar_to_json,
-    sign,
+from .lattice import BlowupModel, DivisorClass, SurfaceModel
+from .scalar import compare, scalar_from_json, scalar_to_json
+from .strict_inclusion import (
+    StrictInclusionWitness,
+    WitnessConstruction,
+    alpha_checks,
+    gamma_checks,
 )
-from .strict_inclusion import StrictInclusionWitness, WitnessConstruction
-from .thresholds import RayContainmentCert
+from .thresholds import RayContainmentCert, first_failing, ray_checks
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
 
 RAY_KIND = "ray_containment"
@@ -42,9 +42,12 @@ def _number_from_json(doc, field: str) -> Fraction:
         raise ModelValidationError(f"not a rational number: {doc!r}", field)
 
 
-def _positive_int_from_json(doc, field: str) -> int:
-    if isinstance(doc, bool) or not isinstance(doc, int) or doc < 1:
-        raise ModelValidationError(f"expected a positive integer, got {doc!r}", field)
+def _int_from_json(doc, field: str, minimum: int | None = None) -> int:
+    """A JSON integer that is not a bool, at least ``minimum`` when one is given."""
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise ModelValidationError(f"must be an integer, got {doc!r}", field)
+    if minimum is not None and doc < minimum:
+        raise ModelValidationError(f"must be at least {minimum}, got {doc}", field)
     return doc
 
 
@@ -93,11 +96,8 @@ def blowup_from_json(doc) -> BlowupModel:
         raise ModelValidationError("blow-up description must be an object", "input")
     if "r" not in doc:
         raise ModelValidationError("missing required field", "r")
-    r = doc["r"]
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise ModelValidationError(f"must be an integer, got {r!r}", "r")
     surface_doc = doc.get("surface", doc)
-    return BlowupModel(base=surface_from_json(surface_doc), r=r)
+    return BlowupModel(base=surface_from_json(surface_doc), r=_int_from_json(doc["r"], "r"))
 
 
 def blowup_to_json(model: BlowupModel) -> dict[str, Any]:
@@ -149,11 +149,7 @@ def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dic
         "t0": None if cert.t0 is None else scalar_to_json(cert.t0),
         "alpha": None if cert.alpha is None else divisor_to_json(cert.alpha),
         "delta": None if cert.delta is None else str(cert.delta),
-        "checks": {
-            "alpha_sq_zero": cert.checks.alpha_sq_zero,
-            "alpha_dot_h_nonneg": cert.checks.alpha_dot_h_nonneg,
-            "t0_positive": cert.checks.t0_positive,
-        },
+        "checks": dict(cert.checks),
         "valid": cert.valid,
         "failing": cert.failing,
     }
@@ -233,26 +229,19 @@ def _verify_ray(doc) -> str | None:
         return f"curve_record_consistent violated ({exc})"
     if not doc.get("valid", False):
         return "certificate marked invalid"
-    n = _positive_int_from_json(doc["n"], "n")
-    level = _positive_int_from_json(doc["level"], "level")
-    s = scalar_from_json(doc["s"])
-    t0 = scalar_from_json(doc["t0"])
-    alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    delta = _number_from_json(doc["delta"], "delta")
-    if sign(intersect(alpha, alpha)) != 0:
-        return "alpha_sq_zero violated"
-    if compare(t0, Fraction(1, n)) < 0:
-        return "t0_lower_bound violated"
-    k_minus_sl = model.canonical() - s * model.line()
-    if compare(intersect(k_minus_sl, k_minus_sl), Fraction(-1, level)) != 0:
-        return "k_minus_sl_square violated"
-    if t0 * curve.cls - k_minus_sl != alpha:
-        return "alpha_identity violated"
-    if compare(intersect(curve.cls, k_minus_sl), -1) > 0:
-        return "curve_pairing_bound violated"
-    if delta <= 0 or sign(intersect(alpha, model.ample_h(delta))) < 0:
-        return "alpha_dot_h_nonneg violated"
-    return None
+    checks = ray_checks(
+        model,
+        curve,
+        n=_int_from_json(doc["n"], "n", 1),
+        p=_int_from_json(doc["p"], "p", 0),
+        level=_int_from_json(doc["level"], "level", 1),
+        s=scalar_from_json(doc["s"]),
+        t0=scalar_from_json(doc["t0"]),
+        alpha=divisor_from_json(model, doc["alpha"], "alpha"),
+        delta=_number_from_json(doc["delta"], "delta"),
+    )
+    failing = first_failing(checks)
+    return f"{failing} violated" if failing else None
 
 
 def _verify_zariski(doc) -> str | None:
@@ -274,36 +263,23 @@ def _verify_zariski(doc) -> str | None:
 
 
 def _verify_strict(doc) -> str | None:
+    """The builders' alpha and gamma checks, plus the identities they hold by construction."""
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
         return "certificate marked invalid"
     curve = model.exceptional(int(doc["curve_index"]))
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    if sign(intersect(alpha, alpha)) != 0:
-        return "alpha_sq_zero violated"
-    if doc.get("delta") is None:
-        return "alpha_dot_h_nonneg violated"
-    delta = _number_from_json(doc["delta"], "delta")
-    if delta <= 0 or sign(intersect(alpha, model.ample_h(delta))) < 0:
-        return "alpha_dot_h_nonneg violated"
-    if sign(intersect(alpha, curve)) > 0:
-        return "alpha_dot_C_nonpos violated"
-    if sign(intersect(alpha, model.canonical())) <= 0:
-        return "alpha_dot_K_positive violated"
+    delta = None if doc.get("delta") is None else _number_from_json(doc["delta"], "delta")
+    checks = alpha_checks(alpha, curve, delta)
     if doc["construction"] == WitnessConstruction.FROM_S.value:
         s = scalar_from_json(doc["s"])
         t = scalar_from_json(doc["t"])
-        if t * curve - (model.canonical() - s * model.line()) != alpha:
-            return "alpha_identity violated"
-        if compare(t, 1) < 0:
-            return "t_lower_bound violated"
+        checks["alpha_identity"] = t * curve - (model.canonical() - s * model.line()) == alpha
+        checks["t_lower_bound"] = compare(t, 1) >= 0
     if doc.get("gamma") is not None:
         lam = scalar_from_json(doc["lambda"])
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
-        if curve + lam * alpha != gamma:
-            return "gamma_identity violated"
-        if sign(intersect(gamma, gamma)) >= 0:
-            return "gamma_sq_negative violated"
-        if sign(intersect(gamma, model.canonical())) <= 0:
-            return "gamma_dot_K_positive violated"
-    return None
+        checks["gamma_identity"] = curve + lam * alpha == gamma
+        checks.update(gamma_checks(gamma))
+    failing = first_failing(checks)
+    return f"{failing} violated" if failing else None

@@ -27,7 +27,14 @@ from fractions import Fraction
 from .errors import InternalConsistencyError, PreconditionError
 from .lattice import BlowupModel, DivisorClass, intersect
 from .scalar import Exact, as_fraction, compare, sign, sqrt_scalar
-from .thresholds import choose_positive_delta, delta_cap
+from .thresholds import (
+    ThresholdContext,
+    alpha_dot_h_nonneg,
+    choose_positive_delta,
+    delta_cap,
+    first_failing,
+    s_threshold,
+)
 
 
 class ConditionLabel(Enum):
@@ -43,7 +50,7 @@ def condition_sets(model: BlowupModel) -> set[ConditionLabel]:
     ak = model.base.a_dot_k
     k_sq = model.base.kY_sq
     r = model.r
-    bound = k_sq + 1 - ak**2 / a_sq
+    bound = ThresholdContext.from_model(model).first_bound(1)
     out: set[ConditionLabel] = set()
     if r <= bound and ak > 0 and a_sq < ak**2:
         out.add(ConditionLabel.A)
@@ -165,22 +172,16 @@ def _rational_strictly_between(lower: Exact, upper: Exact | None) -> Fraction:
 
 def _feasibility_inequalities(model: BlowupModel, s: Fraction) -> bool:
     """Exact check of the three defining inequalities at a rational s."""
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    k_sq = model.base.kY_sq
-    r = model.r
-    delta_t = s**2 * a_sq - 2 * s * ak + k_sq + 1 - r
+    ctx = ThresholdContext.from_model(model)
+    delta_t = ctx.k_minus_sl_sq(s) + 1
     if delta_t < 0:
         return False
-    bound = k_sq + 1 - ak**2 / a_sq
-    if r <= bound:
-        if not s > ak / a_sq:
+    if ctx.r <= ctx.first_bound(1):
+        if not s > ctx.AK / ctx.A_sq:
             return False
-    else:
-        ds = ak**2 - a_sq * (k_sq + 1 - r)
-        if compare(Fraction(s), (ak + sqrt_scalar(ds)) / a_sq) < 0:
-            return False
-    lhs = r - k_sq - 1 + s * ak
+    elif compare(Fraction(s), s_threshold(ctx, 1)) < 0:
+        return False
+    lhs = ctx.r - ctx.kY_sq - 1 + s * ctx.AK
     return lhs > 0 and lhs**2 > delta_t
 
 
@@ -198,12 +199,11 @@ def solve_s_system(model: BlowupModel) -> list[FeasibleInterval]:
     ak = model.base.a_dot_k
     k_sq = model.base.kY_sq
     r = model.r
-    bound = k_sq + 1 - ak**2 / a_sq
-    if r <= bound:
+    ctx = ThresholdContext.from_model(model)
+    if r <= ctx.first_bound(1):
         branch: list[_Interval] = [(ak / a_sq, True, None, True)]
     else:
-        ds = ak**2 - a_sq * (k_sq + 1 - r)
-        branch = [((ak + sqrt_scalar(ds)) / a_sq, False, None, True)]
+        branch = [(s_threshold(ctx, 1), False, None, True)]
     r0 = Fraction(r) - k_sq - 1
     if ak > 0:
         side: list[_Interval] = [(-r0 / ak, True, None, True)]
@@ -261,25 +261,24 @@ class StrictInclusionWitness:
     failing: str | None
 
 
-def _alpha_checks(
-    alpha: DivisorClass, curve: DivisorClass, cap: Fraction
-) -> tuple[dict[str, bool], Fraction | None]:
-    model = alpha.model
-    delta = choose_positive_delta(alpha, cap)
-    checks = {
+def alpha_checks(
+    alpha: DivisorClass, curve: DivisorClass, delta: Fraction | None
+) -> dict[str, bool]:
+    """The alpha-part invariants of a witness, shared by the builders and ``verify``."""
+    return {
         "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
-        "alpha_dot_h_nonneg": delta is not None,
+        "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
         "alpha_dot_C_nonpos": sign(intersect(alpha, curve)) <= 0,
-        "alpha_dot_K_positive": sign(intersect(alpha, model.canonical())) > 0,
+        "alpha_dot_K_positive": sign(intersect(alpha, alpha.model.canonical())) > 0,
     }
-    return checks, delta
 
 
-def _first_failing(checks: dict[str, bool]) -> str | None:
-    for name, ok in checks.items():
-        if not ok:
-            return name
-    return None
+def gamma_checks(gamma: DivisorClass) -> dict[str, bool]:
+    """The invariants of the completed witness gamma, shared with ``verify``."""
+    return {
+        "gamma_sq_negative": sign(intersect(gamma, gamma)) < 0,
+        "gamma_dot_K_positive": sign(intersect(gamma, gamma.model.canonical())) > 0,
+    }
 
 
 def alpha_from_s(
@@ -294,9 +293,7 @@ def alpha_from_s(
     if not 1 <= curve_index <= model.r:
         raise PreconditionError(f"exceptional index {curve_index} out of range 1..{model.r}")
     curve = model.exceptional(curve_index)
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    delta_t = s * s * a_sq - 2 * s * ak + model.base.kY_sq + 1 - model.r
+    delta_t = ThresholdContext.from_model(model).k_minus_sl_sq(s) + 1
     if sign(delta_t) < 0:
         return StrictInclusionWitness(
             construction=WitnessConstruction.FROM_S,
@@ -313,9 +310,9 @@ def alpha_from_s(
         )
     t = 1 + sqrt_scalar(delta_t)
     alpha = t * curve - (model.canonical() - s * model.line())
-    checks, delta = _alpha_checks(alpha, curve, delta_cap(model))
-    checks = {"delta_t_nonneg": True, **checks}
-    failing = _first_failing(checks)
+    delta = choose_positive_delta(alpha, delta_cap(model))
+    checks = {"delta_t_nonneg": True, **alpha_checks(alpha, curve, delta)}
+    failing = first_failing(checks)
     return StrictInclusionWitness(
         construction=WitnessConstruction.FROM_S,
         curve_index=curve_index,
@@ -357,8 +354,9 @@ def uniruled_witness(model: BlowupModel) -> UniruledOutcome:
     coords = list(model.base.a_Y) + [-tilt] * (model.r - 1) + [Fraction(0)]
     alpha = model.divisor(coords)
     curve = model.exceptional(model.r)
-    checks, delta = _alpha_checks(alpha, curve, delta_cap(model))
-    failing = _first_failing(checks)
+    delta = choose_positive_delta(alpha, delta_cap(model))
+    checks = alpha_checks(alpha, curve, delta)
+    failing = first_failing(checks)
     witness = StrictInclusionWitness(
         construction=WitnessConstruction.UNIRULED,
         curve_index=model.r,
@@ -392,10 +390,8 @@ def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
     c_k = intersect(curve, k)
     lam = (2 + abs(c_k)) / alpha_k
     gamma = curve + lam * witness.alpha
-    checks = dict(witness.checks)
-    checks["gamma_sq_negative"] = sign(intersect(gamma, gamma)) < 0
-    checks["gamma_dot_K_positive"] = sign(intersect(gamma, k)) > 0
-    failing = _first_failing(checks)
+    checks = {**witness.checks, **gamma_checks(gamma)}
+    failing = first_failing(checks)
     return replace(
         witness,
         lambda_=lam,

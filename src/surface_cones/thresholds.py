@@ -12,10 +12,15 @@ and the trapping witness for a curve C of square -n and genus p is
     alpha = t0*C - (K - sL),
 
 computed here at any level m >= n with s = s_m, so that alpha^2 = 0 exactly
-and the ray of C lies in the positive cone plus the ray of K - sL.  The
-inequalities on r required for these constructions, and the sampled check
-that the K-sL-nonnegative part of the generated cone stays inside the
-positive cone, live here as exact predicates.
+and the ray of C lies in the positive cone plus the ray of K - sL.
+
+``ThresholdContext.r_condition`` is the single statement of the inequality
+on r that these constructions need; ``check_conditions``, the ray
+certificates and the strict-inclusion solver all read it (or its
+``first_bound`` and ``k_minus_sl_sq``) from there.  ``ray_checks`` is the one
+list of ray-certificate invariants, shared by the builder and ``verify``.
+The sampled check that the K-sL-nonnegative part of the generated cone stays
+inside the positive cone also lives here.
 """
 
 from __future__ import annotations
@@ -65,10 +70,42 @@ class ThresholdContext:
             r=model.r,
         )
 
+    def first_bound(self, n: int) -> Fraction:
+        """K_Y^2 + 1/n - (A.K_Y)^2/A^2: s_n is real for r at least this, strictly at n = 1."""
+        return self.kY_sq + Fraction(1, n) - self.AK**2 / self.A_sq
+
     def delta_quarter(self, n: int) -> Fraction:
         if n < 1:
             raise PreconditionError(f"level must be a positive integer, got {n}")
-        return self.AK**2 - self.A_sq * self.kY_sq + self.A_sq * self.r - Fraction(self.A_sq, n)
+        return self.A_sq * (self.r - self.first_bound(n))
+
+    def k_minus_sl_sq(self, s: Exact) -> Exact:
+        """(K - sL)^2 = s^2*A^2 - 2s*A.K_Y + K_Y^2 - r."""
+        return s * s * self.A_sq - 2 * s * self.AK + self.kY_sq - self.r
+
+    def r_condition(self, n: int, q: int) -> ConditionCheck:
+        """The r-inequality for (-n, p)-rays with q = 2p + n - 1, as its binding bound.
+
+        Two bounds apply: r >= first_bound(n), strict at n = 1, and, when
+        q > A.K_Y/A^2, r >= K_Y^2 + 1/n + A^2*q^2 - 2*(A.K_Y)*q.  The second
+        exceeds the first by (A^2*q - A.K_Y)^2/A^2 > 0 there, so exactly one
+        of them binds.
+        """
+        q = Fraction(q)
+        one = "1" if n == 1 else f"1/{n}"
+        bound, strict = self.first_bound(n), n == 1
+        text = f"K_Y^2 + {one} - (A.K_Y)^2/A^2"
+        if q > self.AK / self.A_sq:
+            bound, strict = bound + (self.A_sq * q - self.AK) ** 2 / self.A_sq, False
+            text = f"K_Y^2 + {one} + A^2*q^2 - 2*(A.K_Y)*q"
+        return ConditionCheck(
+            satisfied=self.r > bound if strict else self.r >= bound,
+            q=q,
+            strict=strict,
+            bound=bound,
+            binding=f"r {'>' if strict else '>='} {text} = {bound}",
+            slack=self.r - bound,
+        )
 
 
 def s_threshold(ctx: ThresholdContext, n: int) -> Exact:
@@ -89,7 +126,7 @@ def s_threshold(ctx: ThresholdContext, n: int) -> Exact:
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Outcome of the combined r-inequality for bounds (nu, pi)."""
+    """Outcome of one r-inequality: its binding bound, that bound as text, and the slack."""
 
     satisfied: bool
     q: Fraction
@@ -102,53 +139,13 @@ class ConditionCheck:
 def check_conditions(ctx: ThresholdContext, nu: int, pi: int) -> ConditionCheck:
     """Combined condition on r for trapping all (-n,p)-rays with n <= nu, p <= pi.
 
-    With q = 2*pi + nu - 1 the binding inequality is r > K_Y^2 + 1 -
-    (A.K_Y)^2/A^2 when q <= A.K_Y/A^2, and r >= K_Y^2 + 1 + A^2*q^2 -
-    2*(A.K_Y)*q otherwise.
+    This is ``ctx.r_condition(1, q)`` with q = 2*pi + nu - 1: the binding
+    inequality is r > K_Y^2 + 1 - (A.K_Y)^2/A^2 when q <= A.K_Y/A^2, and
+    r >= K_Y^2 + 1 + A^2*q^2 - 2*(A.K_Y)*q otherwise.
     """
     if nu < 1 or pi < 0:
         raise PreconditionError(f"need nu >= 1 and pi >= 0, got ({nu}, {pi})")
-    q = Fraction(2 * pi + nu - 1)
-    if q <= ctx.AK / ctx.A_sq:
-        bound = ctx.kY_sq + 1 - ctx.AK**2 / ctx.A_sq
-        strict = True
-        satisfied = ctx.r > bound
-        binding = f"r > K_Y^2 + 1 - (A.K_Y)^2/A^2 = {bound}"
-    else:
-        bound = ctx.kY_sq + 1 + ctx.A_sq * q**2 - 2 * ctx.AK * q
-        strict = False
-        satisfied = ctx.r >= bound
-        binding = f"r >= K_Y^2 + 1 + A^2*q^2 - 2*(A.K_Y)*q = {bound}"
-    return ConditionCheck(
-        satisfied=satisfied,
-        q=q,
-        strict=strict,
-        bound=bound,
-        binding=binding,
-        slack=ctx.r - bound,
-    )
-
-
-def curve_conditions(ctx: ThresholdContext, n: int, p: int) -> str | None:
-    """First violated r-inequality for a single (-n,p)-ray, or None."""
-    if n == 1:
-        bound1 = ctx.kY_sq + 1 - ctx.AK**2 / ctx.A_sq
-        if not ctx.r > bound1:
-            return f"r > K_Y^2 + 1 - (A.K_Y)^2/A^2 = {bound1}"
-        if p > ctx.AK / (2 * ctx.A_sq):
-            bound2 = ctx.kY_sq + 1 + 4 * ctx.A_sq * p**2 - 4 * ctx.AK * p
-            if not ctx.r >= bound2:
-                return f"r >= K_Y^2 + 1 + 4*A^2*p^2 - 4*(A.K_Y)*p = {bound2}"
-        return None
-    q = Fraction(2 * p + n - 1)
-    bound1 = ctx.kY_sq + Fraction(1, n) - ctx.AK**2 / ctx.A_sq
-    if not ctx.r >= bound1:
-        return f"r >= K_Y^2 + 1/{n} - (A.K_Y)^2/A^2 = {bound1}"
-    if q > ctx.AK / ctx.A_sq:
-        bound2 = ctx.kY_sq + Fraction(1, n) + ctx.A_sq * q**2 - 2 * ctx.AK * q
-        if not ctx.r >= bound2:
-            return f"r >= K_Y^2 + 1/{n} + A^2*q^2 - 2*(A.K_Y)*q = {bound2}"
-    return None
+    return ctx.r_condition(1, 2 * pi + nu - 1)
 
 
 def delta_cap(model: BlowupModel) -> Fraction:
@@ -183,14 +180,55 @@ def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None
     return None
 
 
-@dataclass(frozen=True)
-class CertificateChecks:
-    alpha_sq_zero: bool
-    alpha_dot_h_nonneg: bool
-    t0_positive: bool
+def alpha_dot_h_nonneg(alpha: DivisorClass, delta: Fraction | None) -> bool:
+    """alpha.(L - delta*sum E_i) >= 0 for a recorded delta > 0; False without one."""
+    if delta is None or delta <= 0:
+        return False
+    return sign(intersect(alpha, alpha.model.ample_h(delta))) >= 0
 
-    def all_pass(self) -> bool:
-        return self.alpha_sq_zero and self.alpha_dot_h_nonneg and self.t0_positive
+
+def first_failing(checks: dict[str, bool]) -> str | None:
+    """Name of the first false entry of an ordered check list, or None."""
+    return next((name for name, ok in checks.items() if not ok), None)
+
+
+# the entries of ray_checks a certificate records, in their JSON order
+RECORDED_RAY_CHECKS = ("alpha_sq_zero", "alpha_dot_h_nonneg", "t0_positive")
+
+
+def ray_checks(
+    model: BlowupModel,
+    curve: NegativeCurveRecord,
+    n: int,
+    p: int,
+    level: int,
+    s: Exact,
+    t0: Exact,
+    alpha: DivisorClass,
+    delta: Fraction | None,
+) -> dict[str, bool]:
+    """Every invariant of a ray certificate, in the order failures are reported.
+
+    The builder and ``verify`` both evaluate this list: ``curve_level``
+    (n = -C^2, p the genus, n <= level), ``r_inequality``
+    (``ctx.r_condition(n, 2p + n - 1)``), ``s_threshold`` (s is the larger
+    root of (K - sL)^2 = -1/level), ``alpha_sq_zero``, ``t0_positive``
+    (t0 >= 1/n), ``alpha_identity`` (alpha = t0*C - (K - sL)),
+    ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_dot_h_nonneg``.
+    """
+    ctx = ThresholdContext.from_model(model)
+    k_minus_sl = model.canonical() - s * model.line()
+    return {
+        "curve_level": n == -curve.self_int and p == curve.genus and n <= level,
+        "r_inequality": ctx.r_condition(n, 2 * p + n - 1).satisfied,
+        "s_threshold": compare(ctx.k_minus_sl_sq(s), Fraction(-1, level)) == 0
+        and compare(s * ctx.A_sq, ctx.AK) >= 0,
+        "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
+        "t0_positive": compare(t0, Fraction(1, n)) >= 0,
+        "alpha_identity": t0 * curve.cls - k_minus_sl == alpha,
+        "curve_pairing_bound": compare(intersect(curve.cls, k_minus_sl), -1) <= 0,
+        "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
+    }
 
 
 @dataclass(frozen=True)
@@ -200,7 +238,7 @@ class RayContainmentCert:
     ``alpha = t0*C - (K - sL)`` with all fields stored, so the witness can be
     re-verified from its serialized form alone.  ``level`` is the m with
     s = s_m; the curve's own n may be smaller when a whole list is certified
-    at the top threshold.
+    at the top threshold.  ``checks`` holds the ``RECORDED_RAY_CHECKS``.
     """
 
     curve: NegativeCurveRecord
@@ -211,7 +249,7 @@ class RayContainmentCert:
     t0: Exact | None
     alpha: DivisorClass | None
     delta: Fraction | None
-    checks: CertificateChecks
+    checks: dict[str, bool]
     valid: bool
     failing: str | None
 
@@ -221,13 +259,13 @@ def ray_certificate(
     curve: NegativeCurveRecord,
     s: Exact,
     level: int | None = None,
-    cap: Fraction | None = None,
 ) -> RayContainmentCert:
     """Build and check the trapping witness for one curve at threshold s.
 
     Precondition violations (wrong threshold, contracted non-exceptional
-    curve) raise; failed witness inequalities mark the certificate invalid
-    with the failing inequality named.
+    curve) raise; a violated r-inequality or pairing bound, which leaves no
+    witness to build, is named by its text, and otherwise the first false
+    entry of ``ray_checks`` marks the certificate invalid.
     """
     ctx = ThresholdContext.from_model(model)
     n = int(-curve.self_int)
@@ -243,38 +281,23 @@ def ray_certificate(
         raise PreconditionError(
             "contracted curve is not exceptional; general points exclude it"
         )
-    violated = curve_conditions(ctx, n, p)
-    invalid = CertificateChecks(False, False, False)
-    if violated is not None:
-        return RayContainmentCert(
-            curve, n, p, level, s, None, None, None, invalid, False, violated
-        )
-
+    condition = ctx.r_condition(n, 2 * p + n - 1)
     k_minus_sl = model.canonical() - s * model.line()
-    if compare(intersect(k_minus_sl, k_minus_sl), Fraction(-1, level)) != 0:
-        raise InternalConsistencyError("(K - sL)^2 differs from -1/level")
     u = intersect(curve.cls, k_minus_sl)
-    if compare(u, -1) > 0:
+    if not condition.satisfied or compare(u, -1) > 0:
+        failing = condition.binding if not condition.satisfied else "C.(K - sL) <= -1"
+        invalid = dict.fromkeys(RECORDED_RAY_CHECKS, False)
         return RayContainmentCert(
-            curve, n, p, level, s, None, None, None, invalid,
-            False, "C.(K - sL) <= -1",
+            curve, n, p, level, s, None, None, None, invalid, False, failing
         )
     t0 = (-u + sqrt_scalar(u * u - Fraction(n, level))) / n
     alpha = t0 * curve.cls - k_minus_sl
-    alpha_sq_zero = sign(intersect(alpha, alpha)) == 0
-    t0_positive = sign(t0) > 0
-    delta = choose_positive_delta(alpha, cap if cap is not None else delta_cap(model))
-    alpha_dot_h_nonneg = delta is not None
-    checks = CertificateChecks(alpha_sq_zero, alpha_dot_h_nonneg, t0_positive)
-    failing = None
-    if not alpha_sq_zero:
-        failing = "alpha_sq_zero"
-    elif not t0_positive:
-        failing = "t0_positive"
-    elif not alpha_dot_h_nonneg:
-        failing = "alpha_dot_h_nonneg"
+    delta = choose_positive_delta(alpha, delta_cap(model))
+    checks = ray_checks(model, curve, n, p, level, s, t0, alpha, delta)
+    failing = first_failing(checks)
+    recorded = {name: checks[name] for name in RECORDED_RAY_CHECKS}
     return RayContainmentCert(
-        curve, n, p, level, s, t0, alpha, delta, checks, failing is None, failing
+        curve, n, p, level, s, t0, alpha, delta, recorded, failing is None, failing
     )
 
 

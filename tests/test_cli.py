@@ -57,6 +57,15 @@ class TestAnalyze:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "thresholds"])
+@pytest.mark.parametrize("field, value", [("nu", "abc"), ("nu", True), ("pi", 1.5)])
+def test_malformed_bounds_exit_one(capsys, tmp_path, command, field, value):
+    doc = dict(cli.load_fixture("p2_r12"), **{field: value})
+    code, _, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
+    assert code == 1
+    assert f"{field}:" in err
+
+
 class TestThresholds:
     def test_r1_boundary_exit_two(self, capsys):
         code, _, err = run_cli(["thresholds", "--input", "fixture:p2_r1"], capsys)

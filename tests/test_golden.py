@@ -37,7 +37,7 @@ GOLDEN = {
     ("certify-ray", "enriques"): "1ce1af8acd30cea2a22b561b8740ddb2a2b27045048b3258793a330da6d39766",
     ("certify-ray", "k3_generic"): "42fbe3d2308a06b87c3ef3071a99205a5e54ba3a15f96518dac01ca1fba81d8f",
     ("certify-ray", "p2_r1"): "8cf8d43f1d650d8df034ce54458548b8e9379db52ea0be12e4fa874ffb7ea501",
-    ("certify-ray", "p2_r9"): "c3f60a90fbadf7a1facdb61d6c1803a0e487f28f664494b545151cdc4c39f4e6",
+    ("certify-ray", "p2_r9"): "a53e29741f4db740b757ccfb13e29acce54241f122a719a3ec6c23643599d67f",
     ("certify-ray", "p2_r10"): "ffc25b3e7dcc9623736f42b205af52a2ca3491be3e019c010f3233d75267fb8f",
     ("certify-ray", "p2_r11"): "eff2a01f769ebb52f3bbad78e7683581a2e98276f256ec594f70f94ba6283abc",
     ("certify-ray", "p2_r12"): "ac5af825933ee8346c7f6b4e32723e63c734bb48325f824cf5cbfa25303d6158",

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import abelian_surface, p2_blowup, p2_surface, standard_minus_one_records
-from surface_cones import serialize
+from surface_cones import cli, serialize
 from surface_cones.errors import CertificateError
-from surface_cones.scalar import make_scalar
+from surface_cones.lattice import intersect
+from surface_cones.scalar import make_scalar, scalar_to_json, sqrt_scalar
 from surface_cones.strict_inclusion import (
     alpha_from_s,
     gamma_witness,
@@ -90,6 +91,63 @@ class TestRayVerification:
     def test_missing_kind_rejected(self):
         with pytest.raises(CertificateError):
             serialize.verify_certificate({"surface": {}})
+
+
+def verify_exit(doc, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path)])
+    return code, capsys.readouterr().err
+
+
+class TestRayVerifyRejections:
+    """Edits that the builder would never emit; each exits 3 naming its invariant."""
+
+    @pytest.mark.parametrize(
+        "field, value, invariant",
+        [("n", 5, "curve_level"), ("p", 7, "curve_level"), ("level", 3, "s_threshold")],
+    )
+    def test_edited_field(self, tmp_path, capsys, field, value, invariant):
+        doc = ray_cert_doc()
+        assert serialize.verify_certificate(doc).ok
+        doc[field] = value
+        code, err = verify_exit(doc, tmp_path, capsys)
+        assert code == 3
+        assert f"{invariant} violated" in err
+
+    def test_smaller_root_rejected(self, tmp_path, capsys):
+        doc = ray_cert_doc()
+        ctx = ThresholdContext.from_model(p2_blowup(12))
+        # the two roots of (K - sL)^2 = -1/n sum to 2*A.K_Y/A^2
+        doc["s"] = scalar_to_json(2 * ctx.AK / ctx.A_sq - s_threshold(ctx, 1))
+        assert doc["s"] == {"a": "-3", "b": "-1", "d": "11"}
+        code, err = verify_exit(doc, tmp_path, capsys)
+        assert code == 3
+        assert "s_threshold violated" in err
+
+    def test_r_inequality_rejected(self, tmp_path, capsys):
+        # genus-1 cubic 3H - E_1 - ... - E_10 at r = 10 needs r >= 26
+        model = p2_blowup(10)
+        cubic = model.pullback([3])
+        for i in range(1, 11):
+            cubic = cubic - model.exceptional(i)
+        record = NegativeCurveRecord.from_class(cubic)
+        s = s_threshold(ThresholdContext.from_model(model), 1)
+        k_minus_sl = model.canonical() - s * model.line()
+        u = intersect(cubic, k_minus_sl)
+        t0 = -u + sqrt_scalar(u * u - 1)
+        doc = serialize.ray_certificate_to_json(model, ray_certificate(model, record, s))
+        doc.update(
+            t0=scalar_to_json(t0),
+            alpha=serialize.divisor_to_json(t0 * cubic - k_minus_sl),
+            delta="1/20",
+            checks={"alpha_sq_zero": True, "alpha_dot_h_nonneg": True, "t0_positive": True},
+            valid=True,
+            failing=None,
+        )
+        code, err = verify_exit(doc, tmp_path, capsys)
+        assert code == 3
+        assert "r_inequality violated" in err
 
 
 class TestZariskiVerification:

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import abelian_surface, k3_surface, p2_blowup, p2_surface, standard_minus_one_records
 from surface_cones import serialize
@@ -16,6 +16,7 @@ from surface_cones.errors import InternalConsistencyError, PreconditionError, Th
 from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
 from surface_cones.scalar import as_fraction, compare, make_scalar, sign, sqrt_scalar
 from surface_cones.thresholds import (
+    ConditionCheck,
     ThresholdContext,
     certify_list,
     check_conditions,
@@ -90,12 +91,87 @@ class TestCheckConditions:
             check_conditions(ctx_p2(10), 0, 0)
 
 
+def _reference_check_conditions(ctx, nu, pi):
+    """``check_conditions`` as it read before ``ThresholdContext.r_condition``."""
+    q = Fraction(2 * pi + nu - 1)
+    if q <= ctx.AK / ctx.A_sq:
+        bound = ctx.kY_sq + 1 - ctx.AK**2 / ctx.A_sq
+        strict = True
+        satisfied = ctx.r > bound
+        binding = f"r > K_Y^2 + 1 - (A.K_Y)^2/A^2 = {bound}"
+    else:
+        bound = ctx.kY_sq + 1 + ctx.A_sq * q**2 - 2 * ctx.AK * q
+        strict = False
+        satisfied = ctx.r >= bound
+        binding = f"r >= K_Y^2 + 1 + A^2*q^2 - 2*(A.K_Y)*q = {bound}"
+    return ConditionCheck(
+        satisfied=satisfied, q=q, strict=strict, bound=bound, binding=binding, slack=ctx.r - bound
+    )
+
+
+def _reference_curve_conditions(ctx, n, p):
+    """First violated r-inequality for a single (-n,p)-ray, as it read before."""
+    if n == 1:
+        bound1 = ctx.kY_sq + 1 - ctx.AK**2 / ctx.A_sq
+        if not ctx.r > bound1:
+            return f"r > K_Y^2 + 1 - (A.K_Y)^2/A^2 = {bound1}"
+        if p > ctx.AK / (2 * ctx.A_sq):
+            bound2 = ctx.kY_sq + 1 + 4 * ctx.A_sq * p**2 - 4 * ctx.AK * p
+            if not ctx.r >= bound2:
+                return f"r >= K_Y^2 + 1 + 4*A^2*p^2 - 4*(A.K_Y)*p = {bound2}"
+        return None
+    q = Fraction(2 * p + n - 1)
+    bound1 = ctx.kY_sq + Fraction(1, n) - ctx.AK**2 / ctx.A_sq
+    if not ctx.r >= bound1:
+        return f"r >= K_Y^2 + 1/{n} - (A.K_Y)^2/A^2 = {bound1}"
+    if q > ctx.AK / ctx.A_sq:
+        bound2 = ctx.kY_sq + Fraction(1, n) + ctx.A_sq * q**2 - 2 * ctx.AK * q
+        if not ctx.r >= bound2:
+            return f"r >= K_Y^2 + 1/{n} + A^2*q^2 - 2*(A.K_Y)*q = {bound2}"
+    return None
+
+
+bounded_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+
+
+class TestRCondition:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+        bounded_rationals,
+        bounded_rationals,
+        st.integers(0, 40),
+        st.integers(1, 6),
+        st.integers(0, 6),
+    )
+    # the first bound failing at n = 2, and met with equality at n = 2 and at n = 1
+    @example(Fraction(1), Fraction(2), Fraction(12), 5, 2, 0)
+    @example(Fraction(1), Fraction(0), Fraction(15, 2), 8, 2, 0)
+    @example(Fraction(1), Fraction(0), Fraction(7), 8, 1, 0)
+    def test_matches_reference_bodies(self, a_sq, ak, k_sq, r, n, p):
+        ctx = ThresholdContext(A_sq=a_sq, AK=ak, kY_sq=k_sq, r=r)
+        assert check_conditions(ctx, n, p) == _reference_check_conditions(ctx, n, p)
+        got = ctx.r_condition(n, 2 * p + n - 1)
+        reference = _reference_curve_conditions(ctx, n, p)
+        assert got.satisfied is (reference is None)
+        if reference is None:
+            return
+        bound = Fraction(reference.rsplit("= ", 1)[1])
+        strict = reference.startswith("r > ")
+        if bound == got.bound:
+            assert strict is got.strict
+        else:
+            # both bounds fail: the reference named the first, r_condition the binding one
+            assert bound < got.bound and not got.strict
+            assert got.q > ak / a_sq
+
+
 class TestRayCertificate:
     def test_exceptional_curve(self):
         model = p2_blowup(12)
         s = s_threshold(ThresholdContext.from_model(model), 1)
         cert = ray_certificate(model, NegativeCurveRecord.from_class(model.exceptional(1)), s)
-        assert cert.valid and cert.t0 == 1 and cert.checks.all_pass()
+        assert cert.valid and cert.t0 == 1 and all(cert.checks.values())
         assert sign(intersect(cert.alpha, cert.alpha)) == 0
 
     def test_line_type_curve_at_rational_threshold(self):
