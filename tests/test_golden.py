@@ -1,5 +1,9 @@
 """Golden CLI outputs: exit code, stdout and stderr pinned by sha256 on every fixture.
 
+``verify`` is pinned on the ``certify-ray`` output of every fixture (the
+empty output of an infeasible fixture included), and on one copy of the
+p2_r17 list whose last certificate has two alpha E-values swapped.
+
 A refactor that means to keep the output byte-identical must keep these
 digests.  Regenerate an entry only for an output change that is named in
 CHANGES.md.
@@ -63,10 +67,51 @@ GOLDEN = {
 }
 
 
+GOLDEN_VERIFY = {
+    "abelian": "0a8bd708ef26706c15a67ac393b62f5d18633d31d13f37540c88a865bdb26921",
+    "enriques": "0a8bd708ef26706c15a67ac393b62f5d18633d31d13f37540c88a865bdb26921",
+    "k3_generic": "cc62b6c244e15c4c7e2a4d7f50bc15cd66af18bd6c9879aeb2795f8fb66f9c76",
+    "p2_r1": "830f337eb620468d9b692664408eaf7f86b4a0fa957f11416ac2529f9b4fa8b5",
+    "p2_r9": "b8383097326458494e13d01d5d1499b49ff00b64f6254d3b51afcf95a5090bc6",
+    "p2_r10": "b1bea8097b5f9952e45109255e7bb4b6136a4f07fb65d2f929824f5c8e8125b2",
+    "p2_r11": "b4b2bda47ec9a070366c9989e18b44babde95b7460b867a4ebac1acbc0a8c615",
+    "p2_r12": "cc212eb63776b5b05310e2199097e902759ed967966b4030eecf4978b7c953e8",
+    "p2_r17": "77651830326e1b6453048cd046c1b7acb891ccf07dedb5502fa3b1e75b105b44",
+    "p2_r17 tampered": "6667af369ba746f6dc8e5140580ed6f4507cdd9f056c33a6e84e37d9acebc269",
+}
+
+
+def _digest(code, captured) -> str:
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _swap_last_alpha(text: str) -> str:
+    """The list with two E-values of its last alpha swapped where the curve's values differ."""
+    doc = json.loads(text)
+    cert = doc["certificates"][-1]
+    m = len(cert["curve"]["coords"]) - cert["r"]
+    coords, alpha = cert["curve"]["coords"], cert["alpha"]
+    i = m
+    j = next(k for k in range(m, len(coords)) if coords[k] != coords[i])
+    alpha[i], alpha[j] = alpha[j], alpha[i]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, fixture", sorted(GOLDEN))
 def test_golden_output(capsys, monkeypatch, command, fixture):
     monkeypatch.delenv("SURFACE_CONES_DELTA_CAP", raising=False)
     code = cli.main([command, "--input", f"fixture:{fixture}", *EXTRA_ARGS.get(command, [])])
-    captured = capsys.readouterr()
-    blob = json.dumps([code, captured.out, captured.err]).encode()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[command, fixture]
+    assert _digest(code, capsys.readouterr()) == GOLDEN[command, fixture]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
+def test_golden_verify(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.delenv("SURFACE_CONES_DELTA_CAP", raising=False)
+    fixture, _, tamper = case.partition(" ")
+    cli.main(["certify-ray", "--input", f"fixture:{fixture}"])
+    text = capsys.readouterr().out
+    path = tmp_path / "certs.json"
+    path.write_text(_swap_last_alpha(text) if tamper else text)
+    code = cli.main(["verify", str(path)])
+    assert _digest(code, capsys.readouterr()) == GOLDEN_VERIFY[case]
