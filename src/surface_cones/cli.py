@@ -408,11 +408,11 @@ def _cmd_slice(config: RunConfig, doc: dict) -> int:
 
 def _cmd_verify(config: RunConfig, doc: dict) -> int:
     documents = doc["certificates"] if "certificates" in doc else [doc]
-    for i, entry in enumerate(documents):
-        result = serialize.verify_certificate(entry)
-        if not result.ok:
-            sys.stderr.write(f"certificate {i}: {result.failing}\n")
-            return 3
+    failure = serialize._verify_documents(documents)
+    if failure is not None:
+        index, failing = failure
+        sys.stderr.write(f"certificate {index}: {failing}\n")
+        return 3
     sys.stdout.write(f"verified {len(documents)} certificate(s): all invariants hold\n")
     return 0
 

@@ -9,8 +9,9 @@ dispatch.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .errors import CertificateError, ModelValidationError
 from .lattice import BlowupModel, DivisorClass, SurfaceModel
@@ -21,7 +22,13 @@ from .strict_inclusion import (
     alpha_checks,
     gamma_checks,
 )
-from .thresholds import RayContainmentCert, first_failing, ray_checks
+from .thresholds import (
+    RayContainmentCert,
+    first_failing,
+    orbit_alpha,
+    orbit_key,
+    ray_checks,
+)
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
 
 RAY_KIND = "ray_containment"
@@ -221,6 +228,67 @@ def verify_certificate(doc) -> VerifyResult:
     raise CertificateError(f"unknown certificate kind: {kind!r}")
 
 
+def _verify_documents(documents) -> tuple[int, str] | None:
+    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
+
+    Gives the same result, and raises the same errors, as verifying every
+    entry in turn.  The first ray certificate of each S_r-orbit is verified in
+    full.  A later entry is accepted without re-derivation when its document
+    equals the verified one up to the curve coordinates and alpha's
+    E-coordinates, and its alpha is the verified one's ``orbit_alpha`` at its
+    curve: then it is the verified document moved by a permutation of the
+    E_i, an isometry that fixes K, L and every h, so every invariant of
+    ``ray_checks`` and of the curve record holds for it as well.  Every other
+    entry is verified in full.
+    """
+    verified: dict[tuple, Callable | None] = {}
+    for i, doc in enumerate(documents):
+        entry = _orbit_entry(doc)
+        permute = None if entry is None else verified.get(entry.key)
+        if permute is not None and permute(entry.coords) == entry.alpha:
+            continue
+        result = verify_certificate(doc)
+        if not result.ok:
+            return i, result.failing
+        if entry is not None and entry.key not in verified:
+            verified[entry.key] = orbit_alpha(entry.coords, entry.alpha, entry.m)
+    return None
+
+
+class _OrbitEntry(NamedTuple):
+    key: tuple  # canonical JSON of the fields other than curve coords and alpha, and the orbit key
+    coords: list
+    alpha: tuple  # canonical JSON of each alpha coordinate
+    m: int
+
+
+def _orbit_entry(doc) -> _OrbitEntry | None:
+    """None for anything but a ray certificate with a coordinate list, an alpha list and r."""
+    if not isinstance(doc, dict) or doc.get("kind") != RAY_KIND:
+        return None
+    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
+    if not isinstance(curve, dict) or not isinstance(alpha, list):
+        return None
+    coords = curve.get("coords")
+    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
+        return None
+    m = len(coords) - r
+    orbit = orbit_key(coords, m)
+    if orbit is None:
+        return None
+    rest = {k: v for k, v in doc.items() if k != "alpha"}
+    rest["curve"] = {k: v for k, v in curve.items() if k != "coords"}
+    try:
+        return _OrbitEntry((_canonical(rest), orbit), coords, tuple(map(_canonical, alpha)), m)
+    except (TypeError, ValueError):
+        return None
+
+
+def _canonical(value) -> str:
+    """Type-strict canonical JSON: 1, 1.0, true and "1" all differ."""
+    return json.dumps(value, sort_keys=True)
+
+
 def _verify_ray(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
@@ -250,16 +318,28 @@ def _verify_zariski(doc) -> str | None:
         curves = tuple(
             curve_from_json(model, c, f"curves[{i}]") for i, c in enumerate(doc["curves"])
         )
-        decomposition = ZariskiDecomposition(
-            divisor=divisor_from_json(model, doc["divisor"], "divisor"),
-            P=divisor_from_json(model, doc["P"], "P"),
-            coeffs={int(i): Fraction(a) for i, a in doc["coeffs"].items()},
-            curves=curves,
-        )
+        divisor = divisor_from_json(model, doc["divisor"], "divisor")
+        P = divisor_from_json(model, doc["P"], "P")
     except ModelValidationError as exc:
         return f"curve_record_consistent violated ({exc})"
+    decomposition = ZariskiDecomposition(
+        divisor=divisor, P=P, coeffs=_coeffs_from_json(doc["coeffs"], len(curves)), curves=curves
+    )
     violated = decomposition.check_invariants()
     return f"{violated} violated" if violated else None
+
+
+def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
+    """An object from curve indices "0".."count-1" to rational coefficients."""
+    if not isinstance(doc, dict):
+        raise ModelValidationError(f"must be an object, got {doc!r}", "coeffs")
+    index = {str(i): i for i in range(count)}
+    coeffs = {}
+    for key, value in doc.items():
+        if key not in index:
+            raise ModelValidationError(f"not an index into the {count} curves: {key!r}", "coeffs")
+        coeffs[index[key]] = _number_from_json(value, f"coeffs[{key}]")
+    return coeffs
 
 
 def _verify_strict(doc) -> str | None:
@@ -267,11 +347,17 @@ def _verify_strict(doc) -> str | None:
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
         return "certificate marked invalid"
-    curve = model.exceptional(int(doc["curve_index"]))
+    curve = model.exceptional(_int_from_json(doc["curve_index"], "curve_index", 1))
+    try:
+        construction = WitnessConstruction(doc["construction"])
+    except ValueError:
+        raise ModelValidationError(
+            f"not a witness construction: {doc['construction']!r}", "construction"
+        )
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
     delta = None if doc.get("delta") is None else _number_from_json(doc["delta"], "delta")
     checks = alpha_checks(alpha, curve, delta)
-    if doc["construction"] == WitnessConstruction.FROM_S.value:
+    if construction is WitnessConstruction.FROM_S:
         s = scalar_from_json(doc["s"])
         t = scalar_from_json(doc["t"])
         checks["alpha_identity"] = t * curve - (model.canonical() - s * model.line()) == alpha

@@ -29,7 +29,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cones import ConePosition, in_positive_cone
 from .errors import (
@@ -301,6 +301,39 @@ def ray_certificate(
     )
 
 
+def orbit_key(coords: Sequence, m: int) -> tuple | None:
+    """The S_r-orbit key of a curve: its base block and its sorted E-block.
+
+    Two curves share a key exactly when a permutation of the E_i maps one to
+    the other.  ``m`` is the rank of the base.  The coordinates must be all
+    ``int`` (a built class) or all ``str`` (a document's serialized
+    rationals), so that equal keys mean equal values of one type; anything
+    else, bools included, gives None and never raises.
+    """
+    kinds = {type(c) for c in coords}
+    if len(kinds) != 1 or not kinds <= {int, str}:
+        return None
+    return tuple(coords[:m]), tuple(sorted(coords[m:]))
+
+
+def orbit_alpha(
+    curve_coords: Sequence, alpha_coords: Sequence, m: int
+) -> Callable[[Sequence], tuple] | None:
+    """The map from a member sigma(C) of C's orbit to the coordinates of sigma(alpha).
+
+    Swapping positions where C has equal values fixes C, so each E-coordinate
+    of alpha must be a function of C's value there; the member's E-coordinate
+    is that function at the member's value, and the base block is kept.  None
+    when alpha is not such a function (compared with ``!=``).
+    """
+    value_at: dict = {}
+    for c, a in zip(curve_coords[m:], alpha_coords[m:]):
+        if value_at.setdefault(c, a) != a:
+            return None
+    base = tuple(alpha_coords[:m])
+    return lambda member_coords: base + tuple(value_at[c] for c in member_coords[m:])
+
+
 def certify_list(
     model: BlowupModel, curves: Sequence[NegativeCurveRecord]
 ) -> list[RayContainmentCert]:
@@ -309,30 +342,28 @@ def certify_list(
     Equals ``ray_certificate(model, c, s_threshold(ctx, n), level=n)`` on each
     curve.  A permutation of the E_i is an isometry fixing K, L and every
     h = L - delta*sum E_i, so n, p, s, t0, delta, the checks and the verdict
-    are constant on an orbit, and alpha(sigma C) = sigma(alpha(C)).  Swapping
-    positions where C has equal coordinates fixes C, so each E-coordinate of
-    alpha is a function of C's value there.  The first curve of each orbit is
-    built in full, in list order, so a precondition error is raised at the
-    same curve as a per-curve loop would raise it.
+    are constant on an orbit (``orbit_key``), and alpha(sigma C) =
+    sigma(alpha(C)) (``orbit_alpha``; alpha = t0*C - (K - sL) is a function
+    of C's E-values).  The first curve of each orbit is built in full, in
+    list order, so a precondition error is raised at the same curve as a
+    per-curve loop would raise it.
     """
     ctx = ThresholdContext.from_model(model)
     m = model.base.rank
-    built: dict[tuple, RayContainmentCert] = {}
+    built: dict[tuple, tuple] = {}
     certificates = []
     for curve in curves:
         coords = [int(c) for c in curve.cls.coords]
-        key = (tuple(coords[:m]), tuple(sorted(coords[m:])), curve.self_int, curve.genus)
-        rep = built.get(key)
-        if rep is None:
+        key = orbit_key(coords, m)
+        if key not in built:
             n = int(-curve.self_int)
-            rep = built[key] = ray_certificate(model, curve, s_threshold(ctx, n), level=n)
+            rep = ray_certificate(model, curve, s_threshold(ctx, n), level=n)
+            permute = None if rep.alpha is None else orbit_alpha(coords, rep.alpha.coords, m)
+            built[key] = rep, permute
             certificates.append(rep)
             continue
-        alpha = rep.alpha
-        if alpha is not None:
-            value_at = dict(zip(rep.curve.cls.coords[m:], alpha.coords[m:]))
-            e_block = tuple(value_at[c] for c in curve.cls.coords[m:])
-            alpha = DivisorClass(model, alpha.coords[:m] + e_block)
+        rep, permute = built[key]
+        alpha = None if rep.alpha is None else DivisorClass(model, permute(coords))
         certificates.append(replace(rep, curve=curve, alpha=alpha))
     return certificates
 

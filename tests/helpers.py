@@ -52,6 +52,29 @@ def standard_minus_one_records(model: BlowupModel) -> list[NegativeCurveRecord]:
     return records
 
 
+def levels_one_and_two(model):
+    """Plane (-1)- and (-2)-curves in five orbits, four of them with two or more members.
+
+    The two quartic orbits share degree, square and genus and differ only in
+    their E-multisets (2,2,2,1^6 and 3,1^9).
+    """
+    line = model.pullback([1])
+    e = model.exceptional
+
+    def curve(degree, *mults):
+        cls = degree * line
+        for i, m in enumerate(mults, start=1):
+            cls = cls - m * e(i)
+        return cls
+
+    classes = [e(i) for i in range(1, 7)]
+    classes += [line - e(i) - e(j) for i, j in ((1, 2), (3, 4), (2, 5), (1, 6))]
+    classes += [line - e(i) - e(j) - e(k) for i, j, k in ((1, 2, 3), (4, 5, 6), (2, 4, 7))]
+    classes += [curve(4, 2, 2, 2, 1, 1, 1, 1, 1, 1), curve(4, 3, *[1] * 9)]
+    classes += [e(7), line - e(8) - e(9), curve(4, 1, 1, 1, 1, 1, 1, 2, 2, 2)]
+    return [NegativeCurveRecord.from_class(c) for c in classes]
+
+
 def brute_force_zariski(divisor: DivisorClass, curves) -> tuple[DivisorClass, dict[int, Fraction]]:
     """Subset-enumeration oracle for the Zariski decomposition.
 

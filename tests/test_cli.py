@@ -170,6 +170,21 @@ class TestZariski:
         assert code == 0
 
 
+    @pytest.mark.parametrize("coeffs", [{"0": "1/0"}, [], {"1": "1"}, {"-1": "1"}])
+    def test_malformed_coeffs_exit_one(self, capsys, tmp_path, coeffs):
+        doc = {"surface": P2_SURFACE, "r": 1,
+               "curves": [{"coords": [0, 1]}], "divisor": [1, 2]}
+        path = write_json(tmp_path, "in.json", doc)
+        out_path = tmp_path / "dec.json"
+        run_cli(["zariski", "--input", path, "--output", str(out_path)], capsys)
+        decomposition = json.loads(out_path.read_text())
+        assert decomposition["coeffs"] == {"0": "2"}
+        decomposition["coeffs"] = coeffs
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", decomposition)], capsys)
+        assert code == 1
+        assert "coeffs" in err
+
+
 class TestSegreCheck:
     def test_enriques_fixture(self, capsys):
         code, out, _ = run_cli(["segre-check", "--input", "fixture:enriques"], capsys)
@@ -210,6 +225,18 @@ class TestStrictInclusion:
         assert doc["route"] == "from_s"
         code, _, _ = run_cli(["verify", str(out_path)], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("construction", 5), ("construction", "tilted"), ("curve_index", True)]
+    )
+    def test_malformed_witness_field_exit_one(self, capsys, tmp_path, field, value):
+        out_path = tmp_path / "witness.json"
+        run_cli(["strict-inclusion", "--input", "fixture:p2_r11", "--output", str(out_path)], capsys)
+        witness = json.loads(out_path.read_text())
+        witness[field] = value
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", witness)], capsys)
+        assert code == 1
+        assert field in err
 
     def test_no_witness_exit_two(self, capsys):
         code, _, err = run_cli(["strict-inclusion", "--input", "fixture:p2_r10"], capsys)

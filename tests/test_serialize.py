@@ -1,11 +1,19 @@
 """Round trips and the standalone verifier, including tamper detection."""
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import abelian_surface, p2_blowup, p2_surface, standard_minus_one_records
+from helpers import (
+    abelian_surface,
+    levels_one_and_two,
+    p2_blowup,
+    p2_surface,
+    standard_minus_one_records,
+)
 from surface_cones import cli, serialize
 from surface_cones.errors import CertificateError
 from surface_cones.lattice import intersect
@@ -16,7 +24,14 @@ from surface_cones.strict_inclusion import (
     solve_s_system,
     uniruled_witness,
 )
-from surface_cones.thresholds import ThresholdContext, ray_certificate, s_threshold
+from surface_cones.thresholds import (
+    ThresholdContext,
+    certify_list,
+    orbit_key,
+    orbit_alpha,
+    ray_certificate,
+    s_threshold,
+)
 from surface_cones.zariski import NegativeCurveRecord, zariski_decompose
 
 
@@ -148,6 +163,185 @@ class TestRayVerifyRejections:
         code, err = verify_exit(doc, tmp_path, capsys)
         assert code == 3
         assert "r_inequality violated" in err
+
+
+def reference_verify(documents):
+    """The per-entry loop that ``verify`` ran before it became orbit-aware."""
+    for i, doc in enumerate(documents):
+        result = serialize.verify_certificate(doc)
+        if not result.ok:
+            return i, result.failing
+    return None
+
+
+def outcome(check, documents):
+    """(index, failing) or None, or the class of the exception raised."""
+    try:
+        return check(documents)
+    except Exception as exc:
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=1)
+def plane_list_text() -> str:
+    """18 certificates at r = 17 in five orbits of sizes 7, 5, 3, 2 and 1, in list order."""
+    model = p2_blowup(17)
+    certificates = certify_list(model, levels_one_and_two(model))
+    return json.dumps([serialize.ray_certificate_to_json(model, c) for c in certificates])
+
+
+def test_orbit_key_ignores_untyped_coordinates():
+    for coords in (
+        ["1", 1], [True, False], ["1", 1.0, "0"], [Fraction(1)], [{"a": "1"}], [[1], [0]], [None]
+    ):
+        assert orbit_key(coords, 1) is None
+    assert orbit_key(["1", "-1", "0", "-1"], 1) == (("1",), ("-1", "-1", "0"))
+    assert orbit_key([1, 0, -1], 1) == ((1,), (-1, 0))
+
+
+def test_orbit_alpha_needs_a_function_of_the_curve():
+    curve, alpha = ["1", "0", "-1", "-1"], ["a", "b", "c", "c"]
+    assert orbit_alpha(curve, alpha, 1)(["1", "-1", "0", "-1"]) == ("a", "c", "b", "c")
+    assert orbit_alpha(curve, alpha, 1)(curve) == tuple(alpha)
+    assert orbit_alpha(curve, ["a", "b", "c", "d"], 1) is None
+
+
+def _e_positions(doc):
+    return range(len(doc["curve"]["coords"]) - doc["r"], len(doc["curve"]["coords"]))
+
+
+def _orbit(doc):
+    coords = doc["curve"]["coords"]
+    return coords[0], sorted(coords[1:])
+
+
+def _plus_one(value):
+    if isinstance(value, dict):
+        return {**value, "a": _plus_one(value["a"])}
+    return str(Fraction(value) + 1)
+
+
+def _respelled(value):
+    """The same rational written as 2p/2q."""
+    if isinstance(value, dict):
+        return {**value, "a": _respelled(value["a"])}
+    value = Fraction(value)
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+def swap_alpha(docs, index, pick):
+    """Swap two alpha E-values at positions where the curve's values differ."""
+    coords, alpha = docs[index]["curve"]["coords"], docs[index]["alpha"]
+    positions = _e_positions(docs[index])
+    pairs = [(i, j) for i in positions for j in positions if i < j and coords[i] != coords[j]]
+    i, j = pairs[pick % len(pairs)]
+    alpha[i], alpha[j] = alpha[j], alpha[i]
+
+
+def foreign_curve(docs, index, pick):
+    """Give the entry the curve record of an entry outside its orbit."""
+    others = [d for d in docs if _orbit(d) != _orbit(docs[index])]
+    docs[index]["curve"] = json.loads(json.dumps(others[pick % len(others)]["curve"]))
+
+
+def odd_coordinate(docs, index, pick):
+    """Write one curve coordinate as another JSON value, of another type or spelling."""
+    coords = docs[index]["curve"]["coords"]
+    values = [True, 1.0, 0, "1/1", "-0", {"a": "0", "b": "1", "d": "2"}, [0], None]
+    coords[pick % len(coords)] = values[pick // len(coords) % len(values)]
+
+
+def tamper_alpha(docs, index, pick):
+    """Add 1 to one alpha coordinate."""
+    alpha = docs[index]["alpha"]
+    k = pick % len(alpha)
+    alpha[k] = _plus_one(alpha[k])
+
+
+def respell_alpha(docs, index, pick):
+    """Write one alpha coordinate with an equal value but other JSON."""
+    alpha = docs[index]["alpha"]
+    k = pick % len(alpha)
+    alpha[k] = _respelled(alpha[k])
+
+
+def odd_field(docs, index, pick):
+    """Set n, s or delta to true or 1.0."""
+    docs[index][("n", "s", "delta")[pick % 3]] = (True, 1.0)[pick // 3 % 2]
+
+
+def edit_checks(docs, index, pick):
+    """Flip a recorded check, write it as 1, or add one."""
+    checks = docs[index]["checks"]
+    name = sorted(checks)[pick % len(checks)]
+    edit = pick // len(checks) % 3
+    if edit == 2:
+        checks["extra"] = True
+    else:
+        checks[name] = (False, 1)[edit]
+
+
+EDITS = {
+    f.__name__: f
+    for f in (
+        swap_alpha, foreign_curve, odd_coordinate, tamper_alpha, respell_alpha, odd_field,
+        edit_checks,
+    )
+}
+IN_ORDER = list(range(18))
+
+
+class TestOrbitVerify:
+    """``serialize._verify_documents`` against the per-entry reference loop.
+
+    In list order, entry 0 is the first of the E_i orbit, 13 the first of a
+    quartic orbit, and 15 (E_7) and 17 (a quartic) are later members.
+    """
+
+    def test_members_are_not_rederived(self, monkeypatch):
+        calls = []
+        full = serialize.verify_certificate
+        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
+        assert serialize._verify_documents(json.loads(plane_list_text())) is None
+        assert len(calls) == 5
+
+    def test_p2_r17_fixture_two_full_checks(self, monkeypatch, capsys):
+        cli.main(["certify-ray", "--input", "fixture:p2_r17"])
+        documents = json.loads(capsys.readouterr().out)["certificates"]
+        calls = []
+        full = serialize.verify_certificate
+        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
+        assert serialize._verify_documents(documents) is None
+        assert (len(documents), len(calls)) == (153, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.permutations(IN_ORDER),
+        edit=st.sampled_from(sorted(EDITS)),
+        index=st.integers(0, 17),
+        pick=st.integers(0, 10_000),
+    )
+    @example(order=IN_ORDER, edit="swap_alpha", index=17, pick=0)
+    @example(order=IN_ORDER, edit="swap_alpha", index=15, pick=3)
+    @example(order=IN_ORDER, edit="foreign_curve", index=17, pick=0)
+    @example(order=IN_ORDER, edit="foreign_curve", index=15, pick=4)
+    @example(order=IN_ORDER, edit="odd_coordinate", index=15, pick=18)
+    @example(order=IN_ORDER, edit="tamper_alpha", index=0, pick=5)
+    @example(order=IN_ORDER, edit="tamper_alpha", index=13, pick=0)
+    @example(order=IN_ORDER, edit="respell_alpha", index=0, pick=3)
+    @example(order=IN_ORDER, edit="odd_field", index=15, pick=0)  # n = true where n is 1
+    @example(order=IN_ORDER, edit="odd_field", index=15, pick=3)  # n = 1.0 where n is 1
+    @example(order=IN_ORDER, edit="odd_field", index=17, pick=1)  # s = true
+    @example(order=IN_ORDER, edit="odd_field", index=17, pick=5)  # delta = 1.0
+    @example(order=IN_ORDER, edit="edit_checks", index=17, pick=0)
+    @example(order=IN_ORDER, edit="edit_checks", index=0, pick=3)
+    def test_single_edit_matches_reference(self, order, edit, index, pick):
+        listed = json.loads(plane_list_text())
+        documents = [listed[i] for i in order]
+        EDITS[edit](documents, index, pick)
+        assert outcome(serialize._verify_documents, documents) == outcome(
+            reference_verify, documents
+        )
 
 
 class TestZariskiVerification:
