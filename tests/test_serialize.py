@@ -27,8 +27,8 @@ from surface_cones.strict_inclusion import (
 from surface_cones.thresholds import (
     ThresholdContext,
     certify_list,
-    orbit_key,
     orbit_alpha,
+    orbit_key,
     ray_certificate,
     s_threshold,
 )
