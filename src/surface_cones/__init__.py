@@ -12,6 +12,7 @@ from .errors import (
     AdjunctionParityError,
     CertificateError,
     InternalConsistencyError,
+    MalformedValueError,
     MixedRadicandError,
     ModelMismatchError,
     ModelValidationError,

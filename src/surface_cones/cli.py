@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -216,8 +215,8 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
     for i, pencil in enumerate(doc.get("pencils", [])):
         outcome = segre.pencil_counterexample(
             chi,
-            Fraction(pencil["g"]),
-            Fraction(pencil["dim"]),
+            serialize._number_from_json(pencil["g"], f"pencils[{i}].g"),
+            serialize._number_from_json(pencil["dim"], f"pencils[{i}].dim"),
             pg=model.base.pg,
             q=model.base.irregularity,
         )
@@ -239,7 +238,12 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
                 "index": i,
                 "variant": variant.value,
                 "holds": segre.nagata_checks(
-                    Fraction(entry["deg"]), [Fraction(m) for m in entry["mults"]], variant
+                    serialize._number_from_json(entry["deg"], f"nagata[{i}].deg"),
+                    [
+                        serialize._number_from_json(m, f"nagata[{i}].mults[{j}]")
+                        for j, m in enumerate(entry["mults"])
+                    ],
+                    variant,
                 ),
             }
         )
@@ -408,6 +412,10 @@ def _cmd_slice(config: RunConfig, doc: dict) -> int:
 
 def _cmd_verify(config: RunConfig, doc: dict) -> int:
     documents = doc["certificates"] if "certificates" in doc else [doc]
+    if not isinstance(documents, list) or not documents:
+        raise ModelValidationError(
+            "must be a non-empty list of certificate documents", "certificates"
+        )
     failure = serialize._verify_documents(documents)
     if failure is not None:
         index, failing = failure

@@ -27,6 +27,15 @@ class ModelValidationError(SurfaceConesError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
+class MalformedValueError(ModelValidationError):
+    """A JSON value has the wrong type or spelling for its field, e.g. ``true`` for a number.
+
+    It is raised while a document is parsed, before any invariant is
+    evaluated, so ``verify`` reports it as malformed input, never as a
+    violated invariant.
+    """
+
+
 class ModelMismatchError(SurfaceConesError):
     """Two divisor classes from different blow-up models were combined."""
 

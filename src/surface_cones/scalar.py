@@ -267,6 +267,9 @@ def _add(x: Exact, y: Exact) -> Exact:
         return _make(_add(x._a, y), x._b, x._d)
     if _is_prefix(kx, ky):
         return _make(_add(y._a, x), y._b, y._d)
+    aligned = _align(x, y)
+    if aligned is not None:
+        return _add(*aligned)
     raise MixedRadicandError(f"mixed radicands: cannot combine {x} and {y}")
 
 
@@ -286,7 +289,43 @@ def _mul(x: Exact, y: Exact) -> Exact:
         return _make(_mul(x._a, y), _mul(x._b, y), x._d)
     if _is_prefix(kx, ky):
         return _make(_mul(y._a, x), _mul(y._b, x), y._d)
+    aligned = _align(x, y)
+    if aligned is not None:
+        return _mul(*aligned)
     raise MixedRadicandError(f"mixed radicands: cannot combine {x} and {y}")
+
+
+def _align(x: Exact, y: Exact) -> tuple[Exact, Exact] | None:
+    """x and y over one first radicand when theirs differ by a square factor, else None.
+
+    Radicands above ``_TRIAL_LIMIT`` can keep a square factor (sqrt(p^2*q)
+    next to p*sqrt(q)).  When d1*d2 = k^2, sqrt(d2) = (k/d1)*sqrt(d1), so the
+    value over the larger radicand is rewritten over the smaller one.  Only
+    reached where the operation would otherwise raise.
+    """
+    kx, ky = _field_key(x), _field_key(y)
+    if not kx or not ky or kx[0] == ky[0]:
+        return None
+    d1, d2 = kx[0], ky[0]
+    k = _fraction_sqrt(d1 * d2)
+    if k is None:
+        return None
+    if d1 < d2:
+        return x, _rebase(y, d2, d1, k / d1)
+    return _rebase(x, d1, d2, k / d2), y
+
+
+def _rebase(x: Exact, d_from: Fraction, d_to: Fraction, scale: Fraction) -> Exact:
+    """x with sqrt(d_from) replaced by scale*sqrt(d_to) at the first level of its tower."""
+    if isinstance(x, Fraction):
+        return x
+    if x._d == d_from:
+        return Scalar(x._a, x._b * scale, d_to)
+    return Scalar(
+        _rebase(x._a, d_from, d_to, scale),
+        _rebase(x._b, d_from, d_to, scale),
+        _rebase(x._d, d_from, d_to, scale),
+    )
 
 
 def _inv(x: Exact) -> Exact:
@@ -470,9 +509,13 @@ def scalar_to_json(x: ExactLike):
 
 
 def scalar_from_json(doc) -> Exact:
+    """Inverse of ``scalar_to_json``; a bool or any other JSON value raises ValueError."""
     if isinstance(doc, str):
-        return Fraction(doc)
-    if isinstance(doc, int):
+        try:
+            return Fraction(doc)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {doc!r}")
+    if isinstance(doc, int) and not isinstance(doc, bool):
         return Fraction(doc)
     if isinstance(doc, dict):
         a = scalar_from_json(doc["a"])

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .errors import CertificateError, ModelValidationError
+from .errors import CertificateError, MalformedValueError, ModelValidationError
 from .lattice import BlowupModel, DivisorClass, SurfaceModel
 from .scalar import compare, scalar_from_json, scalar_to_json
 from .strict_inclusion import (
@@ -42,17 +42,25 @@ def _number_to_json(value: Fraction):
 
 def _number_from_json(doc, field: str) -> Fraction:
     if isinstance(doc, bool) or not isinstance(doc, (int, str)):
-        raise ModelValidationError(f"expected a rational number, got {doc!r}", field)
+        raise MalformedValueError(f"expected a rational number, got {doc!r}", field)
     try:
         return Fraction(doc)
     except (ValueError, ZeroDivisionError):
-        raise ModelValidationError(f"not a rational number: {doc!r}", field)
+        raise MalformedValueError(f"not a rational number: {doc!r}", field)
+
+
+def _scalar_from_json(doc, field: str):
+    """``scalar_from_json`` naming ``field`` when ``doc`` is not a serialized scalar."""
+    try:
+        return scalar_from_json(doc)
+    except (KeyError, ValueError):
+        raise MalformedValueError(f"not a serialized scalar: {doc!r}", field)
 
 
 def _int_from_json(doc, field: str, minimum: int | None = None) -> int:
     """A JSON integer that is not a bool, at least ``minimum`` when one is given."""
     if isinstance(doc, bool) or not isinstance(doc, int):
-        raise ModelValidationError(f"must be an integer, got {doc!r}", field)
+        raise MalformedValueError(f"must be an integer, got {doc!r}", field)
     if minimum is not None and doc < minimum:
         raise ModelValidationError(f"must be at least {minimum}, got {doc}", field)
     return doc
@@ -118,7 +126,7 @@ def divisor_to_json(divisor: DivisorClass) -> list:
 def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
     if not isinstance(doc, list):
         raise ModelValidationError("divisor must be a coordinate list", field)
-    return model.divisor([scalar_from_json(c) for c in doc])
+    return model.divisor([_scalar_from_json(c, f"{field}[{i}]") for i, c in enumerate(doc)])
 
 
 def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:
@@ -293,6 +301,8 @@ def _verify_ray(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
         curve = curve_from_json(model, doc["curve"])
+    except MalformedValueError:
+        raise
     except ModelValidationError as exc:
         return f"curve_record_consistent violated ({exc})"
     if not doc.get("valid", False):
@@ -303,8 +313,8 @@ def _verify_ray(doc) -> str | None:
         n=_int_from_json(doc["n"], "n", 1),
         p=_int_from_json(doc["p"], "p", 0),
         level=_int_from_json(doc["level"], "level", 1),
-        s=scalar_from_json(doc["s"]),
-        t0=scalar_from_json(doc["t0"]),
+        s=_scalar_from_json(doc["s"], "s"),
+        t0=_scalar_from_json(doc["t0"], "t0"),
         alpha=divisor_from_json(model, doc["alpha"], "alpha"),
         delta=_number_from_json(doc["delta"], "delta"),
     )
@@ -320,6 +330,8 @@ def _verify_zariski(doc) -> str | None:
         )
         divisor = divisor_from_json(model, doc["divisor"], "divisor")
         P = divisor_from_json(model, doc["P"], "P")
+    except MalformedValueError:
+        raise
     except ModelValidationError as exc:
         return f"curve_record_consistent violated ({exc})"
     decomposition = ZariskiDecomposition(
@@ -358,12 +370,12 @@ def _verify_strict(doc) -> str | None:
     delta = None if doc.get("delta") is None else _number_from_json(doc["delta"], "delta")
     checks = alpha_checks(alpha, curve, delta)
     if construction is WitnessConstruction.FROM_S:
-        s = scalar_from_json(doc["s"])
-        t = scalar_from_json(doc["t"])
+        s = _scalar_from_json(doc["s"], "s")
+        t = _scalar_from_json(doc["t"], "t")
         checks["alpha_identity"] = t * curve - (model.canonical() - s * model.line()) == alpha
         checks["t_lower_bound"] = compare(t, 1) >= 0
     if doc.get("gamma") is not None:
-        lam = scalar_from_json(doc["lambda"])
+        lam = _scalar_from_json(doc["lambda"], "lambda")
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
         checks["gamma_identity"] = curve + lam * alpha == gamma
         checks.update(gamma_checks(gamma))

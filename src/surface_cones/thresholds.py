@@ -435,10 +435,15 @@ def main_theorem_check(
     Each curve is certified at its own threshold s_n; the containment at the
     top threshold follows because s_n <= s_nu is verified exactly and adding
     a nonnegative multiple of the nef L moves K - s_nu L to K - s_n L inside
-    the positive cone.  Sampling draws random conic combinations of list
-    curves with a random rational class on the cone boundary; every sample
-    pairing nonnegatively with K - s_nu L must land inside the positive
-    cone, and any violation is reported exactly, never suppressed.
+    the positive cone.  Sampling then tries to falsify the cone equality:
+    each of the ``samples`` draws seeds its own ``random.Random`` and
+    builds, in ``_sample_draw``, gamma = x + sum w_i C_i, with x a random
+    rational class on the cone boundary, moved from a null base computed
+    once per call, and integer weights 0 <= w_i <= 10.  The curve sum is
+    accumulated in ints and added to x once, and gamma.(K - s_nu L) is
+    decided as sign(gamma.K - s_nu*(gamma.L)).  Every sample pairing
+    nonnegatively with K - s_nu L must land inside the positive cone; any
+    violation is reported exactly, once per sample, never suppressed.
     """
     ctx = ThresholdContext.from_model(model)
     condition = check_conditions(ctx, nu, pi)
@@ -460,19 +465,10 @@ def main_theorem_check(
     for certificate in certificates:
         if compare(certificate.s, s) > 0:
             raise InternalConsistencyError("curve threshold exceeds the top threshold")
-    k_minus_sl = model.canonical() - s * model.line()
+    draw = _sample_draw(model, curves, s)
     counterexamples: list[SampledCounterexample] = []
     for k in range(samples):
-        rng = random.Random(seed * 1_000_003 + k)
-        coords = list(_boundary_class(model, rng).coords)
-        for record in curves:
-            weight = rng.randint(0, 10)
-            if weight:
-                for idx, v in enumerate(record.cls.coords):
-                    if v:
-                        coords[idx] += weight * v
-        gamma = model.divisor(coords)
-        pairing = sign(intersect(gamma, k_minus_sl))
+        gamma, pairing = draw(random.Random(seed * 1_000_003 + k))
         if pairing >= 0 and in_positive_cone(gamma) is ConePosition.OUTSIDE:
             counterexamples.append(
                 SampledCounterexample(
@@ -492,22 +488,61 @@ def main_theorem_check(
     )
 
 
-def _boundary_class(model: BlowupModel, rng: random.Random) -> DivisorClass:
-    """Random rational class on the boundary of the positive cone.
+def _sample_draw(
+    model: BlowupModel, curves: Sequence[NegativeCurveRecord], s: Exact
+) -> Callable[[random.Random], tuple[DivisorClass, int]]:
+    """The sampler's draw: gamma = x + sum w_i C_i and the sign of gamma.(K - sL).
 
-    Starts from c*L - (E_1 + ... + E_k) with c^2*A^2 = k when such a rational
-    c exists for some k <= r, then moves along a random rational direction
-    staying on the null quadric.  Falls back to L when the lattice admits no
-    cheap rational null vector.
+    x is ``_boundary_class`` from the null base, which is computed once here;
+    then one ``rng.randint(0, 10)`` per curve, in list order, gives w_i.
+    Curve coordinates are integers, so each curve's nonzero entries are kept
+    as ``(index, int)`` pairs, the weighted sum is accumulated in ints and
+    added to x once.  The pairing is decided as sign(gamma.K - s*(gamma.L)):
+    two rational pairings and one exact product.
     """
-    base = None
+    base = _null_base(model)
+    supports = [
+        [(i, c.numerator) for i, c in enumerate(record.cls.coords) if c] for record in curves
+    ]
+    canonical, line = model.canonical(), model.line()
+
+    def draw(rng: random.Random) -> tuple[DivisorClass, int]:
+        coords = list(_boundary_class(model, rng, base).coords)
+        total = [0] * len(coords)
+        for support in supports:
+            weight = rng.randint(0, 10)
+            if weight:
+                for idx, v in support:
+                    total[idx] += weight * v
+        for idx, v in enumerate(total):
+            if v:
+                coords[idx] += v
+        gamma = DivisorClass(model, tuple(coords))
+        return gamma, sign(intersect(gamma, canonical) - s * intersect(gamma, line))
+
+    return draw
+
+
+def _null_base(model: BlowupModel) -> DivisorClass | None:
+    """c*L - (E_1 + ... + E_k) with c^2*A^2 = k for the least k <= r with c rational, or None."""
     for k in range(1, model.r + 1):
         c = exact_sqrt(Fraction(k) / model.base.a_sq)
         if c is not None and is_rational(c):
             coords = list(c * v for v in model.base.a_Y)
             coords += [Fraction(-1)] * k + [Fraction(0)] * (model.r - k)
-            base = model.divisor(coords)
-            break
+            return model.divisor(coords)
+    return None
+
+
+def _boundary_class(
+    model: BlowupModel, rng: random.Random, base: DivisorClass | None
+) -> DivisorClass:
+    """Random rational class on the boundary of the positive cone.
+
+    Moves the null ``base`` (from ``_null_base``) along a random rational
+    direction staying on the null quadric.  Falls back to L, drawing
+    nothing, when the lattice admits no cheap rational null vector.
+    """
     if base is None:
         return model.line()
     for _ in range(32):

@@ -135,6 +135,37 @@ class TestCertifyAndVerify:
         assert code == 1
         assert "SURFACE_CONES_DELTA_CAP" in err
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("curve", "coords", 1), "curve.coords[1]"),
+            (("curve", "self_int"), "curve.self_int"),
+            (("alpha", 0), "alpha[0]"),
+            (("s",), "s"),
+            (("t0",), "t0"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_as_number_exit_one(self, capsys, tmp_path, path, field, value):
+        # E_1 has curve coordinate 1 at index 1, so true there once verified
+        certs_path = tmp_path / "certs.json"
+        run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
+        doc = json.loads(certs_path.read_text())
+        target = doc["certificates"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", doc)], capsys)
+        assert code == 1
+        assert f"{field}:" in err
+
+    @pytest.mark.parametrize("certificates", [5, [], {}, "certs", None])
+    def test_certificates_must_be_a_nonempty_list(self, capsys, tmp_path, certificates):
+        path = write_json(tmp_path, "list.json", {"certificates": certificates})
+        code, out, err = run_cli(["verify", path], capsys)
+        assert (code, out) == (1, "")
+        assert "certificates:" in err
+
     def test_unknown_kind_exit_one(self, capsys, tmp_path):
         path = write_json(tmp_path, "odd.json", {"kind": "mystery"})
         code, _, _ = run_cli(["verify", str(path)], capsys)
@@ -210,6 +241,29 @@ class TestSegreCheck:
         )
         assert code == 0
         assert "segre_fails" in out
+
+
+class TestBoolInputs:
+    @pytest.mark.parametrize(
+        "command, edit, field",
+        [
+            ("zariski", lambda doc: doc.update(divisor=[3, True]), "divisor[1]"),
+            ("analyze", lambda doc: doc.update(curves=[{"coords": [False, 1]}]),
+             "curves[0].coords[0]"),
+            ("thresholds", lambda doc: doc["surface"].update(chi=True), "chi"),
+            ("segre-check", lambda doc: doc.update(pencils=[{"g": True, "dim": 0}]), "pencils[0].g"),
+            ("segre-check", lambda doc: doc.update(nagata=[{"deg": 3, "mults": [1, True]}]),
+             "nagata[0].mults[1]"),
+            ("slice", lambda doc: doc.update(classes=[[1, False]]), "classes[0][1]"),
+        ],
+        ids=["divisor", "curve", "chi", "pencil", "nagata", "slice-class"],
+    )
+    def test_bool_as_number_exit_one(self, capsys, tmp_path, command, edit, field):
+        doc = {"surface": dict(P2_SURFACE), "r": 1}
+        edit(doc)
+        code, _, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert code == 1
+        assert f"{field}:" in err
 
 
 class TestStrictInclusion:

@@ -102,6 +102,11 @@ class TestModelValidation:
             SurfaceModel(chi=1, kY_sq=4, gram_Y=((1,),), k_Y=(2,), a_Y=(1,))
         assert "parity" in str(info.value)
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(ModelValidationError) as info:
+            SurfaceModel(chi=1, kY_sq=9, gram_Y=((True,),), k_Y=(-3,), a_Y=(1,))
+        assert "gram_Y[0][0]" in str(info.value)
+
     def test_negative_r_rejected(self):
         with pytest.raises(ModelValidationError):
             BlowupModel(p2_surface(), -1)

@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from surface_cones.errors import MixedRadicandError, NonRealScalarError
 from surface_cones.scalar import (
+    _TRIAL_LIMIT,
     Scalar,
     compare,
     exact_sqrt,
@@ -70,6 +71,47 @@ def test_mixed_radicands_error():
         a * b
     with pytest.raises(MixedRadicandError):
         a + b
+
+
+# primes just above the trial-division bound, whose squares _squarefree_split cannot extract
+LARGE_PRIMES = [
+    p for p in range(_TRIAL_LIMIT + 1, _TRIAL_LIMIT + 300)
+    if all(p % f for f in range(2, math.isqrt(p) + 1))
+]
+
+
+def test_square_factor_beyond_trial_limit():
+    wide = sqrt_scalar(10007**2 * 10009)
+    narrow = 10007 * sqrt_scalar(10009)
+    assert wide.radicand == 10007**2 * 10009  # the square factor stays unextracted
+    assert wide - narrow == Fraction(0)
+    assert wide * narrow == Fraction(10007**2 * 10009)
+    assert compare(wide, narrow) == 0
+
+
+def test_square_factor_beyond_trial_limit_in_a_tower():
+    wide = sqrt_scalar(1 + sqrt_scalar(10007**2 * 10009))
+    narrow = sqrt_scalar(1 + 10007 * sqrt_scalar(10009))
+    assert wide - narrow == Fraction(0)
+    assert sign(wide * narrow - narrow * narrow) == 0
+
+
+def test_unrelated_large_radicands_still_mixed():
+    with pytest.raises(MixedRadicandError):
+        sqrt_scalar(10007**2 * 10009) + sqrt_scalar(10039)
+
+
+@given(
+    p=st.sampled_from(LARGE_PRIMES), q=st.sampled_from(LARGE_PRIMES), a=rationals, b=rationals
+)
+@example(p=10007, q=10009, a=Fraction(0), b=Fraction(0))
+def test_radicands_differing_by_a_large_square(p, q, a, b):
+    wide = a + sqrt_scalar(p * p * q)
+    narrow = b + p * sqrt_scalar(q)
+    assert wide - narrow == a - b
+    assert narrow - wide == b - a
+    assert wide * narrow == make_scalar(a * b + p * p * q, (a + b) * p, q)
+    assert compare(wide, narrow) == sign(a - b)
 
 
 def test_division():
@@ -158,6 +200,12 @@ def test_json_tower_round_trip():
     t0 = (s11 - 2) + sqrt_scalar(14 - 4 * s11)
     doc = scalar_to_json(t0)
     assert scalar_from_json(doc) == t0
+
+
+@pytest.mark.parametrize("doc", [True, False, "1/0", 1.5, None, [1], {"a": "1", "b": "1"}])
+def test_json_rejects_non_scalars(doc):
+    with pytest.raises((KeyError, ValueError)):
+        scalar_from_json(doc)
 
 
 def test_json_level_one_schema():

@@ -1,6 +1,7 @@
 """Thresholds, r-conditions, ray certificates, and the cone-equality sampler."""
 
 import dataclasses
+import functools
 import random
 import re
 from fractions import Fraction
@@ -16,14 +17,23 @@ from helpers import (
     p2_surface,
     standard_minus_one_records,
 )
-from surface_cones import serialize
+from surface_cones import serialize, thresholds
 from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
 from surface_cones.errors import InternalConsistencyError, PreconditionError, ThresholdError
 from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
-from surface_cones.scalar import as_fraction, compare, make_scalar, sign, sqrt_scalar
+from surface_cones.scalar import (
+    as_fraction,
+    compare,
+    exact_sqrt,
+    is_rational,
+    make_scalar,
+    sign,
+    sqrt_scalar,
+)
 from surface_cones.thresholds import (
     ConditionCheck,
+    SampledCounterexample,
     ThresholdContext,
     certify_list,
     check_conditions,
@@ -462,6 +472,127 @@ class TestMainTheorem:
         b = main_theorem_check(model, curves, 1, 0, samples=25, seed=9)
         assert a.counterexamples == b.counterexamples == ()
         assert [c.alpha for c in a.certificates] == [c.alpha for c in b.certificates]
+
+
+    def test_counterexample_reported_once_per_sample(self, monkeypatch):
+        # -L pairs to sqrt(11) > 0 with K - s_1 L on the plane at r = 12 and
+        # has (-L).L < 0, so every draw is a counterexample when it is the boundary class
+        model = p2_blowup(12)
+        outside = -model.line()
+        s = s_threshold(ThresholdContext.from_model(model), 1)
+        assert sign(intersect(outside, model.canonical() - s * model.line())) == 1
+        assert in_positive_cone(outside) is ConePosition.OUTSIDE
+        monkeypatch.setattr(thresholds, "_boundary_class", lambda model, rng, base: outside)
+        report = main_theorem_check(model, [], 1, 0, samples=7, seed=2)
+        expected = SampledCounterexample(coords=outside.coords, pairing_sign=1)
+        assert report.counterexamples == (expected,) * 7
+        assert not report.passed
+
+
+def _reference_boundary_class(model, rng):
+    """Reference boundary draw: searches for the null base on every call."""
+    base = None
+    for k in range(1, model.r + 1):
+        c = exact_sqrt(Fraction(k) / model.base.a_sq)
+        if c is not None and is_rational(c):
+            coords = list(c * v for v in model.base.a_Y)
+            coords += [Fraction(-1)] * k + [Fraction(0)] * (model.r - k)
+            base = model.divisor(coords)
+            break
+    if base is None:
+        return model.line()
+    for _ in range(32):
+        direction = model.divisor(
+            [Fraction(rng.randint(-3, 3)) for _ in range(model.rank)]
+        )
+        d_sq = intersect(direction, direction)
+        if sign(d_sq) == 0:
+            continue
+        t = -2 * intersect(base, direction) / d_sq
+        x = base + t * direction
+        if x.is_zero():
+            continue
+        x_dot_l = sign(intersect(x, model.line()))
+        if x_dot_l < 0:
+            x = -x
+        elif x_dot_l == 0:
+            continue
+        return x
+    return base
+
+
+def reference_draw(model, curves, s, rng):
+    """Reference sample: each weighted curve added in Fractions, one pairing with K - sL."""
+    coords = list(_reference_boundary_class(model, rng).coords)
+    for record in curves:
+        weight = rng.randint(0, 10)
+        if weight:
+            for idx, v in enumerate(record.cls.coords):
+                if v:
+                    coords[idx] += weight * v
+    gamma = model.divisor(coords)
+    return gamma, sign(intersect(gamma, model.canonical() - s * model.line()))
+
+
+def k3_sextic(r):
+    """K3 with H^2 = 6, not a square: the null base exists only for r >= 6.
+
+    The curves are the E_i and, for r >= 7, the genus-4 class H - E_1 - ... - E_7.
+    """
+    model = BlowupModel(k3_surface(6), r)
+    records = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, r + 1)]
+    if r >= 7:
+        cls = model.pullback([1])
+        for i in range(1, 8):
+            cls = cls - model.exceptional(i)
+        records.append(NegativeCurveRecord.from_class(cls))
+    return model, records
+
+
+@functools.lru_cache(maxsize=None)
+def draw_case(name):
+    if name.startswith("k3_sextic_r"):
+        model, curves = k3_sextic(int(name.rpartition("r")[2]))
+    else:
+        doc = load_fixture(name)
+        model = serialize.blowup_from_json(doc)
+        curves = [serialize.curve_from_json(model, c) for c in doc["curves"]]
+    return model, curves
+
+
+class TestSampleDraw:
+    """``_sample_draw`` against the Fraction-sum draw it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(
+            ["p2_r10", "p2_r12", "p2_r17", "k3_generic", "k3_sextic_r8", "k3_sextic_r5"]
+        ),
+        level=st.integers(1, 2),
+        shift=st.integers(-60, 4),
+        seed=st.integers(0, 2**64),
+    )
+    @example(name="p2_r10", level=1, shift=0, seed=0)  # s_1 = 0 is rational
+    @example(name="p2_r12", level=1, shift=-60, seed=0)  # the pairing is positive
+    def test_matches_reference_draw(self, name, level, shift, seed):
+        # s = s_level + shift/2: the thresholds give negative pairings, a shift
+        # far enough down makes them positive
+        model, curves = draw_case(name)
+        s = s_threshold(ThresholdContext.from_model(model), level) + Fraction(shift, 2)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        gamma, pairing = thresholds._sample_draw(model, curves, s)(rng)
+        ref_gamma, ref_pairing = reference_draw(model, curves, s, ref_rng)
+        assert all(type(c) is Fraction for c in gamma.coords)
+        assert gamma.coords == ref_gamma.coords
+        assert pairing == ref_pairing
+        assert rng.random() == ref_rng.random()
+
+    def test_fallback_to_line_draws_nothing(self):
+        model = BlowupModel(k3_surface(6), 5)
+        assert thresholds._null_base(model) is None
+        rng = random.Random(4)
+        assert thresholds._boundary_class(model, rng, None) == model.line()
+        assert rng.random() == random.Random(4).random()
 
 
 class TestThresholdSliceMonotonicity:
