@@ -126,7 +126,13 @@ def divisor_to_json(divisor: DivisorClass) -> list:
 def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
     if not isinstance(doc, list):
         raise ModelValidationError("divisor must be a coordinate list", field)
-    return model.divisor([_scalar_from_json(c, f"{field}[{i}]") for i, c in enumerate(doc)])
+    try:
+        coords = [scalar_from_json(c) for c in doc]
+    except (KeyError, ValueError):
+        for i, c in enumerate(doc):  # raises at the first malformed coordinate
+            _scalar_from_json(c, f"{field}[{i}]")
+        raise
+    return model.divisor(coords)
 
 
 def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:
