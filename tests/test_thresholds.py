@@ -473,7 +473,6 @@ class TestMainTheorem:
         assert a.counterexamples == b.counterexamples == ()
         assert [c.alpha for c in a.certificates] == [c.alpha for c in b.certificates]
 
-
     def test_counterexample_reported_once_per_sample(self, monkeypatch):
         # -L pairs to sqrt(11) > 0 with K - s_1 L on the plane at r = 12 and
         # has (-L).L < 0, so every draw is a counterexample when it is the boundary class
