@@ -3,6 +3,9 @@
 ``verify`` is pinned on the ``certify-ray`` output of every fixture (the
 empty output of an infeasible fixture included), and on one copy of the
 p2_r17 list whose last certificate has two alpha E-values swapped.
+``zariski`` is pinned on fixture curve lists with chosen divisors, ``verify``
+on each of its outputs and on one moved by L, and ``list_decomposition_check``
+by the sha256 of its report's ``repr``.
 
 A refactor that means to keep the output byte-identical must keep these
 digests.  Regenerate an entry only for an output change that is named in
@@ -11,10 +14,11 @@ CHANGES.md.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from surface_cones import cli
+from surface_cones import cli, zariski
 
 EXTRA_ARGS = {"analyze": ["--samples", "50"]}
 
@@ -115,3 +119,80 @@ def test_golden_verify(capsys, monkeypatch, tmp_path, case):
     path.write_text(_swap_last_alpha(text) if tamper else text)
     code = cli.main(["verify", str(path)])
     assert _digest(code, capsys.readouterr()) == GOLDEN_VERIFY[case]
+
+
+# zariski inputs: a bundled fixture's surface and curve list with a divisor
+ZARISKI_DIVISORS = {
+    "p2_r10": [7] + [-3] * 5 + [0] * 5,  # 7L - 3(E_1 + ... + E_5)
+    "p2_r10 incomplete": [4] + [-2] * 5 + [0] * 5,  # needs the unlisted conic: exit 2
+    "p2_r17": [5, -3, -3, -1, -1] + [0] * 13,  # support L - E_1 - E_2
+    "abelian": [2, 1, 2, 0],  # support E_1
+    "enriques": [1, 3, 0, 1],  # support E_2
+}
+
+GOLDEN_ZARISKI = {
+    "abelian": "d0dba5b92ed469ff90ec336c328e2db4707029c1bb5fdbc2c87b2f12f82e644d",
+    "enriques": "fc5b5a4cca86896372c71cbfd033223a0a787c9d203ed959cbb39a96b17bb5c8",
+    "p2_r10": "6ef0850e3df32b0834a90f2baf341796f495c060267fd9dd442e86ec01e37144",
+    "p2_r10 incomplete": "8a238fac12a4651338771c9bd37d68cce8d88029698e6bce64871224a23fff63",
+    "p2_r17": "8c80c6479719931a5d9e9a629723bfeeb10b31fecba6ca006a23b1cc88ec8a66",
+}
+
+# verify on each zariski output, and on the p2_r17 one moved by L
+GOLDEN_ZARISKI_VERIFY = {
+    "abelian": "03d5f16735c957f00d5479d03c6c7ca0423feee14d5cabe3bc27a89e81d9e284",
+    "enriques": "03d5f16735c957f00d5479d03c6c7ca0423feee14d5cabe3bc27a89e81d9e284",
+    "p2_r10": "03d5f16735c957f00d5479d03c6c7ca0423feee14d5cabe3bc27a89e81d9e284",
+    "p2_r10 incomplete": "830f337eb620468d9b692664408eaf7f86b4a0fa957f11416ac2529f9b4fa8b5",
+    "p2_r17": "03d5f16735c957f00d5479d03c6c7ca0423feee14d5cabe3bc27a89e81d9e284",
+    "p2_r17 moved": "79ec264ee4116c06e1deee3a38f598fc69a8a0a79315a105685b506f3c653d09",
+}
+
+# (samples, seed) of list_decomposition_check on a fixture's model and curve list
+LIST_CHECK_ARGS = {"p2_r10": (5, 3), "p2_r17": (3, 1)}
+
+GOLDEN_LIST_CHECK = {
+    "p2_r10": "190e8ebb2a999b0e1e918b9b506c7c9638b65d321ab4419ad47c6cf638d8673e",
+    "p2_r17": "c05624c6c77ba3ca5f08e83c4db3d0a2fb341bda063d567458e31861d484b735",
+}
+
+
+def _zariski(capsys, tmp_path, case):
+    fixture = case.partition(" ")[0]
+    doc = dict(cli.load_fixture(fixture), divisor=ZARISKI_DIVISORS[case])
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["zariski", "--input", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(ZARISKI_DIVISORS))
+def test_golden_zariski(capsys, tmp_path, case):
+    code, captured = _zariski(capsys, tmp_path, case)
+    assert _digest(code, captured) == GOLDEN_ZARISKI[case]
+
+
+def _move_by_line(text: str) -> str:
+    """The decomposition with L added to both D and P: the sum holds, P.C_i changes."""
+    doc = json.loads(text)
+    for key in ("divisor", "P"):
+        doc[key][0] = str(Fraction(doc[key][0]) + 1)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ZARISKI_VERIFY))
+def test_golden_zariski_verify(capsys, tmp_path, case):
+    source = case.removesuffix(" moved")
+    _, captured = _zariski(capsys, tmp_path, source)
+    path = tmp_path / "decomposition.json"
+    path.write_text(captured.out if case == source else _move_by_line(captured.out))
+    code = cli.main(["verify", str(path)])
+    assert _digest(code, capsys.readouterr()) == GOLDEN_ZARISKI_VERIFY[case]
+
+
+@pytest.mark.parametrize("fixture", sorted(LIST_CHECK_ARGS))
+def test_golden_list_decomposition_check(fixture):
+    model, curves = cli._model_and_curves(cli.load_fixture(fixture))
+    samples, seed = LIST_CHECK_ARGS[fixture]
+    report = zariski.list_decomposition_check(model, curves, samples=samples, seed=seed)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == GOLDEN_LIST_CHECK[fixture]
