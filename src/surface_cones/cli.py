@@ -21,6 +21,7 @@ from . import segre, serialize, strict_inclusion, thresholds, zariski
 from .cones import render_slice_csv, slice_export
 from .errors import (
     CertificateError,
+    MalformedValueError,
     ModelValidationError,
     PreconditionError,
     SurfaceConesError,
@@ -112,10 +113,7 @@ def _render_text(report: dict, indent: str = "") -> str:
 def _model_and_curves(doc: dict) -> tuple[BlowupModel, list[zariski.NegativeCurveRecord]]:
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
-        curves = [
-            serialize.curve_from_json(model, c, f"curves[{i}]")
-            for i, c in enumerate(doc["curves"])
-        ]
+        curves = serialize._curves_from_json(model, doc["curves"])
     else:
         curves = [
             zariski.NegativeCurveRecord.from_class(model.exceptional(i))
@@ -195,6 +193,20 @@ def _cmd_zariski(config: RunConfig, doc: dict) -> int:
     return 0
 
 
+def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
+    """The optional list ``doc[key]`` of objects that each hold ``fields``; [] when absent."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise MalformedValueError(f"must be a list of objects, got {entries!r}", key)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise MalformedValueError(f"must be an object, got {entry!r}", f"{key}[{i}]")
+        for name in fields:
+            if name not in entry:
+                raise ModelValidationError("missing required field", f"{key}[{i}].{name}")
+    return entries
+
+
 def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
     model, curves = _model_and_curves(doc)
     chi = model.base.chi
@@ -212,7 +224,7 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
             row["k3_kind"] = segre.classify_k3_record(record, ck).value
         curve_rows.append(row)
     pencil_rows = []
-    for i, pencil in enumerate(doc.get("pencils", [])):
+    for i, pencil in enumerate(_entries(doc, "pencils", ("g", "dim"))):
         outcome = segre.pencil_counterexample(
             chi,
             serialize._number_from_json(pencil["g"], f"pencils[{i}].g"),
@@ -231,8 +243,16 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
             }
         )
     nagata_rows = []
-    for i, entry in enumerate(doc.get("nagata", [])):
-        variant = segre.NagataVariant(entry.get("variant", "nagata"))
+    for i, entry in enumerate(_entries(doc, "nagata", ("deg", "mults"))):
+        try:
+            variant = segre.NagataVariant(entry.get("variant", "nagata"))
+        except ValueError:
+            raise ModelValidationError(
+                f"not a Nagata variant: {entry['variant']!r}", f"nagata[{i}].variant"
+            )
+        mults = entry["mults"]
+        if not isinstance(mults, list):
+            raise MalformedValueError(f"must be a list, got {mults!r}", f"nagata[{i}].mults")
         nagata_rows.append(
             {
                 "index": i,
@@ -241,7 +261,7 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
                     serialize._number_from_json(entry["deg"], f"nagata[{i}].deg"),
                     [
                         serialize._number_from_json(m, f"nagata[{i}].mults[{j}]")
-                        for j, m in enumerate(entry["mults"])
+                        for j, m in enumerate(mults)
                     ],
                     variant,
                 ),

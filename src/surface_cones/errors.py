@@ -23,6 +23,7 @@ class ModelValidationError(SurfaceConesError):
     """
 
     def __init__(self, message: str, field: str | None = None):
+        self.message = message
         self.field = field
         super().__init__(f"{field}: {message}" if field else message)
 

@@ -124,9 +124,18 @@ def divisor_to_json(divisor: DivisorClass) -> list:
 
 
 def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
+    """The class with coordinate list ``doc``; ``field`` names a malformed coordinate.
+
+    When the entries are all JSON ints or all strings, each distinct value is
+    parsed once.
+    """
     if not isinstance(doc, list):
         raise ModelValidationError("divisor must be a coordinate list", field)
     try:
+        kinds = set(map(type, doc))
+        if len(kinds) == 1 and kinds <= {int, str}:
+            values = {c: scalar_from_json(c) for c in set(doc)}
+            return DivisorClass(model, tuple(values[c] for c in doc))
         coords = [scalar_from_json(c) for c in doc]
     except (KeyError, ValueError):
         for i, c in enumerate(doc):  # raises at the first malformed coordinate
@@ -145,17 +154,35 @@ def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:
 
 
 def curve_from_json(model: BlowupModel, doc, field: str = "curve") -> NegativeCurveRecord:
+    """A curve record; the record's own errors, named ``curve*``, are renamed ``<field>*``."""
     if not isinstance(doc, dict) or "coords" not in doc:
         raise ModelValidationError("curve record needs a coords list", field)
     cls = divisor_from_json(model, doc["coords"], f"{field}.coords")
-    if "self_int" in doc:
-        return NegativeCurveRecord(
-            cls=cls,
-            self_int=_number_from_json(doc["self_int"], f"{field}.self_int"),
-            genus=_number_from_json(doc["genus"], f"{field}.genus"),
-            is_exceptional=bool(doc["is_exceptional"]),
-        )
-    return NegativeCurveRecord.from_class(cls)
+    declared = "self_int" in doc
+    if declared:
+        self_int = _number_from_json(doc["self_int"], f"{field}.self_int")
+        for key in ("genus", "is_exceptional"):
+            if key not in doc:
+                raise MalformedValueError("missing required field", f"{field}.{key}")
+        genus = _number_from_json(doc["genus"], f"{field}.genus")
+        flag = doc["is_exceptional"]
+        if not isinstance(flag, bool):
+            raise MalformedValueError(
+                f"must be true or false, got {flag!r}", f"{field}.is_exceptional"
+            )
+    try:
+        if declared:
+            return NegativeCurveRecord(cls, self_int, genus, flag)
+        return NegativeCurveRecord.from_class(cls)
+    except ModelValidationError as exc:
+        raise ModelValidationError(exc.message, field + exc.field[len("curve"):]) from None
+
+
+def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
+    """The ``curves`` list of a document: records named ``curves[i]``."""
+    if not isinstance(doc, list):
+        raise MalformedValueError(f"must be a list of curve records, got {doc!r}", "curves")
+    return [curve_from_json(model, c, f"curves[{i}]") for i, c in enumerate(doc)]
 
 
 def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dict[str, Any]:
@@ -331,9 +358,7 @@ def _verify_ray(doc) -> str | None:
 def _verify_zariski(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
-        curves = tuple(
-            curve_from_json(model, c, f"curves[{i}]") for i, c in enumerate(doc["curves"])
-        )
+        curves = tuple(_curves_from_json(model, doc["curves"]))
         divisor = divisor_from_json(model, doc["divisor"], "divisor")
         P = divisor_from_json(model, doc["P"], "P")
     except MalformedValueError:

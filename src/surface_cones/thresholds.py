@@ -47,7 +47,7 @@ from .scalar import (
     sign,
     sqrt_scalar,
 )
-from .zariski import NegativeCurveRecord
+from .zariski import NegativeCurveRecord, _add_weighted_curves
 
 _DELTA_CAP_ENV = "SURFACE_CONES_DELTA_CAP"
 
@@ -226,7 +226,7 @@ def ray_checks(
         "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
         "t0_positive": compare(t0, Fraction(1, n)) >= 0,
         "alpha_identity": t0 * curve.cls - k_minus_sl == alpha,
-        "curve_pairing_bound": compare(intersect(curve.cls, k_minus_sl), -1) <= 0,
+        "curve_pairing_bound": compare(curve.dot(k_minus_sl), -1) <= 0,
         "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
     }
 
@@ -276,14 +276,13 @@ def ray_certificate(
     expected = s_threshold(ctx, level)
     if compare(s, expected) != 0:
         raise PreconditionError(f"s = {s} is not the threshold for level {level}")
-    c_dot_l = intersect(curve.cls, model.line())
-    if sign(c_dot_l) == 0 and not curve.is_exceptional:
+    if sign(curve.dot(model.line())) == 0 and not curve.is_exceptional:
         raise PreconditionError(
             "contracted curve is not exceptional; general points exclude it"
         )
     condition = ctx.r_condition(n, 2 * p + n - 1)
     k_minus_sl = model.canonical() - s * model.line()
-    u = intersect(curve.cls, k_minus_sl)
+    u = curve.dot(k_minus_sl)
     if not condition.satisfied or compare(u, -1) > 0:
         failing = condition.binding if not condition.satisfied else "C.(K - sL) <= -1"
         invalid = dict.fromkeys(RECORDED_RAY_CHECKS, False)
@@ -494,30 +493,16 @@ def _sample_draw(
     """The sampler's draw: gamma = x + sum w_i C_i and the sign of gamma.(K - sL).
 
     x is ``_boundary_class`` from the null base, which is computed once here;
-    then one ``rng.randint(0, 10)`` per curve, in list order, gives w_i.
-    Curve coordinates are integers, so each curve's nonzero entries are kept
-    as ``(index, int)`` pairs, the weighted sum is accumulated in ints and
-    added to x once.  The pairing is decided as sign(gamma.K - s*(gamma.L)):
-    two rational pairings and one exact product.
+    then ``zariski._add_weighted_curves`` draws one ``rng.randint(0, 10)`` per
+    curve, in list order, and adds the weighted sum, accumulated in ints over
+    the curves' supports, to x once.  The pairing is decided as
+    sign(gamma.K - s*(gamma.L)): two rational pairings and one exact product.
     """
     base = _null_base(model)
-    supports = [
-        [(i, c.numerator) for i, c in enumerate(record.cls.coords) if c] for record in curves
-    ]
     canonical, line = model.canonical(), model.line()
 
     def draw(rng: random.Random) -> tuple[DivisorClass, int]:
-        coords = list(_boundary_class(model, rng, base).coords)
-        total = [0] * len(coords)
-        for support in supports:
-            weight = rng.randint(0, 10)
-            if weight:
-                for idx, v in support:
-                    total[idx] += weight * v
-        for idx, v in enumerate(total):
-            if v:
-                coords[idx] += v
-        gamma = DivisorClass(model, tuple(coords))
+        gamma = _add_weighted_curves(_boundary_class(model, rng, base), curves, rng)
         return gamma, sign(intersect(gamma, canonical) - s * intersect(gamma, line))
 
     return draw

@@ -8,36 +8,51 @@ solve the orthogonality system on that support, and add every listed curve
 the candidate nef part still meets negatively until the support stabilizes.
 All curves with negative pairing are added per round, which makes the
 output independent of list order.
+
+Each record keeps its class's integer support and the nonzero entries of
+G*C, computed once when the record is built; every pairing with a listed
+curve, here and in the ray builder, is ``NegativeCurveRecord.dot`` over them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .cones import ConePosition, in_positive_cone
-from .errors import ModelValidationError, PreconditionError, ZariskiError
+from .errors import AdjunctionParityError, ModelValidationError, PreconditionError, ZariskiError
 from .lattice import BlowupModel, DivisorClass, arithmetic_genus, intersect
-from .scalar import as_fraction
+from .scalar import Exact, as_fraction
 
 
 @dataclass(frozen=True)
 class NegativeCurveRecord:
-    """A declared integral curve class with negative self-intersection."""
+    """A declared integral curve class with negative self-intersection.
+
+    ``support`` holds the ``(index, int)`` pairs of the nonzero coordinates
+    of ``cls``.  It is computed once, when the record is built, together
+    with the nonzero entries of G*C, the Gram matrix times C; C^2, C.K and
+    the exceptional test are read from them, and :meth:`dot` pairs any class
+    with C over them.
+    """
 
     cls: DivisorClass
     self_int: Fraction
     genus: Fraction
     is_exceptional: bool
+    support: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _gram_row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = self.cls.coords
-        if not all(isinstance(c, Fraction) and c.denominator == 1 for c in coords):
+        form = _integer_form(self.cls)
+        if form is None:
             raise ModelValidationError("curve class must have integer coordinates", "curve")
-        square = as_fraction(intersect(self.cls, self.cls))
+        support, gram_row, square, c_dot_k = form
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_gram_row", gram_row)
         if square != self.self_int:
             raise ModelValidationError(
                 f"declared self-intersection {self.self_int} but class squares to {square}",
@@ -47,34 +62,125 @@ class NegativeCurveRecord:
             raise ModelValidationError(
                 f"self-intersection must be <= -1, got {self.self_int}", "curve.self_int"
             )
-        genus = arithmetic_genus(self.cls)
+        genus = _adjunction_genus(square + c_dot_k)
         if genus != self.genus:
             raise ModelValidationError(
                 f"declared genus {self.genus} but adjunction gives {genus}", "curve.genus"
             )
         if self.genus < 0:
             raise ModelValidationError(f"genus must be >= 0, got {self.genus}", "curve.genus")
-        if self.is_exceptional != _is_exceptional_class(self.cls):
+        if self.is_exceptional != _is_exceptional(self.cls.model, support):
             raise ModelValidationError(
                 "exceptional flag disagrees with the class coordinates", "curve.is_exceptional"
             )
 
     @classmethod
     def from_class(cls, divisor: DivisorClass) -> "NegativeCurveRecord":
+        form = _integer_form(divisor)
+        if form is None:
+            # adjunction is tested before integrality, as it always was here
+            as_fraction(intersect(divisor, divisor))
+            arithmetic_genus(divisor)
+            raise ModelValidationError("curve class must have integer coordinates", "curve")
+        support, _, square, c_dot_k = form
         return cls(
             cls=divisor,
-            self_int=as_fraction(intersect(divisor, divisor)),
-            genus=arithmetic_genus(divisor),
-            is_exceptional=_is_exceptional_class(divisor),
+            self_int=square,
+            genus=_adjunction_genus(square + c_dot_k),
+            is_exceptional=_is_exceptional(divisor.model, support),
         )
 
+    def dot(self, x: DivisorClass) -> Exact:
+        """x.C = sum_j x_j (G*C)_j; equal to ``intersect(x, self.cls)``.
 
-def _is_exceptional_class(divisor: DivisorClass) -> bool:
-    m = divisor.model.base.rank
-    if any(c != 0 for c in divisor.coords[:m]):
-        return False
-    ones = [c for c in divisor.coords[m:] if c != 0]
-    return len(ones) == 1 and ones[0] == 1
+        Rational coordinates of x meeting integer entries of G*C are summed
+        as one integer numerator over a common denominator; any other term,
+        such as a ``Scalar`` coordinate, is added in exact arithmetic.
+        """
+        self.cls._check_model(x)
+        return _pair_row(x.coords, self._gram_row)
+
+
+def _integer_form(divisor: DivisorClass) -> tuple | None:
+    """(support, G*C, C^2, C.K) of an integral class; None unless every coordinate is an integer.
+
+    G*C is kept as its nonzero ``(index, value)`` entries, each value an int
+    where it is integral.  On the E-block (G*C)_i = -c_i, since E_i^2 = -1,
+    and K has coordinates k_Y on Y and 1 on each E_i.
+    """
+    coords = divisor.coords
+    support = []
+    for i, c in enumerate(coords):
+        if not isinstance(c, Fraction) or c.denominator != 1:
+            return None
+        if c:
+            support.append((i, c.numerator))
+    base = divisor.model.base
+    m = base.rank
+    y_block = [(i, c) for i, c in support if i < m]
+    gram_row = []
+    for j, row in enumerate(base.gram_Y):
+        value = sum(_integral(row[i]) * c for i, c in y_block)
+        if value:
+            gram_row.append((j, _integral(value)))
+    gram_row += [(i, -c) for i, c in support if i >= m]
+    square = _pair_row(coords, gram_row)
+    c_dot_k = sum(_integral(base.k_Y[j]) * w if j < m else w for j, w in gram_row)
+    return tuple(support), tuple(gram_row), square, c_dot_k
+
+
+def _integral(value):
+    """An integral Fraction as an int, so that integer arithmetic stays in ints."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _pair_row(xs, gram_row) -> Exact:
+    """sum_j xs[j] * w over the ``(j, w)`` entries, with rational terms summed in integers."""
+    num, den = 0, 1
+    exact = None
+    for j, w in gram_row:
+        v = xs[j]
+        if not v:
+            continue
+        if type(v) is Fraction and type(w) is int:
+            d = v.denominator
+            if d == den:
+                num += v.numerator * w
+            else:
+                num, den = num * d + v.numerator * w * den, den * d
+        else:
+            exact = v * w if exact is None else exact + v * w
+    rational = Fraction(num, den)
+    return rational if exact is None else exact + rational
+
+
+def _adjunction_genus(value: Fraction) -> Fraction:
+    """1 + value/2 for value = C^2 + C.K, which adjunction requires to be an even integer."""
+    if value.denominator != 1 or value.numerator % 2 != 0:
+        raise AdjunctionParityError(f"non-integral class for adjunction: C^2 + C.K = {value}")
+    return 1 + value / 2
+
+
+def _is_exceptional(model: BlowupModel, support) -> bool:
+    """Whether the class is some E_i: a single coordinate 1, in the E-block."""
+    return len(support) == 1 and support[0][0] >= model.base.rank and support[0][1] == 1
+
+
+def _add_weighted_curves(
+    x: DivisorClass, curves: Sequence[NegativeCurveRecord], rng: random.Random
+) -> DivisorClass:
+    """x + sum w_i C_i with one ``rng.randint(0, 10)`` per curve, in list order.
+
+    The weighted sum is accumulated in ints over the curves' supports and
+    added to x once.
+    """
+    total = [0] * len(x.coords)
+    for record in curves:
+        weight = rng.randint(0, 10)
+        if weight:
+            for i, c in record.support:
+                total[i] += weight * c
+    return DivisorClass(x.model, tuple(a + t if t else a for a, t in zip(x.coords, total)))
 
 
 @dataclass(frozen=True)
@@ -103,19 +209,15 @@ class ZariskiDecomposition:
             return "decomposition_sum"
         if any(a < 0 for a in self.coeffs.values()):
             return "coefficients_nonnegative"
-        for i in self.coeffs:
-            if intersect(self.P, self.curves[i].cls) != 0:
-                return "P_orthogonal_to_support"
-        for record in self.curves:
-            if as_fraction(intersect(self.P, record.cls)) < 0:
-                return "P_nef_against_list"
+        pairings = [record.dot(self.P) for record in self.curves]
+        if any(pairings[i] != 0 for i in self.coeffs):
+            return "P_orthogonal_to_support"
+        if any(as_fraction(v) < 0 for v in pairings):
+            return "P_nef_against_list"
         if intersect(self.P, n) != 0:
             return "P_dot_N_zero"
         support = self.support
-        gram = [
-            [as_fraction(intersect(self.curves[i].cls, self.curves[j].cls)) for j in support]
-            for i in support
-        ]
+        gram = [[self.curves[i].dot(self.curves[j].cls) for j in support] for i in support]
         if not linalg.is_negative_definite(gram):
             return "support_negative_definite"
         return None
@@ -133,19 +235,16 @@ def zariski_decompose(
         if record.cls.model != divisor.model:
             raise PreconditionError("curve list belongs to a different model")
 
-    pairings = [as_fraction(intersect(divisor, record.cls)) for record in curves]
+    pairings = [record.dot(divisor) for record in curves]
     support = sorted(i for i, v in enumerate(pairings) if v < 0)
     coeffs: dict[int, Fraction] = {}
     candidate = divisor
     while True:
         if support:
-            gram = [
-                [as_fraction(intersect(curves[i].cls, curves[j].cls)) for j in support]
-                for i in support
-            ]
+            gram = [[curves[i].dot(curves[j].cls) for j in support] for i in support]
             if not linalg.is_negative_definite(gram):
                 raise ZariskiError("curve list violates Hodge index")
-            rhs = [as_fraction(intersect(divisor, curves[i].cls)) for i in support]
+            rhs = [pairings[i] for i in support]
             solution = linalg.solve_linear(gram, rhs)
             if solution is None:
                 raise ZariskiError("curve list violates Hodge index")
@@ -156,7 +255,7 @@ def zariski_decompose(
         newly_negative = sorted(
             i
             for i in range(len(curves))
-            if i not in support and as_fraction(intersect(candidate, curves[i].cls)) < 0
+            if i not in support and curves[i].dot(candidate) < 0
         )
         if not newly_negative:
             break
@@ -208,9 +307,7 @@ def list_decomposition_check(
     reconstruction: list[str] = []
     for k in range(samples):
         rng = random.Random(seed * 1_000_003 + k)
-        y = _random_cone_element(model, rng)
-        for record in curves:
-            y = y + Fraction(rng.randint(0, 10)) * record.cls
+        y = _add_weighted_curves(_random_cone_element(model, rng), curves, rng)
         try:
             decomposition = ne_decompose(y, curves)
         except ZariskiError as exc:

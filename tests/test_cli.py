@@ -242,6 +242,74 @@ class TestSegreCheck:
         assert code == 0
         assert "segre_fails" in out
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"pencils": [5]}, "pencils[0]"),
+            ({"pencils": 5}, "pencils"),
+            ({"pencils": [{"g": 1}]}, "pencils[0].dim"),
+            ({"nagata": [{"mults": [1, 1]}]}, "nagata[0].deg"),
+            ({"nagata": [{"deg": 3}]}, "nagata[0].mults"),
+            ({"nagata": [{"deg": 3, "mults": 2}]}, "nagata[0].mults"),
+            ({"nagata": [{"deg": 3, "mults": [1], "variant": "bogus"}]}, "nagata[0].variant"),
+            ({"nagata": {"deg": 3}}, "nagata"),
+        ],
+    )
+    def test_malformed_entries_exit_one(self, capsys, tmp_path, changes, field):
+        doc = {"surface": dict(P2_SURFACE), "r": 1, **changes}
+        code, out, err = run_cli(
+            ["segre-check", "--input", write_json(tmp_path, "in.json", doc)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field}: ")
+
+
+def _e1_record(r, **changes):
+    """The declared record of E_1 on a plane blown up at r points, with ``changes``."""
+    record = {"coords": [0, 1] + [0] * (r - 1), "self_int": -1, "genus": 0, "is_exceptional": True}
+    record.update(changes)
+    return {key: value for key, value in record.items() if value is not None}
+
+
+class TestCurveRecordInputs:
+    @pytest.mark.parametrize(
+        "curves, field",
+        [
+            (5, "curves"),
+            ({"0": _e1_record(12)}, "curves"),
+            ([_e1_record(12, genus=None)], "curves[0].genus"),
+            ([_e1_record(12, is_exceptional=None)], "curves[0].is_exceptional"),
+            ([_e1_record(12, is_exceptional="no")], "curves[0].is_exceptional"),
+            ([_e1_record(12, is_exceptional=0)], "curves[0].is_exceptional"),
+            ([_e1_record(12), _e1_record(12, self_int=-2)], "curves[1].self_int"),
+            ([_e1_record(12, genus=1)], "curves[0].genus"),
+            ([_e1_record(12, is_exceptional=False)], "curves[0].is_exceptional"),
+            ([{"coords": [0] + ["1/2"] * 8 + [0] * 4}], "curves[0]"),
+        ],
+    )
+    def test_malformed_record_exit_one(self, capsys, tmp_path, curves, field):
+        doc = dict(cli.load_fixture("p2_r12"), curves=curves)
+        path = write_json(tmp_path, "in.json", doc)
+        code, out, err = run_cli(["certify-ray", "--input", path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field}: ")
+
+    def test_verify_names_the_inconsistent_record(self, capsys, tmp_path):
+        doc = {"surface": P2_SURFACE, "r": 2,
+               "curves": [{"coords": [0, 1, 0]}, {"coords": [0, 0, 1]}], "divisor": [2, 3, 0]}
+        out_path = tmp_path / "dec.json"
+        run_cli(["zariski", "--input", write_json(tmp_path, "in.json", doc),
+                 "--output", str(out_path)], capsys)
+        decomposition = json.loads(out_path.read_text())
+        decomposition["curves"][1]["self_int"] = -2
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", decomposition)], capsys)
+        assert code == 3
+        assert "curve_record_consistent violated (curves[1].self_int: " in err
+        del decomposition["curves"][1]["genus"]
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", decomposition)], capsys)
+        assert code == 1
+        assert "curves[1].genus: missing required field" in err
+
 
 class TestBoolInputs:
     @pytest.mark.parametrize(

@@ -15,9 +15,9 @@ from helpers import (
     standard_minus_one_records,
 )
 from surface_cones import cli, serialize
-from surface_cones.errors import CertificateError
+from surface_cones.errors import CertificateError, MalformedValueError, ModelValidationError
 from surface_cones.lattice import intersect
-from surface_cones.scalar import make_scalar, scalar_to_json, sqrt_scalar
+from surface_cones.scalar import make_scalar, scalar_from_json, scalar_to_json, sqrt_scalar
 from surface_cones.strict_inclusion import (
     alpha_from_s,
     gamma_witness,
@@ -67,6 +67,63 @@ class TestModelRoundTrip:
                  "a_Y": [1, 0], "class": "P2"}
             )
         assert "gram_Y[0][1]" in str(info.value)
+
+
+def reference_divisor_from_json(model, doc, field):
+    """``divisor_from_json`` before distinct values were parsed once: one parse per coordinate."""
+    if not isinstance(doc, list):
+        raise ModelValidationError("divisor must be a coordinate list", field)
+    try:
+        coords = [scalar_from_json(c) for c in doc]
+    except (KeyError, ValueError):
+        for i, c in enumerate(doc):
+            serialize._scalar_from_json(c, f"{field}[{i}]")
+        raise
+    return model.divisor(coords)
+
+
+def divisor_outcome(parse, doc):
+    try:
+        divisor = parse(p2_blowup(1), doc, "d")
+    except Exception as exc:  # the comparison is of the exception, whatever it is
+        return type(exc), getattr(exc, "field", None), str(exc)
+    return tuple(divisor.coords), tuple(map(type, divisor.coords))
+
+
+JSON_COORDINATES = [0, 1, -2, "0", "1", "-1/2", "1/0", "abc", "", True, False, 1.0, None, [1],
+                    {"a": "1", "b": "1", "d": "2"}, {"a": 1}]
+
+
+class TestDivisorFromJson:
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ([1, True], (MalformedValueError, "d[1]")),
+            (["1", 1], None),
+            ([1, 1.0], (MalformedValueError, "d[1]")),
+            (["1/0"], (MalformedValueError, "d[0]")),
+            (["abc", "abc"], (MalformedValueError, "d[0]")),
+            ([1, "1/0"], (MalformedValueError, "d[1]")),
+            (["2", "2", "2"], (ModelValidationError, None)),  # rank 2, three coordinates
+        ],
+    )
+    def test_examples_match_reference(self, doc, expected):
+        result = divisor_outcome(serialize.divisor_from_json, doc)
+        assert result == divisor_outcome(reference_divisor_from_json, doc)
+        if expected is not None:
+            assert result[:2] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(JSON_COORDINATES), min_size=0, max_size=3))
+    def test_matches_reference(self, doc):
+        assert divisor_outcome(serialize.divisor_from_json, doc) == divisor_outcome(
+            reference_divisor_from_json, doc
+        )
+
+    def test_equal_values_share_one_parse(self):
+        divisor = serialize.divisor_from_json(p2_blowup(3), ["1", "-1", "-1", "1"], "d")
+        assert divisor.coords[1] is divisor.coords[2]
+        assert divisor.coords == (1, -1, -1, 1)
 
 
 class TestRayVerification:

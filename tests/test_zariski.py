@@ -1,14 +1,31 @@
 """Zariski decomposition: worked instances, invariants, oracle agreement."""
 
+import contextlib
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_zariski, p2_blowup, standard_minus_one_records
-from surface_cones.errors import ModelValidationError, PreconditionError, ZariskiError
-from surface_cones.lattice import intersect
-from surface_cones.scalar import as_fraction
+from helpers import (
+    abelian_surface,
+    brute_force_zariski,
+    enriques_surface,
+    p2_blowup,
+    p2_surface,
+    standard_minus_one_records,
+)
+from surface_cones.errors import (
+    AdjunctionParityError,
+    ModelMismatchError,
+    ModelValidationError,
+    PreconditionError,
+    ZariskiError,
+)
+from surface_cones.lattice import BlowupModel, SurfaceModel, arithmetic_genus, intersect
+from surface_cones.scalar import as_fraction, is_rational, sqrt_scalar
 from surface_cones.zariski import (
     NegativeCurveRecord,
     list_decomposition_check,
@@ -47,6 +64,166 @@ class TestRecordValidation:
             NegativeCurveRecord(
                 cls=x.exceptional(1), self_int=Fraction(-1), genus=Fraction(0), is_exceptional=False
             )
+
+
+def reference_record_check(cls, self_int, genus, is_exceptional) -> tuple:
+    """The record validation before integer supports: dense pairings and ``arithmetic_genus``."""
+    coords = cls.coords
+    if not all(isinstance(c, Fraction) and c.denominator == 1 for c in coords):
+        raise ModelValidationError("curve class must have integer coordinates", "curve")
+    square = as_fraction(intersect(cls, cls))
+    if square != self_int:
+        raise ModelValidationError(
+            f"declared self-intersection {self_int} but class squares to {square}",
+            "curve.self_int",
+        )
+    if self_int > -1:
+        raise ModelValidationError(
+            f"self-intersection must be <= -1, got {self_int}", "curve.self_int"
+        )
+    adjunction = arithmetic_genus(cls)
+    if adjunction != genus:
+        raise ModelValidationError(
+            f"declared genus {genus} but adjunction gives {adjunction}", "curve.genus"
+        )
+    if genus < 0:
+        raise ModelValidationError(f"genus must be >= 0, got {genus}", "curve.genus")
+    if is_exceptional != reference_is_exceptional(cls):
+        raise ModelValidationError(
+            "exceptional flag disagrees with the class coordinates", "curve.is_exceptional"
+        )
+    return self_int, genus, is_exceptional
+
+
+def reference_is_exceptional(divisor) -> bool:
+    m = divisor.model.base.rank
+    if any(c != 0 for c in divisor.coords[:m]):
+        return False
+    ones = [c for c in divisor.coords[m:] if c != 0]
+    return len(ones) == 1 and ones[0] == 1
+
+
+def reference_from_class(divisor) -> tuple:
+    return reference_record_check(
+        divisor,
+        as_fraction(intersect(divisor, divisor)),
+        arithmetic_genus(divisor),
+        reference_is_exceptional(divisor),
+    )
+
+
+def outcome(build):
+    """The record's fields, or the exception's class, field and message."""
+    try:
+        result = build()
+    except (ModelValidationError, AdjunctionParityError) as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+    if isinstance(result, NegativeCurveRecord):
+        return result.self_int, result.genus, result.is_exceptional
+    return result
+
+
+def _k3_with_minus_two_curve() -> SurfaceModel:
+    return SurfaceModel(
+        chi=2, kY_sq=0, gram_Y=((4, 1), (1, -2)), k_Y=(0, 0), a_Y=(1, 0), kind="K3",
+        pg=1, irregularity=0,
+    )
+
+
+def _non_integral_gram() -> SurfaceModel:
+    """A hyperbolic base with a half-integer Gram entry: adjunction parity can fail."""
+    return SurfaceModel(
+        chi=1, kY_sq=0, gram_Y=((2, Fraction(1, 2)), (Fraction(1, 2), -2)), k_Y=(0, 0),
+        a_Y=(1, 0),
+    )
+
+
+RECORD_MODELS = [
+    BlowupModel(base(), 4)
+    for base in (p2_surface, _k3_with_minus_two_curve, abelian_surface, enriques_surface,
+                 _non_integral_gram)
+]
+
+
+@functools.cache
+def small_records(model) -> list[NegativeCurveRecord]:
+    """Every valid record whose class has coordinates in {-1, 0, 1}."""
+    records = []
+    for coords in itertools.product((-1, 0, 1), repeat=model.rank):
+        with contextlib.suppress(ModelValidationError, AdjunctionParityError):
+            records.append(NegativeCurveRecord.from_class(model.divisor(coords)))
+    return records
+
+
+class TestIntegerRecordDifferential:
+    """Records built from integer supports against the dense reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_construction_matches_reference(self, data):
+        model = data.draw(st.sampled_from(RECORD_MODELS))
+        coordinate = st.one_of(st.just(0), st.integers(-3, 3))
+        coords = data.draw(st.lists(coordinate, min_size=model.rank, max_size=model.rank))
+        cls = model.divisor(coords)
+        assert outcome(lambda: NegativeCurveRecord.from_class(cls)) == outcome(
+            lambda: reference_from_class(cls)
+        )
+        square = intersect(cls, cls)
+        # the true square and genus half of the time, so that both outcomes occur
+        self_int = data.draw(st.one_of(st.just(square), st.integers(-2, 0).map(Fraction)))
+        genus = data.draw(st.integers(-1, 2).map(Fraction))
+        try:
+            genus = data.draw(st.one_of(st.just(arithmetic_genus(cls)), st.just(genus)))
+        except AdjunctionParityError:
+            pass
+        flag = data.draw(st.booleans())
+        assert outcome(lambda: NegativeCurveRecord(cls, self_int, genus, flag)) == outcome(
+            lambda: reference_record_check(cls, self_int, genus, flag)
+        )
+        with contextlib.suppress(ModelValidationError, AdjunctionParityError):
+            record = NegativeCurveRecord.from_class(cls)
+            assert record.support == tuple((i, c) for i, c in enumerate(coords) if c)
+
+    @pytest.mark.parametrize(
+        "model, coords, expected",
+        [
+            (RECORD_MODELS[0], [0, 0, 1, 0, 0], (-1, 0, True)),
+            (RECORD_MODELS[0], [1, 0, 0, 0, 0], (ModelValidationError, "curve.self_int")),
+            (RECORD_MODELS[0], [1, -1, -1, 0, 0], (-1, 0, False)),
+            (RECORD_MODELS[1], [0, 1, 0, 0, 0, 0], (-2, 0, False)),  # not exceptional
+            (RECORD_MODELS[2], [1, -1, 0, 0, 0, 1], (ModelValidationError, "curve.genus")),
+            (RECORD_MODELS[4], [1, 1, 0, 0, 0, 0], (AdjunctionParityError, None)),
+        ],
+    )
+    def test_named_classes(self, model, coords, expected):
+        cls = model.divisor(coords)
+        assert outcome(lambda: NegativeCurveRecord.from_class(cls))[: len(expected)] == expected
+        assert outcome(lambda: reference_from_class(cls))[: len(expected)] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dot_matches_intersect(self, data):
+        model = data.draw(st.sampled_from(RECORD_MODELS))
+        record = data.draw(st.sampled_from(small_records(model)))
+        depth = data.draw(st.sampled_from([0, 1, 2]))
+        units = [Fraction(1), sqrt_scalar(2), sqrt_scalar(3 + sqrt_scalar(2))][: depth + 1]
+        rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        coords = []
+        for _ in range(model.rank):
+            parts = data.draw(st.lists(rationals, min_size=len(units), max_size=len(units)))
+            value = Fraction(0)
+            for part, unit in zip(parts, units):
+                value = value + part * unit
+            coords.append(value)
+        x = model.divisor(coords)
+        value = record.dot(x)
+        assert value == intersect(x, record.cls)
+        assert is_rational(value) == is_rational(intersect(x, record.cls))
+
+    def test_dot_rejects_another_model(self):
+        record = NegativeCurveRecord.from_class(p2_blowup(2).exceptional(1))
+        with pytest.raises(ModelMismatchError):
+            record.dot(p2_blowup(3).line())
 
 
 class TestWorkedExamples:
