@@ -78,7 +78,7 @@ class NegativeCurveRecord:
     def from_class(cls, divisor: DivisorClass) -> "NegativeCurveRecord":
         form = _integer_form(divisor)
         if form is None:
-            # adjunction is tested before integrality, as it always was here
+            # a non-integral class meets the adjunction checks before the integrality one
             as_fraction(intersect(divisor, divisor))
             arithmetic_genus(divisor)
             raise ModelValidationError("curve class must have integer coordinates", "curve")
