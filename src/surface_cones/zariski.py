@@ -44,7 +44,9 @@ class NegativeCurveRecord:
     genus: Fraction
     is_exceptional: bool
     support: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _gram_row: tuple = field(init=False, repr=False, compare=False)
+    _gram_row: tuple[tuple[int, int | Fraction], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         form = _integer_form(self.cls)
