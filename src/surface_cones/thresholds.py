@@ -25,10 +25,12 @@ inside the positive cone also lives here.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .cones import ConePosition, in_positive_cone
@@ -47,7 +49,7 @@ from .scalar import (
     sign,
     sqrt_scalar,
 )
-from .zariski import NegativeCurveRecord, _add_weighted_curves
+from .zariski import NegativeCurveRecord
 
 _DELTA_CAP_ENV = "SURFACE_CONES_DELTA_CAP"
 
@@ -435,13 +437,13 @@ def main_theorem_check(
     top threshold follows because s_n <= s_nu is verified exactly and adding
     a nonnegative multiple of the nef L moves K - s_nu L to K - s_n L inside
     the positive cone.  Sampling then tries to falsify the cone equality:
-    each of the ``samples`` draws seeds its own ``random.Random`` and
-    builds, in ``_sample_draw``, gamma = x + sum w_i C_i, with x a random
-    rational class on the cone boundary, moved from a null base computed
-    once per call, and integer weights 0 <= w_i <= 10.  The curve sum is
-    accumulated in ints and added to x once, and gamma.(K - s_nu L) is
-    decided as sign(gamma.K - s_nu*(gamma.L)).  Every sample pairing
-    nonnegatively with K - s_nu L must land inside the positive cone; any
+    each of the ``samples`` draws seeds its own ``random.Random`` and draws,
+    in ``_sample_draw``, gamma = x + sum w_i C_i, with x a random rational
+    class on the cone boundary, moved from a null base computed once per
+    call, and integer weights 0 <= w_i <= 10.  The draw decides
+    gamma.(K - s_nu L) as sign(gamma.K - s_nu*(gamma.L)) from integer
+    pairings, without building gamma.  Every sample pairing nonnegatively
+    with K - s_nu L is built and must land inside the positive cone; any
     violation is reported exactly, once per sample, never suppressed.
     """
     ctx = ThresholdContext.from_model(model)
@@ -467,8 +469,11 @@ def main_theorem_check(
     draw = _sample_draw(model, curves, s)
     counterexamples: list[SampledCounterexample] = []
     for k in range(samples):
-        gamma, pairing = draw(random.Random(seed * 1_000_003 + k))
-        if pairing >= 0 and in_positive_cone(gamma) is ConePosition.OUTSIDE:
+        pairing, build = draw(random.Random(seed * 1_000_003 + k))
+        if pairing < 0:
+            continue
+        gamma = build()
+        if in_positive_cone(gamma) is ConePosition.OUTSIDE:
             counterexamples.append(
                 SampledCounterexample(
                     coords=tuple(as_fraction(c) for c in gamma.coords),
@@ -489,21 +494,39 @@ def main_theorem_check(
 
 def _sample_draw(
     model: BlowupModel, curves: Sequence[NegativeCurveRecord], s: Exact
-) -> Callable[[random.Random], tuple[DivisorClass, int]]:
-    """The sampler's draw: gamma = x + sum w_i C_i and the sign of gamma.(K - sL).
+) -> Callable[[random.Random], tuple[int, Callable[[], DivisorClass]]]:
+    """The sampler's draw: the sign of gamma.(K - sL) and a builder of gamma = x + sum w_i C_i.
 
-    x is ``_boundary_class`` from the null base, which is computed once here;
-    then ``zariski._add_weighted_curves`` draws one ``rng.randint(0, 10)`` per
-    curve, in list order, and adds the weighted sum, accumulated in ints over
-    the curves' supports, to x once.  The pairing is decided as
-    sign(gamma.K - s*(gamma.L)): two rational pairings and one exact product.
+    x and its pairings x.L and x.K come from ``_boundary_draw``; then one
+    ``rng.randint(0, 10)`` per curve, in list order, gives the weights.  C.L
+    and C.K of every curve are computed once here, as ints over a common
+    denominator, so gamma.L and gamma.K are x's pairings plus one integer
+    sum each, and the pairing is decided as sign(gamma.K - s*(gamma.L))
+    without building gamma.  The builder adds the weighted sum, accumulated
+    in ints over the curves' supports, to x; it is called only for a draw
+    that is tested.
     """
-    base = _null_base(model)
-    canonical, line = model.canonical(), model.line()
+    boundary = _boundary_draw(model)
+    line, canonical = model.line(), model.canonical()
+    c_l, l_den = _over_common_denominator([record.dot(line) for record in curves])
+    c_k, k_den = _over_common_denominator([record.dot(canonical) for record in curves])
 
-    def draw(rng: random.Random) -> tuple[DivisorClass, int]:
-        gamma = _add_weighted_curves(_boundary_class(model, rng, base), curves, rng)
-        return gamma, sign(intersect(gamma, canonical) - s * intersect(gamma, line))
+    def draw(rng: random.Random) -> tuple[int, Callable[[], DivisorClass]]:
+        x_l, x_k, x = boundary(rng)
+        weights = [rng.randint(0, 10) for _ in curves]
+        gamma_l = x_l + Fraction(sum(map(mul, weights, c_l)), l_den)
+        gamma_k = x_k + Fraction(sum(map(mul, weights, c_k)), k_den)
+
+        def build() -> DivisorClass:
+            total = [0] * model.rank
+            for weight, record in zip(weights, curves):
+                if weight:
+                    for i, c in record.support:
+                        total[i] += weight * c
+            pairs = zip(x().coords, total)
+            return DivisorClass(model, tuple(a + t if t else a for a, t in pairs))
+
+        return sign(gamma_k - s * gamma_l), build
 
     return draw
 
@@ -519,32 +542,69 @@ def _null_base(model: BlowupModel) -> DivisorClass | None:
     return None
 
 
-def _boundary_class(
-    model: BlowupModel, rng: random.Random, base: DivisorClass | None
-) -> DivisorClass:
-    """Random rational class on the boundary of the positive cone.
+def _boundary_draw(
+    model: BlowupModel,
+) -> Callable[[random.Random], tuple[Fraction, Fraction, Callable[[], DivisorClass]]]:
+    """Random rational class x on the boundary of the positive cone: (x.L, x.K, builder of x).
 
-    Moves the null ``base`` (from ``_null_base``) along a random rational
-    direction staying on the null quadric.  Falls back to L, drawing
-    nothing, when the lattice admits no cheap rational null vector.
+    Moves the null base b (from ``_null_base``) along a random integer
+    direction d, one ``rng.randint(-3, 3)`` per coordinate, staying on the
+    null quadric: x = b + t*d with t = -2*b.d/d^2, negated when x.L < 0.  A
+    direction with d^2 = 0 or x.L = 0 is redrawn, at most 32 times before
+    falling back to b.  G*b, G*L, G*K and the Y-block of G are kept as int
+    rows over common denominators, computed once here, so that d^2, b.d,
+    d.L and d.K are integer sums and only t, x.L and x.K are Fractions.
+    Falls back to L, drawing nothing, when the lattice admits no cheap
+    rational null vector.
     """
+    line, canonical = model.line(), model.canonical()
+    base = _null_base(model)
     if base is None:
-        return model.line()
-    for _ in range(32):
-        direction = model.divisor(
-            [Fraction(rng.randint(-3, 3)) for _ in range(model.rank)]
-        )
-        d_sq = intersect(direction, direction)
-        if sign(d_sq) == 0:
-            continue
-        t = -2 * intersect(base, direction) / d_sq
-        x = base + t * direction
-        if x.is_zero():
-            continue
-        x_dot_l = sign(intersect(x, model.line()))
-        if x_dot_l < 0:
-            x = -x
-        elif x_dot_l == 0:
-            continue
-        return x
-    return base
+        fallback = (intersect(line, line), intersect(line, canonical), model.line)
+        return lambda rng: fallback
+    b_l, b_k = intersect(base, line), intersect(base, canonical)
+    m, rank = model.base.rank, model.rank
+    flat, g_den = _over_common_denominator([g for row in model.base.gram_Y for g in row])
+    gram_y = [flat[i : i + m] for i in range(0, m * m, m)]
+    b_row, b_den = _over_common_denominator(_gram_times(base))
+    l_row, l_den = _over_common_denominator(_gram_times(line))
+    k_row, k_den = _over_common_denominator(_gram_times(canonical))
+
+    def draw(rng: random.Random) -> tuple[Fraction, Fraction, Callable[[], DivisorClass]]:
+        for _ in range(32):
+            d = [rng.randint(-3, 3) for _ in range(rank)]
+            y, e = d[:m], d[m:]
+            # g_den * d^2: the Y-block through the integer Gram rows, E_i^2 = -1
+            d_sq = sum(a * sum(map(mul, row, y)) for a, row in zip(y, gram_y) if a)
+            d_sq -= g_den * sum(map(mul, e, e))
+            if d_sq == 0:
+                continue
+            t = Fraction(-2 * g_den * sum(map(mul, b_row, d)), b_den * d_sq)
+            x_l = b_l + t * Fraction(sum(map(mul, l_row, d)), l_den)
+            # x = 0 forces x.L = 0, so this redraw also covers the zero class
+            if x_l == 0:
+                continue
+            x_k = b_k + t * Fraction(sum(map(mul, k_row, d)), k_den)
+            flip = x_l < 0
+
+            def build() -> DivisorClass:
+                x = base + t * model.divisor(d)
+                return -x if flip else x
+
+            return (-x_l, -x_k, build) if flip else (x_l, x_k, build)
+        return b_l, b_k, lambda: base
+
+    return draw
+
+
+def _gram_times(v: DivisorClass) -> list[Fraction]:
+    """G*v: gram_Y times the Y-block of v, then -v_i on the E-block, since E_i^2 = -1."""
+    m = v.model.base.rank
+    y = v.coords[:m]
+    return [sum(map(mul, row, y)) for row in v.model.base.gram_Y] + [-c for c in v.coords[m:]]
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with values[i] = nums[i]/den over the least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

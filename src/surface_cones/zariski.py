@@ -80,9 +80,9 @@ class NegativeCurveRecord:
     def from_class(cls, divisor: DivisorClass) -> "NegativeCurveRecord":
         form = _integer_form(divisor)
         if form is None:
-            # a non-integral class meets the adjunction checks before the integrality one
-            as_fraction(intersect(divisor, divisor))
-            arithmetic_genus(divisor)
+            if divisor.is_rational:
+                # a rational class that is not integral meets the adjunction check first
+                arithmetic_genus(divisor)
             raise ModelValidationError("curve class must have integer coordinates", "curve")
         support, _, square, c_dot_k = form
         return cls(
@@ -174,7 +174,9 @@ def _add_weighted_curves(
     """x + sum w_i C_i with one ``rng.randint(0, 10)`` per curve, in list order.
 
     The weighted sum is accumulated in ints over the curves' supports and
-    added to x once.
+    added to x once.  ``list_decomposition_check`` draws its samples with it;
+    the falsification sampler in ``thresholds`` draws the same weights but
+    decides each draw's pairing before it builds the class.
     """
     total = [0] * len(x.coords)
     for record in curves:

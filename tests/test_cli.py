@@ -294,6 +294,33 @@ class TestCurveRecordInputs:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("command", ["zariski", "certify-ray"])
+    def test_scalar_coordinate_exit_one(self, capsys, tmp_path, command):
+        # 1 + sqrt(2) as a curve coordinate: the class is not rational, let alone integral
+        curve = {"coords": [{"a": "1", "b": "1", "d": "2"}, 1]}
+        doc = dict(cli.load_fixture("p2_r1"), curves=[curve], divisor=[3, -1])
+        path = write_json(tmp_path, "in.json", doc)
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: curves[0]: curve class must have integer coordinates\n"
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_verify_scalar_coordinate_record(self, capsys, tmp_path, declared):
+        doc = {"surface": P2_SURFACE, "r": 1, "curves": [{"coords": [0, 1]}], "divisor": [3, -1]}
+        out_path = tmp_path / "dec.json"
+        run_cli(["zariski", "--input", write_json(tmp_path, "in.json", doc),
+                 "--output", str(out_path)], capsys)
+        decomposition = json.loads(out_path.read_text())
+        scalar_coords = [{"a": "1", "b": "1", "d": "2"}, 1]
+        if declared:
+            decomposition["curves"][0]["coords"] = scalar_coords
+        else:
+            decomposition["curves"][0] = {"coords": scalar_coords}
+        code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", decomposition)], capsys)
+        assert code == 3
+        assert err == ("certificate 0: curve_record_consistent violated "
+                       "(curves[0]: curve class must have integer coordinates)\n")
+
     def test_verify_names_the_inconsistent_record(self, capsys, tmp_path):
         doc = {"surface": P2_SURFACE, "r": 2,
                "curves": [{"coords": [0, 1, 0]}, {"coords": [0, 0, 1]}], "divisor": [2, 3, 0]}

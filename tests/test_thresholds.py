@@ -481,11 +481,31 @@ class TestMainTheorem:
         s = s_threshold(ThresholdContext.from_model(model), 1)
         assert sign(intersect(outside, model.canonical() - s * model.line())) == 1
         assert in_positive_cone(outside) is ConePosition.OUTSIDE
-        monkeypatch.setattr(thresholds, "_boundary_class", lambda model, rng, base: outside)
+        # the boundary step of every draw returns -L with its pairings with L and K
+        boundary = (intersect(outside, model.line()), intersect(outside, model.canonical()))
+        monkeypatch.setattr(
+            thresholds, "_boundary_draw", lambda model: lambda rng: (*boundary, lambda: outside)
+        )
         report = main_theorem_check(model, [], 1, 0, samples=7, seed=2)
         expected = SampledCounterexample(coords=outside.coords, pairing_sign=1)
         assert report.counterexamples == (expected,) * 7
         assert not report.passed
+
+
+    def test_zero_pairing_is_tested(self, monkeypatch):
+        # s_1 = 0 on the plane at r = 10, and L - 3E_1 meets K - s_1 L = K in 0
+        # but has square -8, so a draw that is this class is a counterexample
+        model = p2_blowup(10)
+        assert s_threshold(ThresholdContext.from_model(model), 1) == 0
+        x = model.line() - 3 * model.exceptional(1)
+        boundary = (intersect(x, model.line()), intersect(x, model.canonical()))
+        assert boundary[1] == 0
+        monkeypatch.setattr(
+            thresholds, "_boundary_draw", lambda model: lambda rng: (*boundary, lambda: x)
+        )
+        report = main_theorem_check(model, [], 1, 0, samples=3, seed=0)
+        expected = SampledCounterexample(coords=x.coords, pairing_sign=0)
+        assert report.counterexamples == (expected,) * 3
 
 
 def _reference_boundary_class(model, rng):
@@ -548,10 +568,31 @@ def k3_sextic(r):
     return model, records
 
 
+def half_gram(r):
+    """gram_Y [[1/2]], k_Y [-1], a_Y [1]: G*L, G*K and the Y-block of G are not integral.
+
+    The null base is 2L - E_1 - E_2.  Besides the E_i, the curves are
+    L - E_1 - E_2 and L - E_3 - E_4 - E_5, of genus 1, with C.L = 1/2.
+    """
+    surface = SurfaceModel(
+        chi=1, kY_sq=Fraction(1, 2), gram_Y=((Fraction(1, 2),),), k_Y=(-1,), a_Y=(1,)
+    )
+    model = BlowupModel(surface, r)
+    records = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, r + 1)]
+    for support in ((1, 2), (3, 4, 5)):
+        cls = model.pullback([1])
+        for i in support:
+            cls = cls - model.exceptional(i)
+        records.append(NegativeCurveRecord.from_class(cls))
+    return model, records
+
+
 @functools.lru_cache(maxsize=None)
 def draw_case(name):
     if name.startswith("k3_sextic_r"):
         model, curves = k3_sextic(int(name.rpartition("r")[2]))
+    elif name.startswith("half_gram_r"):
+        model, curves = half_gram(int(name.rpartition("r")[2]))
     else:
         doc = load_fixture(name)
         model = serialize.blowup_from_json(doc)
@@ -565,7 +606,8 @@ class TestSampleDraw:
     @settings(max_examples=60, deadline=None)
     @given(
         name=st.sampled_from(
-            ["p2_r10", "p2_r12", "p2_r17", "k3_generic", "k3_sextic_r8", "k3_sextic_r5"]
+            ["p2_r10", "p2_r12", "p2_r17", "k3_generic", "k3_sextic_r8", "k3_sextic_r5",
+             "half_gram_r6"]
         ),
         level=st.integers(1, 2),
         shift=st.integers(-60, 4),
@@ -579,19 +621,86 @@ class TestSampleDraw:
         model, curves = draw_case(name)
         s = s_threshold(ThresholdContext.from_model(model), level) + Fraction(shift, 2)
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        gamma, pairing = thresholds._sample_draw(model, curves, s)(rng)
+        pairing, build = thresholds._sample_draw(model, curves, s)(rng)
         ref_gamma, ref_pairing = reference_draw(model, curves, s, ref_rng)
+        assert pairing == ref_pairing
+        # gamma is built lazily, whatever the pairing, and building it draws nothing
+        gamma = build()
         assert all(type(c) is Fraction for c in gamma.coords)
         assert gamma.coords == ref_gamma.coords
-        assert pairing == ref_pairing
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("name", ["half_gram_r6", "abelian"])
+    def test_matches_reference_on_fixed_seeds(self, name):
+        # non-integral Gram rows, and a Y-block of rank 2, with pairings of both signs
+        model, curves = draw_case(name)
+        boundary = thresholds._boundary_draw(model)
+        for seed in range(40):
+            x_l, x_k, x = boundary(random.Random(seed))
+            assert (x_l, x_k) == (intersect(x(), model.line()), intersect(x(), model.canonical()))
+        s_1 = s_threshold(ThresholdContext.from_model(model), 1)
+        pairings = set()
+        for s in (s_1, s_1 - 20):
+            draw = thresholds._sample_draw(model, curves, s)
+            for seed in range(40):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                pairing, build = draw(rng)
+                ref_gamma, ref_pairing = reference_draw(model, curves, s, ref_rng)
+                assert (pairing, build().coords) == (ref_pairing, ref_gamma.coords)
+                assert rng.random() == ref_rng.random()
+                pairings.add(pairing)
+        assert pairings == {-1, 1}
 
     def test_fallback_to_line_draws_nothing(self):
         model = BlowupModel(k3_surface(6), 5)
         assert thresholds._null_base(model) is None
         rng = random.Random(4)
-        assert thresholds._boundary_class(model, rng, None) == model.line()
+        x_l, x_k, x = thresholds._boundary_draw(model)(rng)
+        assert x() == model.line()
+        assert (x_l, x_k) == (intersect(x(), model.line()), intersect(x(), model.canonical()))
         assert rng.random() == random.Random(4).random()
+
+    def test_fallback_to_base_after_32_redraws(self):
+        class ZeroDirections:
+            """Draws d = 0, so d^2 = 0 on every try."""
+
+            calls = 0
+
+            def randint(self, a, b):
+                self.calls += 1
+                return 0
+
+        model, _ = draw_case("p2_r12")
+        rng, ref_rng = ZeroDirections(), ZeroDirections()
+        x_l, x_k, x = thresholds._boundary_draw(model)(rng)
+        assert x() == thresholds._null_base(model) == _reference_boundary_class(model, ref_rng)
+        assert (x_l, x_k) == (intersect(x(), model.line()), intersect(x(), model.canonical()))
+        assert rng.calls == ref_rng.calls == 32 * model.rank
+
+    def test_only_nonnegative_pairings_are_tested(self, monkeypatch):
+        # s = s_1 - 3/2 on p2_r12: 21 of the 40 draws pair nonnegatively with K - sL
+        model, curves = draw_case("p2_r12")
+        shift = Fraction(3, 2)
+        original = thresholds.s_threshold
+        monkeypatch.setattr(thresholds, "s_threshold", lambda ctx, n: original(ctx, n) - shift)
+        tested = []
+
+        def counting(gamma):
+            tested.append(gamma)
+            return in_positive_cone(gamma)
+
+        monkeypatch.setattr(thresholds, "in_positive_cone", counting)
+        samples, seed = 40, 5
+        report = main_theorem_check(model, curves, 1, 0, samples=samples, seed=seed)
+        s = original(ThresholdContext.from_model(model), 1) - shift
+        assert report.s == s
+        draws = [
+            reference_draw(model, curves, s, random.Random(seed * 1_000_003 + k))
+            for k in range(samples)
+        ]
+        expected = [gamma for gamma, pairing in draws if pairing >= 0]
+        assert 0 < len(expected) < samples
+        assert tested == expected
 
 
 class TestThresholdSliceMonotonicity:
