@@ -491,7 +491,6 @@ class TestMainTheorem:
         assert report.counterexamples == (expected,) * 7
         assert not report.passed
 
-
     def test_zero_pairing_is_tested(self, monkeypatch):
         # s_1 = 0 on the plane at r = 10, and L - 3E_1 meets K - s_1 L = K in 0
         # but has square -8, so a draw that is this class is a counterexample
