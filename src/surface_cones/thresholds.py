@@ -256,6 +256,20 @@ class RayContainmentCert:
     failing: str | None
 
 
+def _curve_type(curve: NegativeCurveRecord) -> tuple[int, int]:
+    """The type (n, p) = (-C^2, genus) of a curve; the level n must be an integer.
+
+    C^2 need not be one when gram_Y is not integral, and no threshold s_n
+    exists then; the genus is integral by the record's adjunction check.
+    """
+    if curve.self_int.denominator != 1:
+        raise PreconditionError(
+            f"curve self-intersection {curve.self_int} is not an integer, "
+            "so the curve has no level n = -C^2"
+        )
+    return int(-curve.self_int), int(curve.genus)
+
+
 def ray_certificate(
     model: BlowupModel,
     curve: NegativeCurveRecord,
@@ -264,14 +278,13 @@ def ray_certificate(
 ) -> RayContainmentCert:
     """Build and check the trapping witness for one curve at threshold s.
 
-    Precondition violations (wrong threshold, contracted non-exceptional
-    curve) raise; a violated r-inequality or pairing bound, which leaves no
-    witness to build, is named by its text, and otherwise the first false
-    entry of ``ray_checks`` marks the certificate invalid.
+    Precondition violations (a non-integral C^2, wrong threshold, contracted
+    non-exceptional curve) raise; a violated r-inequality or pairing bound,
+    which leaves no witness to build, is named by its text, and otherwise the
+    first false entry of ``ray_checks`` marks the certificate invalid.
     """
     ctx = ThresholdContext.from_model(model)
-    n = int(-curve.self_int)
-    p = int(curve.genus)
+    n, p = _curve_type(curve)
     level = n if level is None else level
     if level < n:
         raise PreconditionError(f"certificate level {level} below curve level {n}")
@@ -357,7 +370,7 @@ def certify_list(
         coords = [int(c) for c in curve.cls.coords]
         key = orbit_key(coords, m)
         if key not in built:
-            n = int(-curve.self_int)
+            n, _ = _curve_type(curve)
             rep = ray_certificate(model, curve, s_threshold(ctx, n), level=n)
             permute = None if rep.alpha is None else orbit_alpha(coords, rep.alpha.coords, m)
             built[key] = rep, permute
@@ -436,15 +449,19 @@ def main_theorem_check(
     Each curve is certified at its own threshold s_n; the containment at the
     top threshold follows because s_n <= s_nu is verified exactly and adding
     a nonnegative multiple of the nef L moves K - s_nu L to K - s_n L inside
-    the positive cone.  Sampling then tries to falsify the cone equality:
-    each of the ``samples`` draws seeds its own ``random.Random`` and draws,
-    in ``_sample_draw``, gamma = x + sum w_i C_i, with x a random rational
-    class on the cone boundary, moved from a null base computed once per
-    call, and integer weights 0 <= w_i <= 10.  The draw decides
-    gamma.(K - s_nu L) as sign(gamma.K - s_nu*(gamma.L)) from integer
-    pairings, without building gamma.  Every sample pairing nonnegatively
-    with K - s_nu L is built and must land inside the positive cone; any
-    violation is reported exactly, once per sample, never suppressed.
+    the positive cone.  A curve whose C^2 is not an integer has no level and
+    raises :class:`PreconditionError`.  Sampling then tries to falsify the
+    cone equality: each of the ``samples`` draws seeds its own
+    ``random.Random`` and draws, in ``_sample_draw``, gamma = x + sum w_i C_i,
+    with x a random rational class on the cone boundary, moved from a null
+    base computed once per call, and integer weights 0 <= w_i <= 10.  When
+    every listed curve pairs nonpositively with K - s_nu L, a draw whose x
+    already pairs negatively is decided from x alone, without drawing its
+    weights; any other draw decides gamma.(K - s_nu L) as
+    sign(gamma.K - s_nu*(gamma.L)) from integer pairings, without building
+    gamma.  Every sample pairing nonnegatively with K - s_nu L is built and
+    must land inside the positive cone; any violation is reported exactly,
+    once per sample, never suppressed.
     """
     ctx = ThresholdContext.from_model(model)
     condition = check_conditions(ctx, nu, pi)
@@ -453,8 +470,7 @@ def main_theorem_check(
             f"conditions for (nu, pi) = ({nu}, {pi}) fail", binding=condition.binding
         )
     for record in curves:
-        n = int(-record.self_int)
-        p = int(record.genus)
+        n, p = _curve_type(record)
         if not 1 <= n <= nu:
             raise PreconditionError(
                 f"curve with self-intersection {record.self_int} outside 1 <= n <= {nu}"
@@ -497,36 +513,50 @@ def _sample_draw(
 ) -> Callable[[random.Random], tuple[int, Callable[[], DivisorClass]]]:
     """The sampler's draw: the sign of gamma.(K - sL) and a builder of gamma = x + sum w_i C_i.
 
-    x and its pairings x.L and x.K come from ``_boundary_draw``; then one
-    ``rng.randint(0, 10)`` per curve, in list order, gives the weights.  C.L
-    and C.K of every curve are computed once here, as ints over a common
-    denominator, so gamma.L and gamma.K are x's pairings plus one integer
-    sum each, and the pairing is decided as sign(gamma.K - s*(gamma.L))
-    without building gamma.  The builder adds the weighted sum, accumulated
-    in ints over the curves' supports, to x; it is called only for a draw
-    that is tested.
+    x and its pairings x.L and x.K come from ``_boundary_draw``, and one
+    ``rng.randint(0, 10)`` per curve, in list order, gives the weights.
+    Whether every listed curve has C.(K - sL) <= 0 is decided once here, one
+    ``sign`` per distinct (C.K, C.L).  When it holds and x already pairs
+    negatively, so does gamma, since w_i >= 0: the draw returns -1 without
+    drawing the weights, and its builder draws them, once, when it is first
+    called.  Any other draw draws the weights at once and decides
+    sign(gamma.K - s*(gamma.L)) from integer sums, with C.L and C.K of every
+    curve kept as ints over a common denominator.  Either builder adds the
+    weighted sum, accumulated in ints over the curves' supports, to x; it is
+    called only for a draw that is tested.
     """
     boundary = _boundary_draw(model)
     line, canonical = model.line(), model.canonical()
-    c_l, l_den = _over_common_denominator([record.dot(line) for record in curves])
-    c_k, k_den = _over_common_denominator([record.dot(canonical) for record in curves])
+    dots_l = [record.dot(line) for record in curves]
+    dots_k = [record.dot(canonical) for record in curves]
+    curves_nonpositive = all(sign(k - s * l) <= 0 for k, l in set(zip(dots_k, dots_l)))
+    c_l, l_den = _over_common_denominator(dots_l)
+    c_k, k_den = _over_common_denominator(dots_k)
+
+    def gamma(x: Callable[[], DivisorClass], weights: list[int]) -> DivisorClass:
+        total = [0] * model.rank
+        for weight, record in zip(weights, curves):
+            if weight:
+                for i, c in record.support:
+                    total[i] += weight * c
+        pairs = zip(x().coords, total)
+        return DivisorClass(model, tuple(a + t if t else a for a, t in pairs))
 
     def draw(rng: random.Random) -> tuple[int, Callable[[], DivisorClass]]:
         x_l, x_k, x = boundary(rng)
+        if curves_nonpositive and sign(x_k - s * x_l) < 0:
+            drawn: list[int] = []
+
+            def build_later() -> DivisorClass:
+                if not drawn:
+                    drawn.extend(rng.randint(0, 10) for _ in curves)
+                return gamma(x, drawn)
+
+            return -1, build_later
         weights = [rng.randint(0, 10) for _ in curves]
         gamma_l = x_l + Fraction(sum(map(mul, weights, c_l)), l_den)
         gamma_k = x_k + Fraction(sum(map(mul, weights, c_k)), k_den)
-
-        def build() -> DivisorClass:
-            total = [0] * model.rank
-            for weight, record in zip(weights, curves):
-                if weight:
-                    for i, c in record.support:
-                        total[i] += weight * c
-            pairs = zip(x().coords, total)
-            return DivisorClass(model, tuple(a + t if t else a for a, t in pairs))
-
-        return sign(gamma_k - s * gamma_l), build
+        return sign(gamma_k - s * gamma_l), lambda: gamma(x, weights)
 
     return draw
 

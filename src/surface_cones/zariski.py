@@ -17,7 +17,7 @@ curve, here and in the ray builder, is ``NegativeCurveRecord.dot`` over them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,9 +47,11 @@ class NegativeCurveRecord:
     _gram_row: tuple[tuple[int, int | Fraction], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the ``_integer_form`` of ``cls`` when the caller has already computed it
+    _form: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        form = _integer_form(self.cls)
+    def __post_init__(self, _form):
+        form = _integer_form(self.cls) if _form is None else _form
         if form is None:
             raise ModelValidationError("curve class must have integer coordinates", "curve")
         support, gram_row, square, c_dot_k = form
@@ -90,6 +92,7 @@ class NegativeCurveRecord:
             self_int=square,
             genus=_adjunction_genus(square + c_dot_k),
             is_exceptional=_is_exceptional(divisor.model, support),
+            _form=form,
         )
 
     def dot(self, x: DivisorClass) -> Exact:

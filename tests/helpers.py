@@ -52,6 +52,26 @@ def standard_minus_one_records(model: BlowupModel) -> list[NegativeCurveRecord]:
     return records
 
 
+def half_gram(r):
+    """gram_Y [[1/2]], k_Y [-1], a_Y [1]: G*L, G*K and the Y-block of G are not integral.
+
+    The null base is 2L - E_1 - E_2.  Besides the E_i, the curves are
+    L - E_1 - E_2 and L - E_3 - E_4 - E_5, of genus 1, with C.L = 1/2 and
+    C^2 = -3/2 and -5/2, which are not integers.
+    """
+    surface = SurfaceModel(
+        chi=1, kY_sq=Fraction(1, 2), gram_Y=((Fraction(1, 2),),), k_Y=(-1,), a_Y=(1,)
+    )
+    model = BlowupModel(surface, r)
+    records = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, r + 1)]
+    for support in ((1, 2), (3, 4, 5)):
+        cls = model.pullback([1])
+        for i in support:
+            cls = cls - model.exceptional(i)
+        records.append(NegativeCurveRecord.from_class(cls))
+    return model, records
+
+
 def levels_one_and_two(model):
     """Plane (-1)- and (-2)-curves in five orbits, four of them with two or more members.
 

@@ -294,6 +294,18 @@ class TestCurveRecordInputs:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
 
+    def test_non_integral_self_intersection_exit_one(self, capsys, tmp_path):
+        # gram_Y [[1/2]]: L - E_1 - E_2 squares to -3/2, so it has no level n = -C^2
+        surface = {"chi": 1, "kY_sq": "1/2", "gram_Y": [["1/2"]], "k_Y": [-1], "a_Y": [1]}
+        doc = {"surface": surface, "r": 12, "curves": [{"coords": [1, -1, -1] + [0] * 10}]}
+        path = write_json(tmp_path, "in.json", doc)
+        code, out, err = run_cli(["certify-ray", "--input", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: curve self-intersection -3/2 is not an integer, "
+            "so the curve has no level n = -C^2\n"
+        )
+
     @pytest.mark.parametrize("command", ["zariski", "certify-ray"])
     def test_scalar_coordinate_exit_one(self, capsys, tmp_path, command):
         # 1 + sqrt(2) as a curve coordinate: the class is not rational, let alone integral

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     abelian_surface,
+    half_gram,
     k3_surface,
     levels_one_and_two,
     p2_blowup,
@@ -22,6 +23,7 @@ from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
 from surface_cones.errors import InternalConsistencyError, PreconditionError, ThresholdError
 from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
+from surface_cones.segre import segre_bounds
 from surface_cones.scalar import (
     as_fraction,
     compare,
@@ -567,25 +569,6 @@ def k3_sextic(r):
     return model, records
 
 
-def half_gram(r):
-    """gram_Y [[1/2]], k_Y [-1], a_Y [1]: G*L, G*K and the Y-block of G are not integral.
-
-    The null base is 2L - E_1 - E_2.  Besides the E_i, the curves are
-    L - E_1 - E_2 and L - E_3 - E_4 - E_5, of genus 1, with C.L = 1/2.
-    """
-    surface = SurfaceModel(
-        chi=1, kY_sq=Fraction(1, 2), gram_Y=((Fraction(1, 2),),), k_Y=(-1,), a_Y=(1,)
-    )
-    model = BlowupModel(surface, r)
-    records = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, r + 1)]
-    for support in ((1, 2), (3, 4, 5)):
-        cls = model.pullback([1])
-        for i in support:
-            cls = cls - model.exceptional(i)
-        records.append(NegativeCurveRecord.from_class(cls))
-    return model, records
-
-
 @functools.lru_cache(maxsize=None)
 def draw_case(name):
     if name.startswith("k3_sextic_r"):
@@ -597,6 +580,18 @@ def draw_case(name):
         model = serialize.blowup_from_json(doc)
         curves = [serialize.curve_from_json(model, c) for c in doc["curves"]]
     return model, curves
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that records the bounds of every ``randint`` call."""
+
+    def __init__(self, seed):
+        self.bounds = []
+        super().__init__(seed)
+
+    def randint(self, a, b):
+        self.bounds.append((a, b))
+        return super().randint(a, b)
 
 
 class TestSampleDraw:
@@ -623,7 +618,8 @@ class TestSampleDraw:
         pairing, build = thresholds._sample_draw(model, curves, s)(rng)
         ref_gamma, ref_pairing = reference_draw(model, curves, s, ref_rng)
         assert pairing == ref_pairing
-        # gamma is built lazily, whatever the pairing, and building it draws nothing
+        # gamma is built lazily, whatever the pairing; a draw decided from x alone
+        # draws its weights when it is first built
         gamma = build()
         assert all(type(c) is Fraction for c in gamma.coords)
         assert gamma.coords == ref_gamma.coords
@@ -700,6 +696,88 @@ class TestSampleDraw:
         expected = [gamma for gamma, pairing in draws if pairing >= 0]
         assert 0 < len(expected) < samples
         assert tested == expected
+
+
+    @pytest.mark.parametrize("name", ["p2_r10", "p2_r12", "k3_generic", "p2_r17"])
+    def test_negative_boundary_class_defers_the_weights(self, name):
+        # at s_nu every listed curve pairs to <= -1 with K - sL, and so does x on
+        # every draw: the draw is decided from x alone, and build() draws the
+        # weights once, in list order, as the reference does
+        model, curves = draw_case(name)
+        s = s_threshold(ThresholdContext.from_model(model), segre_bounds(model.base.chi).nu)
+        v = model.canonical() - s * model.line()
+        assert all(compare(record.dot(v), -1) <= 0 for record in curves)
+        draw = thresholds._sample_draw(model, curves, s)
+        for seed in range(50):
+            rng, ref_rng = CountingRandom(seed), random.Random(seed)
+            pairing, build = draw(rng)
+            assert pairing == -1
+            assert (0, 10) not in rng.bounds
+            boundary_calls = len(rng.bounds)
+            gamma = build()
+            assert rng.bounds[boundary_calls:] == [(0, 10)] * len(curves)
+            assert build() == gamma
+            assert len(rng.bounds) == boundary_calls + len(curves)
+            ref_gamma, ref_pairing = reference_draw(model, curves, s, ref_rng)
+            assert (pairing, gamma.coords) == (ref_pairing, ref_gamma.coords)
+            assert rng.random() == ref_rng.random()
+
+    def test_positive_curve_lifts_a_negative_boundary_class(self, monkeypatch):
+        # s = s_1 - 2 = -2 on the plane at r = 10: x = E_3 pairs to -1 with K - sL,
+        # C = L - E_1 - E_2 to +1, so x + w*C pairs to w - 1 and is tested for
+        # w >= 1; it has square -1 - w^2 and is a counterexample each time
+        model = p2_blowup(10)
+        original = thresholds.s_threshold
+        monkeypatch.setattr(thresholds, "s_threshold", lambda ctx, n: original(ctx, n) - 2)
+        x = model.exceptional(3)
+        curve = NegativeCurveRecord.from_class(
+            model.line() - model.exceptional(1) - model.exceptional(2)
+        )
+        v = model.canonical() + 2 * model.line()
+        assert (intersect(x, v), curve.dot(v)) == (-1, 1)
+        boundary = (intersect(x, model.line()), intersect(x, model.canonical()))
+        monkeypatch.setattr(
+            thresholds, "_boundary_draw", lambda model: lambda rng: (*boundary, lambda: x)
+        )
+        samples, seed = 30, 3
+        report = main_theorem_check(model, [curve], 1, 0, samples=samples, seed=seed)
+        assert report.s == -2
+        weights = [random.Random(seed * 1_000_003 + k).randint(0, 10) for k in range(samples)]
+        expected = [
+            SampledCounterexample(coords=(x + w * curve.cls).coords, pairing_sign=sign(w - 1))
+            for w in weights
+            if w >= 1
+        ]
+        assert 0 < len(expected) < samples
+        assert {c.pairing_sign for c in expected} == {0, 1}
+        assert report.counterexamples == tuple(expected)
+
+
+class TestCurveLevel:
+    """A curve whose C^2 is not an integer has no level n = -C^2 and no threshold."""
+
+    def setup_method(self):
+        # gram_Y [[1/2]] at r = 12: L - E_1 - E_2 has C^2 = -3/2 and genus 1
+        self.model, curves = half_gram(12)
+        self.curve = curves[12]
+        assert (self.curve.self_int, self.curve.genus) == (Fraction(-3, 2), 1)
+
+    def test_main_theorem_check(self):
+        assert check_conditions(ThresholdContext.from_model(self.model), 2, 1).satisfied
+        with pytest.raises(PreconditionError, match="self-intersection -3/2 is not an integer"):
+            main_theorem_check(self.model, [self.curve], 2, 1, samples=5, seed=0)
+
+    def test_certify_list(self):
+        exceptional = NegativeCurveRecord.from_class(self.model.exceptional(1))
+        assert certify_list(self.model, [exceptional])[0].valid
+        with pytest.raises(PreconditionError, match="self-intersection -3/2 is not an integer"):
+            certify_list(self.model, [exceptional, self.curve])
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_ray_certificate(self, level):
+        s = s_threshold(ThresholdContext.from_model(self.model), level)
+        with pytest.raises(PreconditionError, match="self-intersection -3/2 is not an integer"):
+            ray_certificate(self.model, self.curve, s, level=level)
 
 
 class TestThresholdSliceMonotonicity:

@@ -13,10 +13,13 @@ from helpers import (
     abelian_surface,
     brute_force_zariski,
     enriques_surface,
+    half_gram,
     p2_blowup,
     p2_surface,
     standard_minus_one_records,
 )
+from surface_cones import serialize, zariski
+from surface_cones.cli import load_fixture
 from surface_cones.errors import (
     AdjunctionParityError,
     ModelMismatchError,
@@ -224,6 +227,47 @@ class TestIntegerRecordDifferential:
         record = NegativeCurveRecord.from_class(p2_blowup(2).exceptional(1))
         with pytest.raises(ModelMismatchError):
             record.dot(p2_blowup(3).line())
+
+
+class TestSinglePassRecord:
+    """``from_class`` hands the integer form it computed to the constructor."""
+
+    def test_from_class_computes_the_integer_form_once(self, monkeypatch):
+        calls = []
+        original = zariski._integer_form
+
+        def counting(divisor):
+            calls.append(divisor)
+            return original(divisor)
+
+        monkeypatch.setattr(zariski, "_integer_form", counting)
+        model = p2_blowup(12)
+        classes = [model.exceptional(1), model.line() - model.exceptional(1) - model.exceptional(2)]
+        for cls in classes:
+            NegativeCurveRecord.from_class(cls)
+        assert calls == classes
+        # a declared record computes it itself, once
+        NegativeCurveRecord(classes[0], Fraction(-1), Fraction(0), True)
+        assert calls == classes + classes[:1]
+
+    @pytest.mark.parametrize(
+        "name", ["p2_r10", "p2_r12", "k3_generic", "p2_r17", "half_gram_r6"]
+    )
+    def test_matches_declared_records(self, name):
+        if name == "half_gram_r6":
+            _, records = half_gram(6)
+            classes = [record.cls for record in records]
+        else:
+            doc = load_fixture(name)
+            model = serialize.blowup_from_json(doc)
+            classes = [
+                serialize.divisor_from_json(model, c["coords"], "coords") for c in doc["curves"]
+            ]
+        for cls in classes:
+            built = NegativeCurveRecord.from_class(cls)
+            declared = NegativeCurveRecord(cls, built.self_int, built.genus, built.is_exceptional)
+            assert built == declared
+            assert (built.support, built._gram_row) == (declared.support, declared._gram_row)
 
 
 class TestWorkedExamples:
