@@ -23,7 +23,6 @@ from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
 from surface_cones.errors import InternalConsistencyError, PreconditionError, ThresholdError
 from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
-from surface_cones.segre import segre_bounds
 from surface_cones.scalar import (
     as_fraction,
     compare,
@@ -33,6 +32,7 @@ from surface_cones.scalar import (
     sign,
     sqrt_scalar,
 )
+from surface_cones.segre import segre_bounds
 from surface_cones.thresholds import (
     ConditionCheck,
     SampledCounterexample,
@@ -696,7 +696,6 @@ class TestSampleDraw:
         expected = [gamma for gamma, pairing in draws if pairing >= 0]
         assert 0 < len(expected) < samples
         assert tested == expected
-
 
     @pytest.mark.parametrize("name", ["p2_r10", "p2_r12", "k3_generic", "p2_r17"])
     def test_negative_boundary_class_defers_the_weights(self, name):
