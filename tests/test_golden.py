@@ -5,7 +5,10 @@ empty output of an infeasible fixture included), and on one copy of the
 p2_r17 list whose last certificate has two alpha E-values swapped.
 ``zariski`` is pinned on fixture curve lists with chosen divisors, ``verify``
 on each of its outputs and on one moved by L, and ``list_decomposition_check``
-by the sha256 of its report's ``repr``.
+by the sha256 of its report's ``repr``.  ``slice`` is pinned on every fixture
+and on one input with classes, labels and a plane normal; ``--format text``
+of ``analyze``, ``thresholds`` and ``segre-check`` on p2_r12 and k3_generic;
+``segre-check`` on one input with pencil and Nagata entries.
 
 A refactor that means to keep the output byte-identical must keep these
 digests.  Regenerate an entry only for an output change that is named in
@@ -68,6 +71,43 @@ GOLDEN = {
     ("segre-check", "p2_r11"): "196581ffd757ba99e9298152369a6783abd65a2c71689ecc45d9a93b7f3d7418",
     ("segre-check", "p2_r12"): "ce2d63818ba00a1f70b34817fabc084d7a6fbe94bcbf5c46bf8e12ded8570963",
     ("segre-check", "p2_r17"): "b119c3d48978cb8e1c48b5feaeba8b4e27e159e068116a73801597bbf1bf8074",
+    ("slice", "abelian"): "dee4a47008295f70d66a65bcf7199baefdb7ce181615e9c8491c8b713bf09c94",
+    ("slice", "enriques"): "dee4a47008295f70d66a65bcf7199baefdb7ce181615e9c8491c8b713bf09c94",
+    ("slice", "k3_generic"): "a52e44ae601d06e64176babbf363044db74a1659c8f47f0f69f881357a2c31db",
+    ("slice", "p2_r1"): "c162c7dbfd3cad5f8f08a88f5a6a4f678aefd855eef619c158b12a444a5ce29b",
+    ("slice", "p2_r9"): "093b1a7927aa0620e5394f48b6f9c2234255a8770c466520fc7a8b49eaff31c5",
+    ("slice", "p2_r10"): "093b1a7927aa0620e5394f48b6f9c2234255a8770c466520fc7a8b49eaff31c5",
+    ("slice", "p2_r11"): "093b1a7927aa0620e5394f48b6f9c2234255a8770c466520fc7a8b49eaff31c5",
+    ("slice", "p2_r12"): "093b1a7927aa0620e5394f48b6f9c2234255a8770c466520fc7a8b49eaff31c5",
+    ("slice", "p2_r17"): "093b1a7927aa0620e5394f48b6f9c2234255a8770c466520fc7a8b49eaff31c5",
+}
+
+GOLDEN_TEXT = {
+    ("analyze", "k3_generic"): "69cb94e813d3b908969f0e83a76b8a9d00da1a9117eef6eec993db452360777a",
+    ("analyze", "p2_r12"): "865b27fb3146fd273ced8549a0460347ecca90839a2748e769f7747f138cdd82",
+    ("thresholds", "k3_generic"): "42650cf543f82a64eaeb982ce3d93243a36cd4ce6f40f0cc5f26eb1f2f68ea76",
+    ("thresholds", "p2_r12"): "8496996487f8ac80060e00b398619af7428c9340ce3bad5561285c82639d1999",
+    ("segre-check", "k3_generic"): "9e156945a90a51e8d41d499e765b52bd6c77ad0e63558510125753f13eb807ee",
+    ("segre-check", "p2_r12"): "de0d8fe423b4b930d3f8bcf3f7bf3a9323800d4b5f6264428fade5085adbfa06",
+}
+
+# inputs beyond the fixtures: the command and the fields added to a fixture
+GOLDEN_INPUTS = {
+    "slice classes": ("slice", "p2_r1", {
+        "classes": [[1, 0], [0, 1], [1, -1], ["1/2", "-1/3"]],
+        "labels": ["L", "E1", "L-E1", "half"],
+        "plane_normal": [2, -1],
+    }),
+    "segre-check entries": ("segre-check", "enriques", {
+        "pencils": [{"g": 1, "dim": 0}, {"g": "2/4", "dim": "1"}, {"g": 0, "dim": 1}],
+        "nagata": [{"deg": 3, "mults": [1, 1]}, {"deg": "7/2", "mults": [2, "1/2", 1],
+                                                 "variant": "strong"}],
+    }),
+}
+
+GOLDEN_INPUT_DIGESTS = {
+    "segre-check entries": "b50283ec6088d895c443134d9a41a241ae76e181a2e0d299033a0bce8967707d",
+    "slice classes": "f1c6bb57836b99723170f228da5d9a16f9708a1aac514ab5458fdddb0a8c9773",
 }
 
 
@@ -107,6 +147,22 @@ def test_golden_output(capsys, monkeypatch, command, fixture):
     monkeypatch.delenv("SURFACE_CONES_DELTA_CAP", raising=False)
     code = cli.main([command, "--input", f"fixture:{fixture}", *EXTRA_ARGS.get(command, [])])
     assert _digest(code, capsys.readouterr()) == GOLDEN[command, fixture]
+
+
+@pytest.mark.parametrize("command, fixture", sorted(GOLDEN_TEXT))
+def test_golden_text_format(capsys, command, fixture):
+    args = [command, "--input", f"fixture:{fixture}", "--format", "text"]
+    code = cli.main(args + EXTRA_ARGS.get(command, []))
+    assert _digest(code, capsys.readouterr()) == GOLDEN_TEXT[command, fixture]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_INPUTS))
+def test_golden_input(capsys, tmp_path, case):
+    command, fixture, fields = GOLDEN_INPUTS[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(cli.load_fixture(fixture), **fields)))
+    code = cli.main([command, "--input", str(path)])
+    assert _digest(code, capsys.readouterr()) == GOLDEN_INPUT_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
