@@ -10,12 +10,14 @@ for a fixed (input, seed, package version).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import segre, serialize, strict_inclusion, thresholds, zariski
 from .cones import render_slice_csv, slice_export
@@ -23,14 +25,13 @@ from .errors import (
     CertificateError,
     MalformedValueError,
     ModelValidationError,
-    PreconditionError,
     SurfaceConesError,
     ThresholdError,
     ZariskiError,
 )
-from .lattice import BlowupModel, SurfaceKind, intersect
+from .lattice import BlowupModel, DivisorClass, SurfaceKind, intersect, parse_int, parse_rational
 from .scalar import scalar_to_json, sign
-from .thresholds import ThresholdContext
+from .thresholds import ThresholdContext, orbit_alpha, orbit_key
 
 COMMANDS = (
     "analyze",
@@ -44,16 +45,6 @@ COMMANDS = (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None
-    output_path: str | None
-    seed: int
-    samples: int
-    format: str
-
-
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture, e.g. ``p2_r12`` or ``k3_generic``."""
     return Path(str(resources.files("surface_cones") / "fixtures" / f"{name}.json"))
@@ -63,13 +54,13 @@ def load_fixture(name: str) -> dict:
     return json.loads(fixture_path(name).read_text())
 
 
-def _load_input(config: RunConfig) -> dict:
-    if config.input_path is None:
+def _load_input(input_path: str | None) -> dict:
+    if input_path is None:
         raise ModelValidationError("no input file given", "--input")
-    if config.input_path.startswith("fixture:"):
-        path = fixture_path(config.input_path.split(":", 1)[1])
+    if input_path.startswith("fixture:"):
+        path = fixture_path(input_path.split(":", 1)[1])
     else:
-        path = Path(config.input_path)
+        path = Path(input_path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -83,18 +74,18 @@ def _load_input(config: RunConfig) -> dict:
     return doc
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(config: RunConfig, report: dict) -> None:
-    if config.format == "text":
-        _emit(config, _render_text(report))
+def _emit_report(args: argparse.Namespace, report: dict) -> None:
+    if args.format == "text":
+        _emit(args, _render_text(report))
     else:
-        _emit(config, json.dumps(report, indent=2) + "\n")
+        _emit(args, json.dumps(report, indent=2) + "\n")
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -110,94 +101,110 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _model_and_curves(doc: dict) -> tuple[BlowupModel, list[zariski.NegativeCurveRecord]]:
+@dataclasses.dataclass
+class _Input:
+    """An input document with the fields its command reads parsed and validated.
+
+    Fields the command does not read keep their defaults.
+    """
+
+    doc: dict
+    model: BlowupModel
+    curves: list[zariski.NegativeCurveRecord]
+    bounds: segre.SegreBounds | None = None
+    divisor: DivisorClass | None = None
+    # (g, dim, g and dim as written, which the report echoes)
+    pencils: list[tuple[Fraction, Fraction, str, str]] = dataclasses.field(default_factory=list)
+    # (variant, deg, mults)
+    nagata: list[tuple[segre.NagataVariant, Fraction, list[Fraction]]] = dataclasses.field(
+        default_factory=list
+    )
+    classes: list[DivisorClass] = dataclasses.field(default_factory=list)
+    labels: list[str] | None = None
+    plane_normal: DivisorClass | None = None
+
+
+def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
+    """Parse ``surface``, ``r`` and ``curves``, then each field of ``reads``, in that order.
+
+    ``nu`` and ``pi`` are read together into ``bounds``; ``curves`` defaults
+    to the exceptional classes.
+    """
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
-        curves = serialize._curves_from_json(model, doc["curves"])
+        curves = [
+            serialize.curve_from_json(model, record, f"curves[{i}]")
+            for i, record in enumerate(_list(doc["curves"], "curves", "curve records"))
+        ]
     else:
         curves = [
             zariski.NegativeCurveRecord.from_class(model.exceptional(i))
             for i in range(1, model.r + 1)
         ]
-    return model, curves
+    parsed = _Input(doc, model, curves)
+    if "nu" in reads:
+        if "nu" in doc or "pi" in doc:
+            nu = parse_int(doc.get("nu", 1), "nu")
+            pi = parse_int(doc.get("pi", 0), "pi")
+            parsed.bounds = segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
+        else:
+            parsed.bounds = segre.segre_bounds(model.base.chi)
+    if "divisor" in reads:
+        if "divisor" not in doc:
+            raise ModelValidationError("missing required field", "divisor")
+        parsed.divisor = serialize.divisor_from_json(model, doc["divisor"], "divisor")
+    if "pencils" in reads:
+        for i, pencil in enumerate(_entries(doc, "pencils", ("g", "dim"))):
+            g = parse_rational(pencil["g"], f"pencils[{i}].g")
+            dim = parse_rational(pencil["dim"], f"pencils[{i}].dim")
+            parsed.pencils.append((g, dim, str(pencil["g"]), str(pencil["dim"])))
+    if "nagata" in reads:
+        for i, entry in enumerate(_entries(doc, "nagata", ("deg", "mults"))):
+            try:
+                variant = segre.NagataVariant(entry.get("variant", "nagata"))
+            except ValueError:
+                raise ModelValidationError(
+                    f"not a Nagata variant: {entry['variant']!r}", f"nagata[{i}].variant"
+                )
+            mults = _list(entry["mults"], f"nagata[{i}].mults", "rational numbers")
+            deg = parse_rational(entry["deg"], f"nagata[{i}].deg")
+            mults = [parse_rational(m, f"nagata[{i}].mults[{j}]") for j, m in enumerate(mults)]
+            parsed.nagata.append((variant, deg, mults))
+    if "classes" in reads:
+        parsed.classes = [
+            serialize.divisor_from_json(model, coords, f"classes[{i}]")
+            for i, coords in enumerate(_list(doc.get("classes", []), "classes", "coordinate lists"))
+        ]
+    if "labels" in reads and "labels" in doc:
+        parsed.labels = _list(doc["labels"], "labels", "strings")
+        if len(parsed.labels) != len(parsed.classes):
+            raise ModelValidationError(
+                f"{len(parsed.labels)} labels for {len(parsed.classes)} classes", "labels"
+            )
+        for i, label in enumerate(parsed.labels):
+            if not isinstance(label, str) or any(c in label for c in ',"\r\n'):
+                raise MalformedValueError(
+                    f"must be a string without commas, quotes or line breaks, got {label!r}",
+                    f"labels[{i}]",
+                )
+    if "plane_normal" in reads:
+        parsed.plane_normal = (
+            serialize.divisor_from_json(model, doc["plane_normal"], "plane_normal")
+            if "plane_normal" in doc
+            else model.line()
+        )
+    return parsed
 
 
-def _bounds(doc: dict, model: BlowupModel) -> segre.SegreBounds:
-    if "nu" in doc or "pi" in doc:
-        nu = serialize._int_from_json(doc.get("nu", 1), "nu")
-        pi = serialize._int_from_json(doc.get("pi", 0), "pi")
-        return segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
-    return segre.segre_bounds(model.base.chi)
-
-
-def _cmd_thresholds(config: RunConfig, doc: dict) -> int:
-    model, _ = _model_and_curves(doc)
-    ctx = ThresholdContext.from_model(model)
-    bounds = _bounds(doc, model)
-    values = thresholds.s_monotonicity(ctx, bounds.nu)
-    condition = thresholds.check_conditions(ctx, bounds.nu, bounds.pi)
-    if not condition.satisfied:
-        sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
-        return 2
-    delta = thresholds.delta_cap(model)
-    report = {
-        "command": "thresholds",
-        "seed": config.seed,
-        "input": doc,
-        "nu": bounds.nu,
-        "pi": bounds.pi,
-        "exceptional_only": bounds.exceptional_only,
-        "condition": {
-            "satisfied": condition.satisfied,
-            "binding": condition.binding,
-            "slack": str(condition.slack),
-            "q": str(condition.q),
-        },
-        "thresholds": [scalar_to_json(v) for v in values],
-        "delta": str(delta),
-        "k_minus_sl_dot_h": scalar_to_json(
-            thresholds.k_minus_sl_h_negative(model, values[-1], delta)
-        ),
-    }
-    _emit_report(config, report)
-    return 0
-
-
-def _cmd_certify_ray(config: RunConfig, doc: dict) -> int:
-    model, curves = _model_and_curves(doc)
-    certs = thresholds.certify_list(model, curves)
-    report = {
-        "kind": "certificate_list",
-        "command": "certify-ray",
-        "seed": config.seed,
-        "certificates": [serialize.ray_certificate_to_json(model, c) for c in certs],
-    }
-    _emit_report(config, report)
-    invalid = [c for c in certs if not c.valid]
-    if invalid:
-        sys.stderr.write(f"{len(invalid)} certificate(s) invalid: {invalid[0].failing}\n")
-        return 2
-    return 0
-
-
-def _cmd_zariski(config: RunConfig, doc: dict) -> int:
-    model, curves = _model_and_curves(doc)
-    if "divisor" not in doc:
-        raise ModelValidationError("missing required field", "divisor")
-    divisor = serialize.divisor_from_json(model, doc["divisor"], "divisor")
-    decomposition = zariski.ne_decompose(divisor, curves)
-    report = serialize.zariski_to_json(decomposition)
-    report["command"] = "zariski"
-    report["seed"] = config.seed
-    _emit_report(config, report)
-    return 0
+def _list(value, field: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedValueError(f"must be a list of {what}, got {value!r}", field)
+    return value
 
 
 def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
     """The optional list ``doc[key]`` of objects that each hold ``fields``; [] when absent."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise MalformedValueError(f"must be a list of objects, got {entries!r}", key)
+    entries = _list(doc.get(key, []), key, "objects")
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise MalformedValueError(f"must be an object, got {entry!r}", f"{key}[{i}]")
@@ -207,12 +214,80 @@ def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
     return entries
 
 
-def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
-    model, curves = _model_and_curves(doc)
+def _condition_json(condition) -> dict[str, Any]:
+    return {
+        "satisfied": condition.satisfied,
+        "binding": condition.binding,
+        "slack": str(condition.slack),
+    }
+
+
+def _interval_json(interval) -> dict[str, Any]:
+    return {
+        "lower": scalar_to_json(interval.lower),
+        "lower_strict": interval.lower_strict,
+        "upper": None if interval.upper is None else scalar_to_json(interval.upper),
+        "upper_strict": interval.upper_strict,
+        "sample": None if interval.sample is None else str(interval.sample),
+    }
+
+
+def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
+    model, bounds = inp.model, inp.bounds
+    ctx = ThresholdContext.from_model(model)
+    values = thresholds.s_monotonicity(ctx, bounds.nu)
+    condition = thresholds.check_conditions(ctx, bounds.nu, bounds.pi)
+    if not condition.satisfied:
+        sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
+        return 2
+    delta = thresholds.delta_cap(model)
+    report = {
+        "command": "thresholds",
+        "seed": args.seed,
+        "input": inp.doc,
+        **dataclasses.asdict(bounds),
+        "condition": {**_condition_json(condition), "q": str(condition.q)},
+        "thresholds": [scalar_to_json(v) for v in values],
+        "delta": str(delta),
+        "k_minus_sl_dot_h": scalar_to_json(
+            thresholds.k_minus_sl_h_negative(model, values[-1], delta)
+        ),
+    }
+    _emit_report(args, report)
+    return 0
+
+
+def _cmd_certify_ray(args: argparse.Namespace, inp: _Input) -> int:
+    certs = thresholds.certify_list(inp.model, inp.curves)
+    report = {
+        "kind": "certificate_list",
+        "command": "certify-ray",
+        "seed": args.seed,
+        "certificates": [serialize.ray_certificate_to_json(inp.model, c) for c in certs],
+    }
+    _emit_report(args, report)
+    invalid = [c for c in certs if not c.valid]
+    if invalid:
+        sys.stderr.write(f"{len(invalid)} certificate(s) invalid: {invalid[0].failing}\n")
+        return 2
+    return 0
+
+
+def _cmd_zariski(args: argparse.Namespace, inp: _Input) -> int:
+    decomposition = zariski.ne_decompose(inp.divisor, inp.curves)
+    report = serialize.zariski_to_json(decomposition)
+    report["command"] = "zariski"
+    report["seed"] = args.seed
+    _emit_report(args, report)
+    return 0
+
+
+def _cmd_segre_check(args: argparse.Namespace, inp: _Input) -> int:
+    model = inp.model
     chi = model.base.chi
     bounds = segre.segre_bounds(chi)
     curve_rows = []
-    for i, record in enumerate(curves):
+    for i, record in enumerate(inp.curves):
         row: dict[str, Any] = {
             "index": i,
             "self_int": str(record.self_int),
@@ -224,63 +299,34 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
             row["k3_kind"] = segre.classify_k3_record(record, ck).value
         curve_rows.append(row)
     pencil_rows = []
-    for i, pencil in enumerate(_entries(doc, "pencils", ("g", "dim"))):
+    for i, (g, dim, g_text, dim_text) in enumerate(inp.pencils):
         outcome = segre.pencil_counterexample(
-            chi,
-            serialize._number_from_json(pencil["g"], f"pencils[{i}].g"),
-            serialize._number_from_json(pencil["dim"], f"pencils[{i}].dim"),
-            pg=model.base.pg,
-            q=model.base.irregularity,
+            chi, g, dim, pg=model.base.pg, q=model.base.irregularity
         )
         pencil_rows.append(
             {
                 "index": i,
-                "g": str(pencil["g"]),
-                "dim": str(pencil["dim"]),
+                "g": g_text,
+                "dim": dim_text,
                 "verdict": outcome.verdict.value,
                 "expected_chi": str(outcome.expected_chi),
                 "chi_bound_holds": outcome.chi_bound_holds,
             }
         )
-    nagata_rows = []
-    for i, entry in enumerate(_entries(doc, "nagata", ("deg", "mults"))):
-        try:
-            variant = segre.NagataVariant(entry.get("variant", "nagata"))
-        except ValueError:
-            raise ModelValidationError(
-                f"not a Nagata variant: {entry['variant']!r}", f"nagata[{i}].variant"
-            )
-        mults = entry["mults"]
-        if not isinstance(mults, list):
-            raise MalformedValueError(f"must be a list, got {mults!r}", f"nagata[{i}].mults")
-        nagata_rows.append(
-            {
-                "index": i,
-                "variant": variant.value,
-                "holds": segre.nagata_checks(
-                    serialize._number_from_json(entry["deg"], f"nagata[{i}].deg"),
-                    [
-                        serialize._number_from_json(m, f"nagata[{i}].mults[{j}]")
-                        for j, m in enumerate(mults)
-                    ],
-                    variant,
-                ),
-            }
-        )
+    nagata_rows = [
+        {"index": i, "variant": variant.value, "holds": segre.nagata_checks(deg, mults, variant)}
+        for i, (variant, deg, mults) in enumerate(inp.nagata)
+    ]
     report = {
         "command": "segre-check",
-        "seed": config.seed,
+        "seed": args.seed,
         "chi": str(chi),
-        "bounds": {
-            "nu": bounds.nu,
-            "pi": bounds.pi,
-            "exceptional_only": bounds.exceptional_only,
-        },
+        "bounds": dataclasses.asdict(bounds),
         "curves": curve_rows,
         "pencils": pencil_rows,
         "nagata": nagata_rows,
     }
-    if config.format == "text":
+    if args.format == "text":
         lines = [
             f"chi = {chi}: nu = {bounds.nu}, pi = {bounds.pi}"
             + (" (all negative curves must be exceptional)" if bounds.exceptional_only else "")
@@ -299,14 +345,14 @@ def _cmd_segre_check(config: RunConfig, doc: dict) -> int:
             )
         for row in nagata_rows:
             lines.append(f"nagata[{row['index']}] {row['variant']}: {row['holds']}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_report(config, report)
+        _emit_report(args, report)
     return 0
 
 
-def _cmd_strict_inclusion(config: RunConfig, doc: dict) -> int:
-    model, _ = _model_and_curves(doc)
+def _cmd_strict_inclusion(args: argparse.Namespace, inp: _Input) -> int:
+    model = inp.model
     labels = strict_inclusion.condition_sets(model)
     intervals = strict_inclusion.solve_s_system(model) if labels else []
     witness = None
@@ -336,45 +382,32 @@ def _cmd_strict_inclusion(config: RunConfig, doc: dict) -> int:
         return 2
     report = serialize.witness_to_json(witness)
     report["command"] = "strict-inclusion"
-    report["seed"] = config.seed
+    report["seed"] = args.seed
     report["route"] = route
     report["condition_sets"] = sorted(label.value for label in labels)
-    report["intervals"] = [
-        {
-            "lower": scalar_to_json(i.lower),
-            "lower_strict": i.lower_strict,
-            "upper": None if i.upper is None else scalar_to_json(i.upper),
-            "upper_strict": i.upper_strict,
-            "sample": None if i.sample is None else str(i.sample),
-        }
-        for i in intervals
-    ]
-    _emit_report(config, report)
+    report["intervals"] = [_interval_json(i) for i in intervals]
+    _emit_report(args, report)
     return 0
 
 
-def _cmd_analyze(config: RunConfig, doc: dict) -> int:
-    model, curves = _model_and_curves(doc)
+def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
+    model, bounds = inp.model, inp.bounds
     ctx = ThresholdContext.from_model(model)
-    bounds = _bounds(doc, model)
     condition = thresholds.check_conditions(ctx, bounds.nu, bounds.pi)
     if not condition.satisfied:
         sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
         return 2
     values = thresholds.s_monotonicity(ctx, bounds.nu)
     main = thresholds.main_theorem_check(
-        model, curves, bounds.nu, bounds.pi, samples=config.samples, seed=config.seed
+        model, inp.curves, bounds.nu, bounds.pi, samples=args.samples, seed=args.seed
     )
     labels = strict_inclusion.condition_sets(model)
     intervals = strict_inclusion.solve_s_system(model) if labels else []
     strict_report: dict[str, Any] = {
         "condition_sets": sorted(label.value for label in labels),
+        # the interval block without its strictness flags
         "intervals": [
-            {
-                "lower": scalar_to_json(i.lower),
-                "upper": None if i.upper is None else scalar_to_json(i.upper),
-                "sample": None if i.sample is None else str(i.sample),
-            }
+            {k: v for k, v in _interval_json(i).items() if not k.endswith("_strict")}
             for i in intervals
         ],
     }
@@ -384,19 +417,11 @@ def _cmd_analyze(config: RunConfig, doc: dict) -> int:
         strict_report["uniruled_satisfied"] = outcome.satisfied
     report = {
         "command": "analyze",
-        "seed": config.seed,
-        "samples": config.samples,
-        "input": doc,
-        "segre_bounds": {
-            "nu": bounds.nu,
-            "pi": bounds.pi,
-            "exceptional_only": bounds.exceptional_only,
-        },
-        "condition": {
-            "satisfied": condition.satisfied,
-            "binding": condition.binding,
-            "slack": str(condition.slack),
-        },
+        "seed": args.seed,
+        "samples": args.samples,
+        "input": inp.doc,
+        "segre_bounds": dataclasses.asdict(bounds),
+        "condition": _condition_json(condition),
         "thresholds": [scalar_to_json(v) for v in values],
         "main_theorem": {
             "s": scalar_to_json(main.s),
@@ -409,34 +434,23 @@ def _cmd_analyze(config: RunConfig, doc: dict) -> int:
         },
         "strict_inclusion": strict_report,
     }
-    _emit_report(config, report)
+    _emit_report(args, report)
     return 0 if main.passed else 2
 
 
-def _cmd_slice(config: RunConfig, doc: dict) -> int:
-    model, _ = _model_and_curves(doc)
-    classes = [
-        serialize.divisor_from_json(model, coords, f"classes[{i}]")
-        for i, coords in enumerate(doc.get("classes", []))
-    ]
-    labels = doc.get("labels")
-    normal = (
-        serialize.divisor_from_json(model, doc["plane_normal"], "plane_normal")
-        if "plane_normal" in doc
-        else model.line()
-    )
-    rows = slice_export(model, classes, normal, labels=labels)
-    _emit(config, render_slice_csv(rows, model.rank))
+def _cmd_slice(args: argparse.Namespace, inp: _Input) -> int:
+    rows = slice_export(inp.model, inp.classes, inp.plane_normal, labels=inp.labels)
+    _emit(args, render_slice_csv(rows, inp.model.rank))
     return 0
 
 
-def _cmd_verify(config: RunConfig, doc: dict) -> int:
+def _cmd_verify(doc: dict) -> int:
     documents = doc["certificates"] if "certificates" in doc else [doc]
     if not isinstance(documents, list) or not documents:
         raise ModelValidationError(
             "must be a non-empty list of certificate documents", "certificates"
         )
-    failure = serialize._verify_documents(documents)
+    failure = _verify_documents(documents)
     if failure is not None:
         index, failing = failure
         sys.stderr.write(f"certificate {index}: {failing}\n")
@@ -445,36 +459,99 @@ def _cmd_verify(config: RunConfig, doc: dict) -> int:
     return 0
 
 
+def _verify_documents(documents) -> tuple[int, str] | None:
+    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
+
+    Gives the same result, and raises the same errors, as verifying every
+    entry in turn.  The first ray certificate of each S_r-orbit is verified in
+    full.  A later entry is accepted without re-derivation when its document
+    equals the verified one up to the curve coordinates and alpha's
+    E-coordinates, and its alpha is the verified one's ``orbit_alpha`` at its
+    curve: then it is the verified document moved by a permutation of the
+    E_i, an isometry that fixes K, L and every h, so every invariant of
+    ``ray_checks`` and of the curve record holds for it as well.  Every other
+    entry is verified in full.
+    """
+    verified: dict[tuple, Callable | None] = {}
+    for i, doc in enumerate(documents):
+        entry = _orbit_entry(doc)
+        permute = None if entry is None else verified.get(entry.key)
+        if permute is not None and permute(entry.coords) == entry.alpha:
+            continue
+        result = serialize.verify_certificate(doc)
+        if not result.ok:
+            return i, result.failing
+        if entry is not None and entry.key not in verified:
+            verified[entry.key] = orbit_alpha(entry.coords, entry.alpha, entry.m)
+    return None
+
+
+class _OrbitEntry(NamedTuple):
+    key: tuple  # canonical JSON of the fields other than curve coords and alpha, and the orbit key
+    coords: list
+    alpha: tuple  # canonical JSON of each alpha coordinate
+    m: int
+
+
+def _orbit_entry(doc) -> _OrbitEntry | None:
+    """None for anything but a ray certificate with a coordinate list, an alpha list and r."""
+    if not isinstance(doc, dict) or doc.get("kind") != serialize.RAY_KIND:
+        return None
+    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
+    if not isinstance(curve, dict) or not isinstance(alpha, list):
+        return None
+    coords = curve.get("coords")
+    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
+        return None
+    m = len(coords) - r
+    orbit = orbit_key(coords, m)
+    if orbit is None:
+        return None
+    rest = {k: v for k, v in doc.items() if k != "alpha"}
+    rest["curve"] = {k: v for k, v in curve.items() if k != "coords"}
+    try:
+        return _OrbitEntry((_canonical(rest), orbit), coords, tuple(map(_canonical, alpha)), m)
+    except (TypeError, ValueError):
+        return None
+
+
+def _canonical(value) -> str:
+    """Type-strict canonical JSON: 1, 1.0, true and "1" all differ."""
+    return json.dumps(value, sort_keys=True)
+
+
+# Each model command's handler and the fields it reads besides surface, r and curves.
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "thresholds": _cmd_thresholds,
-    "certify-ray": _cmd_certify_ray,
-    "zariski": _cmd_zariski,
-    "segre-check": _cmd_segre_check,
-    "strict-inclusion": _cmd_strict_inclusion,
-    "slice": _cmd_slice,
-    "verify": _cmd_verify,
+    "analyze": (_cmd_analyze, ("nu", "pi")),
+    "thresholds": (_cmd_thresholds, ("nu", "pi")),
+    "certify-ray": (_cmd_certify_ray, ()),
+    "zariski": (_cmd_zariski, ("divisor",)),
+    "segre-check": (_cmd_segre_check, ("pencils", "nagata")),
+    "strict-inclusion": (_cmd_strict_inclusion, ()),
+    "slice": (_cmd_slice, ("classes", "labels", "plane_normal")),
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one command; maps typed errors to the documented exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one parsed command line; maps typed errors to the documented exit codes."""
     try:
-        doc = _load_input(config)
-        return _HANDLERS[config.command](config, doc)
+        doc = _load_input(getattr(args, "certificate", None) or args.input)
+        if args.command == "verify":
+            return _cmd_verify(doc)
+        handler, reads = _HANDLERS[args.command]
+        return handler(args, _parse(doc, reads))
     except (ThresholdError, ZariskiError) as exc:
         binding = getattr(exc, "binding", None)
         sys.stderr.write(f"infeasible: {exc}" + (f" [{binding}]" if binding else "") + "\n")
         return 2
-    except (ModelValidationError, CertificateError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except SurfaceConesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="surface-cones",
         description="Exact cone computations and certificates on blown-up surfaces.",
@@ -494,19 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    input_path = getattr(args, "certificate", None) or args.input
     if args.samples < 0:
         sys.stderr.write("error: --samples must be nonnegative\n")
         return 1
-    config = RunConfig(
-        command=args.command,
-        input_path=input_path,
-        output_path=args.output,
-        seed=args.seed,
-        samples=args.samples,
-        format=args.format,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

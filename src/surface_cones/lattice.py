@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import (
     AdjunctionParityError,
+    MalformedValueError,
     ModelMismatchError,
     ModelValidationError,
     PreconditionError,
@@ -34,17 +35,29 @@ class SurfaceKind(Enum):
     OTHER = "Other"
 
 
-def _fraction(value, field_name: str) -> Fraction:
+def parse_rational(value, field: str) -> Fraction:
+    """The one reader of input rationals: a Fraction, an int or a ``"p/q"`` string.
+
+    Anything else, a bool included, raises :class:`MalformedValueError`
+    naming ``field``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise MalformedValueError(f"expected a rational number, got {value!r}", field)
     try:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        pass
-    raise ModelValidationError(f"not a rational number: {value!r}", field_name)
+        raise MalformedValueError(f"not a rational number: {value!r}", field)
+
+
+def parse_int(value, field: str, minimum: int | None = None) -> int:
+    """An integer that is not a bool, at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedValueError(f"must be an integer, got {value!r}", field)
+    if minimum is not None and value < minimum:
+        raise ModelValidationError(f"must be at least {minimum}, got {value}", field)
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,24 +80,24 @@ class SurfaceModel:
 
     def __post_init__(self):
         coerce = object.__setattr__
-        coerce(self, "chi", _fraction(self.chi, "chi"))
-        coerce(self, "kY_sq", _fraction(self.kY_sq, "kY_sq"))
+        coerce(self, "chi", parse_rational(self.chi, "chi"))
+        coerce(self, "kY_sq", parse_rational(self.kY_sq, "kY_sq"))
         gram = tuple(
-            tuple(_fraction(v, f"gram_Y[{i}][{j}]") for j, v in enumerate(row))
+            tuple(parse_rational(v, f"gram_Y[{i}][{j}]") for j, v in enumerate(row))
             for i, row in enumerate(self.gram_Y)
         )
         coerce(self, "gram_Y", gram)
-        coerce(self, "k_Y", tuple(_fraction(v, f"k_Y[{i}]") for i, v in enumerate(self.k_Y)))
-        coerce(self, "a_Y", tuple(_fraction(v, f"a_Y[{i}]") for i, v in enumerate(self.a_Y)))
-        if isinstance(self.kind, str):
+        coerce(self, "k_Y", tuple(parse_rational(v, f"k_Y[{i}]") for i, v in enumerate(self.k_Y)))
+        coerce(self, "a_Y", tuple(parse_rational(v, f"a_Y[{i}]") for i, v in enumerate(self.a_Y)))
+        if not isinstance(self.kind, SurfaceKind):
             try:
                 coerce(self, "kind", SurfaceKind(self.kind))
             except ValueError:
                 raise ModelValidationError(f"unknown surface class {self.kind!r}", "class")
         if self.pg is not None:
-            coerce(self, "pg", _fraction(self.pg, "pg"))
+            coerce(self, "pg", parse_rational(self.pg, "pg"))
         if self.irregularity is not None:
-            coerce(self, "irregularity", _fraction(self.irregularity, "q"))
+            coerce(self, "irregularity", parse_rational(self.irregularity, "q"))
         self._validate()
 
     def _validate(self):
@@ -166,7 +179,7 @@ class BlowupModel:
     r: int
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 0:
+        if parse_int(self.r, "r") < 0:
             raise ModelValidationError("number of blown-up points must be a nonnegative integer", "r")
 
     @property

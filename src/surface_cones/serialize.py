@@ -9,12 +9,11 @@ dispatch.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
 from .errors import CertificateError, MalformedValueError, ModelValidationError
-from .lattice import BlowupModel, DivisorClass, SurfaceModel
+from .lattice import BlowupModel, DivisorClass, SurfaceModel, parse_int, parse_rational
 from .scalar import compare, scalar_from_json, scalar_to_json
 from .strict_inclusion import (
     StrictInclusionWitness,
@@ -22,13 +21,7 @@ from .strict_inclusion import (
     alpha_checks,
     gamma_checks,
 )
-from .thresholds import (
-    RayContainmentCert,
-    first_failing,
-    orbit_alpha,
-    orbit_key,
-    ray_checks,
-)
+from .thresholds import RayContainmentCert, first_failing, ray_checks
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
 
 RAY_KIND = "ray_containment"
@@ -40,30 +33,12 @@ def _number_to_json(value: Fraction):
     return int(value) if value.denominator == 1 else str(value)
 
 
-def _number_from_json(doc, field: str) -> Fraction:
-    if isinstance(doc, bool) or not isinstance(doc, (int, str)):
-        raise MalformedValueError(f"expected a rational number, got {doc!r}", field)
-    try:
-        return Fraction(doc)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedValueError(f"not a rational number: {doc!r}", field)
-
-
 def _scalar_from_json(doc, field: str):
     """``scalar_from_json`` naming ``field`` when ``doc`` is not a serialized scalar."""
     try:
         return scalar_from_json(doc)
     except (KeyError, ValueError):
         raise MalformedValueError(f"not a serialized scalar: {doc!r}", field)
-
-
-def _int_from_json(doc, field: str, minimum: int | None = None) -> int:
-    """A JSON integer that is not a bool, at least ``minimum`` when one is given."""
-    if isinstance(doc, bool) or not isinstance(doc, int):
-        raise MalformedValueError(f"must be an integer, got {doc!r}", field)
-    if minimum is not None and doc < minimum:
-        raise ModelValidationError(f"must be at least {minimum}, got {doc}", field)
-    return doc
 
 
 def surface_to_json(surface: SurfaceModel) -> dict[str, Any]:
@@ -83,6 +58,7 @@ def surface_to_json(surface: SurfaceModel) -> dict[str, Any]:
 
 
 def surface_from_json(doc) -> SurfaceModel:
+    """The surface of ``doc``; this checks the document's shape, ``SurfaceModel`` its values."""
     if not isinstance(doc, dict):
         raise ModelValidationError("surface description must be an object", "surface")
     for key in ("chi", "kY_sq", "gram_Y", "k_Y", "a_Y"):
@@ -91,18 +67,21 @@ def surface_from_json(doc) -> SurfaceModel:
     gram = doc["gram_Y"]
     if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
         raise ModelValidationError("must be a matrix (list of rows)", "gram_Y")
+    for key in ("k_Y", "a_Y"):
+        if not isinstance(doc[key], list):
+            raise MalformedValueError(f"must be a list, got {doc[key]!r}", key)
+    for key in ("pg", "q"):
+        if key in doc and doc[key] is None:
+            raise MalformedValueError("expected a rational number, got None", key)
     return SurfaceModel(
-        chi=_number_from_json(doc["chi"], "chi"),
-        kY_sq=_number_from_json(doc["kY_sq"], "kY_sq"),
-        gram_Y=tuple(
-            tuple(_number_from_json(v, f"gram_Y[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(gram)
-        ),
-        k_Y=tuple(_number_from_json(v, f"k_Y[{i}]") for i, v in enumerate(doc["k_Y"])),
-        a_Y=tuple(_number_from_json(v, f"a_Y[{i}]") for i, v in enumerate(doc["a_Y"])),
+        chi=doc["chi"],
+        kY_sq=doc["kY_sq"],
+        gram_Y=gram,
+        k_Y=doc["k_Y"],
+        a_Y=doc["a_Y"],
         kind=doc.get("class", "Other"),
-        pg=_number_from_json(doc["pg"], "pg") if "pg" in doc else None,
-        irregularity=_number_from_json(doc["q"], "q") if "q" in doc else None,
+        pg=doc.get("pg"),
+        irregularity=doc.get("q"),
     )
 
 
@@ -111,8 +90,7 @@ def blowup_from_json(doc) -> BlowupModel:
         raise ModelValidationError("blow-up description must be an object", "input")
     if "r" not in doc:
         raise ModelValidationError("missing required field", "r")
-    surface_doc = doc.get("surface", doc)
-    return BlowupModel(base=surface_from_json(surface_doc), r=_int_from_json(doc["r"], "r"))
+    return BlowupModel(base=surface_from_json(doc.get("surface", doc)), r=doc["r"])
 
 
 def blowup_to_json(model: BlowupModel) -> dict[str, Any]:
@@ -160,11 +138,11 @@ def curve_from_json(model: BlowupModel, doc, field: str = "curve") -> NegativeCu
     cls = divisor_from_json(model, doc["coords"], f"{field}.coords")
     declared = "self_int" in doc
     if declared:
-        self_int = _number_from_json(doc["self_int"], f"{field}.self_int")
+        self_int = parse_rational(doc["self_int"], f"{field}.self_int")
         for key in ("genus", "is_exceptional"):
             if key not in doc:
                 raise MalformedValueError("missing required field", f"{field}.{key}")
-        genus = _number_from_json(doc["genus"], f"{field}.genus")
+        genus = parse_rational(doc["genus"], f"{field}.genus")
         flag = doc["is_exceptional"]
         if not isinstance(flag, bool):
             raise MalformedValueError(
@@ -269,67 +247,6 @@ def verify_certificate(doc) -> VerifyResult:
     raise CertificateError(f"unknown certificate kind: {kind!r}")
 
 
-def _verify_documents(documents) -> tuple[int, str] | None:
-    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
-
-    Gives the same result, and raises the same errors, as verifying every
-    entry in turn.  The first ray certificate of each S_r-orbit is verified in
-    full.  A later entry is accepted without re-derivation when its document
-    equals the verified one up to the curve coordinates and alpha's
-    E-coordinates, and its alpha is the verified one's ``orbit_alpha`` at its
-    curve: then it is the verified document moved by a permutation of the
-    E_i, an isometry that fixes K, L and every h, so every invariant of
-    ``ray_checks`` and of the curve record holds for it as well.  Every other
-    entry is verified in full.
-    """
-    verified: dict[tuple, Callable | None] = {}
-    for i, doc in enumerate(documents):
-        entry = _orbit_entry(doc)
-        permute = None if entry is None else verified.get(entry.key)
-        if permute is not None and permute(entry.coords) == entry.alpha:
-            continue
-        result = verify_certificate(doc)
-        if not result.ok:
-            return i, result.failing
-        if entry is not None and entry.key not in verified:
-            verified[entry.key] = orbit_alpha(entry.coords, entry.alpha, entry.m)
-    return None
-
-
-class _OrbitEntry(NamedTuple):
-    key: tuple  # canonical JSON of the fields other than curve coords and alpha, and the orbit key
-    coords: list
-    alpha: tuple  # canonical JSON of each alpha coordinate
-    m: int
-
-
-def _orbit_entry(doc) -> _OrbitEntry | None:
-    """None for anything but a ray certificate with a coordinate list, an alpha list and r."""
-    if not isinstance(doc, dict) or doc.get("kind") != RAY_KIND:
-        return None
-    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
-    if not isinstance(curve, dict) or not isinstance(alpha, list):
-        return None
-    coords = curve.get("coords")
-    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
-        return None
-    m = len(coords) - r
-    orbit = orbit_key(coords, m)
-    if orbit is None:
-        return None
-    rest = {k: v for k, v in doc.items() if k != "alpha"}
-    rest["curve"] = {k: v for k, v in curve.items() if k != "coords"}
-    try:
-        return _OrbitEntry((_canonical(rest), orbit), coords, tuple(map(_canonical, alpha)), m)
-    except (TypeError, ValueError):
-        return None
-
-
-def _canonical(value) -> str:
-    """Type-strict canonical JSON: 1, 1.0, true and "1" all differ."""
-    return json.dumps(value, sort_keys=True)
-
-
 def _verify_ray(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
@@ -343,13 +260,13 @@ def _verify_ray(doc) -> str | None:
     checks = ray_checks(
         model,
         curve,
-        n=_int_from_json(doc["n"], "n", 1),
-        p=_int_from_json(doc["p"], "p", 0),
-        level=_int_from_json(doc["level"], "level", 1),
+        n=parse_int(doc["n"], "n", 1),
+        p=parse_int(doc["p"], "p", 0),
+        level=parse_int(doc["level"], "level", 1),
         s=_scalar_from_json(doc["s"], "s"),
         t0=_scalar_from_json(doc["t0"], "t0"),
         alpha=divisor_from_json(model, doc["alpha"], "alpha"),
-        delta=_number_from_json(doc["delta"], "delta"),
+        delta=parse_rational(doc["delta"], "delta"),
     )
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None
@@ -381,7 +298,7 @@ def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
     for key, value in doc.items():
         if key not in index:
             raise ModelValidationError(f"not an index into the {count} curves: {key!r}", "coeffs")
-        coeffs[index[key]] = _number_from_json(value, f"coeffs[{key}]")
+        coeffs[index[key]] = parse_rational(value, f"coeffs[{key}]")
     return coeffs
 
 
@@ -390,7 +307,7 @@ def _verify_strict(doc) -> str | None:
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
         return "certificate marked invalid"
-    curve = model.exceptional(_int_from_json(doc["curve_index"], "curve_index", 1))
+    curve = model.exceptional(parse_int(doc["curve_index"], "curve_index", 1))
     try:
         construction = WitnessConstruction(doc["construction"])
     except ValueError:
@@ -398,7 +315,7 @@ def _verify_strict(doc) -> str | None:
             f"not a witness construction: {doc['construction']!r}", "construction"
         )
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    delta = None if doc.get("delta") is None else _number_from_json(doc["delta"], "delta")
+    delta = None if doc.get("delta") is None else parse_rational(doc["delta"], "delta")
     checks = alpha_checks(alpha, curve, delta)
     if construction is WitnessConstruction.FROM_S:
         s = _scalar_from_json(doc["s"], "s")

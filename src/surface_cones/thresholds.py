@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ThresholdError,
 )
-from .lattice import BlowupModel, DivisorClass, intersect
+from .lattice import BlowupModel, DivisorClass, intersect, parse_rational
 from .scalar import (
     Exact,
     as_fraction,
@@ -154,12 +154,7 @@ def delta_cap(model: BlowupModel) -> Fraction:
     """Default upper bound for the uniform delta; overridable by environment."""
     override = os.environ.get(_DELTA_CAP_ENV)
     if override:
-        try:
-            cap = Fraction(override)
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(
-                f"{_DELTA_CAP_ENV} must be a rational number, got {override!r}"
-            )
+        cap = parse_rational(override, _DELTA_CAP_ENV)
         if cap <= 0:
             raise PreconditionError(f"{_DELTA_CAP_ENV} must be positive, got {cap}")
         return cap

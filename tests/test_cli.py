@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -406,6 +407,29 @@ class TestStrictInclusion:
 
 
 class TestSlice:
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"labels": ["H", "E1"]}, "labels"),  # shorter than classes
+            ({"labels": ["H", "E1", "conic", "extra"]}, "labels"),
+            ({"labels": "HE1"}, "labels"),
+            ({"labels": None}, "labels"),
+            ({"labels": ["H", 5, "conic"]}, "labels[1]"),
+            ({"labels": ["H", "E,1", "conic"]}, "labels[1]"),
+            ({"labels": ["H", "E1", 'the "conic"']}, "labels[2]"),
+            ({"labels": ["H\nE", "E1", "conic"]}, "labels[0]"),
+            ({"classes": {"H": [1, 0, 0]}}, "classes"),
+            ({"classes": "H"}, "classes"),
+            ({"classes": True}, "classes"),
+        ],
+    )
+    def test_malformed_classes_and_labels_exit_one(self, capsys, tmp_path, changes, field):
+        doc = {"surface": P2_SURFACE, "r": 2,
+               "classes": [[1, 0, 0], [0, 1, 0], [1, -1, -1]], **changes}
+        code, out, err = run_cli(["slice", "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field}: ")
+
     def test_csv_output(self, capsys, tmp_path):
         doc = {"surface": P2_SURFACE, "r": 2,
                "classes": [[1, 0, 0], [0, 1, 0], [1, -1, -1]],
@@ -417,6 +441,67 @@ class TestSlice:
         assert lines[0] == "label,x1,x2,x3,flag"
         assert lines[1].startswith("H,1,")
         assert ",at_infinity" in lines[2]
+
+
+MODEL_COMMANDS = ["analyze", "thresholds", "certify-ray", "zariski", "segre-check",
+                  "strict-inclusion", "slice"]
+
+
+class TestSurfaceFields:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("key", ["k_Y", "a_Y"])
+    @pytest.mark.parametrize("value", [True, 0, None, "x"])
+    def test_non_list_vector_exit_one(self, capsys, tmp_path, command, key, value):
+        doc = {"surface": dict(P2_SURFACE, **{key: value}), "r": 12}
+        code, out, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {key}: must be a list, got ")
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("value", [True, [], 3, None])
+    def test_non_string_class_exit_one(self, capsys, tmp_path, command, value):
+        doc = {"surface": dict(P2_SURFACE, **{"class": value}), "r": 12}
+        code, out, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: class: unknown surface class {value!r}\n"
+
+
+FIELD_PATH = re.compile(r"error: [A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
+MUTATIONS = [True, None, 1.5, "x", [], {}, -1, [[1]]]
+
+
+@pytest.mark.parametrize("fixture", ["p2_r12", "k3_generic", "abelian"])
+def test_single_field_mutations_exit_cleanly(capsys, tmp_path, fixture):
+    """Each top-level and surface field set to each malformed value, through every command.
+
+    Every command reads ``surface``, ``r`` and ``curves``.  No mutation may
+    raise out of ``cli.main``, and an exit 1 must name a field path.
+    """
+    base = cli.load_fixture(fixture)
+    paths = [(key,) for key in base] + [("surface", key) for key in base["surface"]]
+    path = tmp_path / "in.json"
+    failures = []
+    for *parents, key in paths:
+        for value in MUTATIONS:
+            doc = json.loads(json.dumps(base))
+            target = doc
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
+            path.write_text(json.dumps(doc))
+            for command in MODEL_COMMANDS:
+                args = [command, "--input", str(path)]
+                if command == "analyze":
+                    args += ["--samples", "0"]
+                try:
+                    code = cli.main(args)
+                except Exception as exc:  # the test reports any escape, whatever its type
+                    failures.append((key, value, command, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code == 1 and not FIELD_PATH.match(err):
+                    failures.append((key, value, command, err))
+    assert failures == []
 
 
 class TestEnvironmentOverride:

@@ -248,7 +248,8 @@ def test_golden_zariski_verify(capsys, tmp_path, case):
 
 @pytest.mark.parametrize("fixture", sorted(LIST_CHECK_ARGS))
 def test_golden_list_decomposition_check(fixture):
-    model, curves = cli._model_and_curves(cli.load_fixture(fixture))
+    parsed = cli._parse(cli.load_fixture(fixture), ())
+    model, curves = parsed.model, parsed.curves
     samples, seed = LIST_CHECK_ARGS[fixture]
     report = zariski.list_decomposition_check(model, curves, samples=samples, seed=seed)
     assert hashlib.sha256(repr(report).encode()).hexdigest() == GOLDEN_LIST_CHECK[fixture]

@@ -349,7 +349,7 @@ IN_ORDER = list(range(18))
 
 
 class TestOrbitVerify:
-    """``serialize._verify_documents`` against the per-entry reference loop.
+    """``cli._verify_documents`` against the per-entry reference loop.
 
     In list order, entry 0 is the first of the E_i orbit, 13 the first of a
     quartic orbit, and 15 (E_7) and 17 (a quartic) are later members.
@@ -359,7 +359,7 @@ class TestOrbitVerify:
         calls = []
         full = serialize.verify_certificate
         monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert serialize._verify_documents(json.loads(plane_list_text())) is None
+        assert cli._verify_documents(json.loads(plane_list_text())) is None
         assert len(calls) == 5
 
     def test_p2_r17_fixture_two_full_checks(self, monkeypatch, capsys):
@@ -368,7 +368,7 @@ class TestOrbitVerify:
         calls = []
         full = serialize.verify_certificate
         monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert serialize._verify_documents(documents) is None
+        assert cli._verify_documents(documents) is None
         assert (len(documents), len(calls)) == (153, 2)
 
     @settings(max_examples=40, deadline=None)
@@ -396,7 +396,7 @@ class TestOrbitVerify:
         listed = json.loads(plane_list_text())
         documents = [listed[i] for i in order]
         EDITS[edit](documents, index, pick)
-        assert outcome(serialize._verify_documents, documents) == outcome(
+        assert outcome(cli._verify_documents, documents) == outcome(
             reference_verify, documents
         )
 
