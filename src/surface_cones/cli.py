@@ -33,18 +33,6 @@ from .lattice import BlowupModel, DivisorClass, SurfaceKind, intersect, parse_in
 from .scalar import scalar_to_json, sign
 from .thresholds import ThresholdContext, orbit_alpha, orbit_key
 
-COMMANDS = (
-    "analyze",
-    "thresholds",
-    "certify-ray",
-    "zariski",
-    "segre-check",
-    "strict-inclusion",
-    "slice",
-    "verify",
-)
-
-
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture, e.g. ``p2_r12`` or ``k3_generic``."""
     return Path(str(resources.files("surface_cones") / "fixtures" / f"{name}.json"))
@@ -557,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cone computations and certificates on blown-up surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*_HANDLERS, "verify"):
         cmd = sub.add_parser(name)
         if name == "verify":
             cmd.add_argument("certificate", nargs="?", help="certificate JSON path")
