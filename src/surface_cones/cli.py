@@ -115,8 +115,9 @@ class _Input:
 def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
     """Parse ``surface``, ``r`` and ``curves``, then each field of ``reads``, in that order.
 
-    ``nu`` and ``pi`` are read together into ``bounds``; ``curves`` defaults
-    to the exceptional classes.
+    ``nu`` and ``pi`` are read together into ``bounds``; without them, and
+    for ``chi``, ``bounds`` is derived from chi, which must be an integer.
+    ``curves`` defaults to the exceptional classes.
     """
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
@@ -130,13 +131,15 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
             for i in range(1, model.r + 1)
         ]
     parsed = _Input(doc, model, curves)
-    if "nu" in reads:
-        if "nu" in doc or "pi" in doc:
-            nu = parse_int(doc.get("nu", 1), "nu")
-            pi = parse_int(doc.get("pi", 0), "pi")
-            parsed.bounds = segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
-        else:
-            parsed.bounds = segre.segre_bounds(model.base.chi)
+    if "nu" in reads and ("nu" in doc or "pi" in doc):
+        nu = parse_int(doc.get("nu", 1), "nu")
+        pi = parse_int(doc.get("pi", 0), "pi")
+        parsed.bounds = segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
+    elif "nu" in reads or "chi" in reads:
+        chi = model.base.chi
+        if chi.denominator != 1:
+            raise ModelValidationError(f"must be an integer to derive nu and pi, got {chi}", "chi")
+        parsed.bounds = segre.segre_bounds(chi)
     if "divisor" in reads:
         if "divisor" not in doc:
             raise ModelValidationError("missing required field", "divisor")
@@ -145,18 +148,28 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
         for i, pencil in enumerate(_entries(doc, "pencils", ("g", "dim"))):
             g = parse_rational(pencil["g"], f"pencils[{i}].g")
             dim = parse_rational(pencil["dim"], f"pencils[{i}].dim")
+            if dim < 0:
+                raise ModelValidationError(f"must be nonnegative, got {dim}", f"pencils[{i}].dim")
             parsed.pencils.append((g, dim, str(pencil["g"]), str(pencil["dim"])))
     if "nagata" in reads:
         for i, entry in enumerate(_entries(doc, "nagata", ("deg", "mults"))):
+            at = f"nagata[{i}]"
             try:
                 variant = segre.NagataVariant(entry.get("variant", "nagata"))
             except ValueError:
                 raise ModelValidationError(
-                    f"not a Nagata variant: {entry['variant']!r}", f"nagata[{i}].variant"
+                    f"not a Nagata variant: {entry['variant']!r}", f"{at}.variant"
                 )
-            mults = _list(entry["mults"], f"nagata[{i}].mults", "rational numbers")
-            deg = parse_rational(entry["deg"], f"nagata[{i}].deg")
-            mults = [parse_rational(m, f"nagata[{i}].mults[{j}]") for j, m in enumerate(mults)]
+            mults = _list(entry["mults"], f"{at}.mults", "rational numbers")
+            deg = parse_rational(entry["deg"], f"{at}.deg")
+            if deg <= 0:
+                raise ModelValidationError(f"must be positive, got {deg}", f"{at}.deg")
+            if not mults:
+                raise ModelValidationError("needs at least one multiplicity", f"{at}.mults")
+            mults = [parse_rational(m, f"{at}.mults[{j}]") for j, m in enumerate(mults)]
+            for j, m in enumerate(mults):
+                if m < 0:
+                    raise ModelValidationError(f"must be nonnegative, got {m}", f"{at}.mults[{j}]")
             parsed.nagata.append((variant, deg, mults))
     if "classes" in reads:
         parsed.classes = [
@@ -271,9 +284,8 @@ def _cmd_zariski(args: argparse.Namespace, inp: _Input) -> int:
 
 
 def _cmd_segre_check(args: argparse.Namespace, inp: _Input) -> int:
-    model = inp.model
+    model, bounds = inp.model, inp.bounds
     chi = model.base.chi
-    bounds = segre.segre_bounds(chi)
     curve_rows = []
     for i, record in enumerate(inp.curves):
         row: dict[str, Any] = {
@@ -508,13 +520,14 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-# Each model command's handler and the fields it reads besides surface, r and curves.
+# Each model command's handler and the fields it reads besides surface, r and curves;
+# "chi" asks for the bounds nu and pi derived from the surface's chi.
 _HANDLERS = {
     "analyze": (_cmd_analyze, ("nu", "pi")),
     "thresholds": (_cmd_thresholds, ("nu", "pi")),
     "certify-ray": (_cmd_certify_ray, ()),
     "zariski": (_cmd_zariski, ("divisor",)),
-    "segre-check": (_cmd_segre_check, ("pencils", "nagata")),
+    "segre-check": (_cmd_segre_check, ("chi", "pencils", "nagata")),
     "strict-inclusion": (_cmd_strict_inclusion, ()),
     "slice": (_cmd_slice, ("classes", "labels", "plane_normal")),
 }

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -217,6 +218,11 @@ class BlowupModel:
         return self.divisor(coords)
 
     def canonical(self) -> "DivisorClass":
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> "DivisorClass":
+        """K = K_Y + E_1 + ... + E_r, built once per model."""
         return self.divisor(list(self.base.k_Y) + [Fraction(1)] * self.r)
 
     def line(self) -> "DivisorClass":
@@ -300,37 +306,68 @@ class DivisorClass:
 
 
 def intersect(x: DivisorClass, y: DivisorClass) -> Exact:
-    """Intersection pairing on the blow-up: Y-block by gram_Y, E-block by -1.
-
-    Multiplies only where both coordinates and the Gram entry are nonzero;
-    the canonical zero is the rational 0 and every ``Scalar`` is nonzero.
-    """
+    """Intersection pairing on the blow-up: x.y = sum_j x_j (G*y)_j over ``_gram_row(y)``."""
     x._check_model(y)
-    xs, ys = x.coords, y.coords
-    total: Exact = Fraction(0)
-    for i, row in enumerate(x.model.base.gram_Y):
-        if xs[i]:
-            for j, g in enumerate(row):
-                if g and ys[j]:
-                    total = total + xs[i] * g * ys[j]
-    for k in range(x.model.base.rank, len(xs)):
-        if xs[k] and ys[k]:
-            total = total - xs[k] * ys[k]
-    return total
+    return _pair_row(x.coords, _gram_row(y))
+
+
+def _gram_row(v: DivisorClass) -> list[tuple[int, Exact]]:
+    """The nonzero entries ``(j, (G*v)_j)`` of the Gram matrix times v, ints where integral.
+
+    The one statement of the blow-up pairing: gram_Y times v's Y-block, then
+    (G*v)_i = -v_i on the E-block, since the E_i are orthogonal to Y and to
+    each other with E_i^2 = -1.  Zero coordinates and Gram entries are skipped.
+    """
+    coords = v.coords
+    m = v.model.base.rank
+    y_block = [(i, _integral(c)) for i, c in enumerate(coords[:m]) if c]
+    row = []
+    for j, gram in enumerate(v.model.base.gram_Y):
+        value = sum(_integral(gram[i]) * c for i, c in y_block if gram[i])
+        if value:
+            row.append((j, _integral(value)))
+    row += [(i, -_integral(c)) for i, c in enumerate(coords[m:], m) if c]
+    return row
+
+
+def _integral(value):
+    """An integral Fraction as an int, so that integer arithmetic stays in ints."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
+
+
+def _pair_row(xs, row) -> Exact:
+    """sum_j xs[j] * w over the ``(j, w)`` entries, with rational terms summed in integers."""
+    num, den = 0, 1
+    exact = None
+    for j, w in row:
+        v = xs[j]
+        if not v:
+            continue
+        if type(v) is Fraction and type(w) is int:
+            d = v.denominator
+            if d == den:
+                num += v.numerator * w
+            else:
+                num, den = num * d + v.numerator * w * den, den * d
+        else:
+            exact = v * w if exact is None else exact + v * w
+    rational = Fraction(num, den)
+    return rational if exact is None else exact + rational
 
 
 def arithmetic_genus(c: DivisorClass) -> Fraction:
     """Genus by adjunction: 1 + (C^2 + C.K)/2, for integral rational classes."""
-    k = c.model.canonical()
-    value = intersect(c, c) + intersect(c, k)
+    value = intersect(c, c) + intersect(c, c.model.canonical())
     if not is_rational(value):
         raise AdjunctionParityError("non-integral class for adjunction")
-    value = as_fraction(value)
+    return _adjunction_genus(as_fraction(value))
+
+
+def _adjunction_genus(value: Fraction) -> Fraction:
+    """1 + value/2 for value = C^2 + C.K, which adjunction requires to be an even integer."""
     if value.denominator != 1 or value.numerator % 2 != 0:
-        raise AdjunctionParityError(
-            f"non-integral class for adjunction: C^2 + C.K = {value}"
-        )
-    return 1 + value / 2
+        raise AdjunctionParityError(f"non-integral class for adjunction: C^2 + C.K = {value}")
+    return Fraction(1 + value.numerator // 2)
 
 
 def riemann_roch_chi(lb: DivisorClass) -> Fraction:

@@ -102,7 +102,7 @@ def divisor_to_json(divisor: DivisorClass) -> list:
 
 
 def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
-    """The class with coordinate list ``doc``; ``field`` names a malformed coordinate.
+    """The class with coordinate list ``doc``; errors name ``field`` or its malformed coordinate.
 
     When the entries are all JSON ints or all strings, each distinct value is
     parsed once.
@@ -113,13 +113,16 @@ def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
         kinds = set(map(type, doc))
         if len(kinds) == 1 and kinds <= {int, str}:
             values = {c: scalar_from_json(c) for c in set(doc)}
-            return DivisorClass(model, tuple(values[c] for c in doc))
-        coords = [scalar_from_json(c) for c in doc]
+            coords = tuple(values[c] for c in doc)
+        else:
+            coords = tuple(scalar_from_json(c) for c in doc)
     except (KeyError, ValueError):
         for i, c in enumerate(doc):  # raises at the first malformed coordinate
             _scalar_from_json(c, f"{field}[{i}]")
         raise
-    return model.divisor(coords)
+    if len(coords) != model.rank:
+        raise ModelValidationError(f"expected {model.rank} coordinates, got {len(coords)}", field)
+    return DivisorClass(model, coords)
 
 
 def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:

@@ -26,7 +26,6 @@ inside the positive cone also lives here.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .errors import (
     PreconditionError,
     ThresholdError,
 )
-from .lattice import BlowupModel, DivisorClass, intersect, parse_rational
+from .lattice import BlowupModel, DivisorClass, _gram_row, intersect
 from .scalar import (
     Exact,
     as_fraction,
@@ -49,9 +48,7 @@ from .scalar import (
     sign,
     sqrt_scalar,
 )
-from .zariski import NegativeCurveRecord
-
-_DELTA_CAP_ENV = "SURFACE_CONES_DELTA_CAP"
+from .zariski import NegativeCurveRecord, _add_weighted_curves
 
 
 @dataclass(frozen=True)
@@ -151,13 +148,7 @@ def check_conditions(ctx: ThresholdContext, nu: int, pi: int) -> ConditionCheck:
 
 
 def delta_cap(model: BlowupModel) -> Fraction:
-    """Default upper bound for the uniform delta; overridable by environment."""
-    override = os.environ.get(_DELTA_CAP_ENV)
-    if override:
-        cap = parse_rational(override, _DELTA_CAP_ENV)
-        if cap <= 0:
-            raise PreconditionError(f"{_DELTA_CAP_ENV} must be positive, got {cap}")
-        return cap
+    """Upper bound for the uniform delta: 1/(2r), or 1/2 at r = 0."""
     return Fraction(1, 2 * model.r) if model.r else Fraction(1, 2)
 
 
@@ -528,15 +519,6 @@ def _sample_draw(
     c_l, l_den = _over_common_denominator(dots_l)
     c_k, k_den = _over_common_denominator(dots_k)
 
-    def gamma(x: Callable[[], DivisorClass], weights: list[int]) -> DivisorClass:
-        total = [0] * model.rank
-        for weight, record in zip(weights, curves):
-            if weight:
-                for i, c in record.support:
-                    total[i] += weight * c
-        pairs = zip(x().coords, total)
-        return DivisorClass(model, tuple(a + t if t else a for a, t in pairs))
-
     def draw(rng: random.Random) -> tuple[int, Callable[[], DivisorClass]]:
         x_l, x_k, x = boundary(rng)
         if curves_nonpositive and sign(x_k - s * x_l) < 0:
@@ -545,13 +527,13 @@ def _sample_draw(
             def build_later() -> DivisorClass:
                 if not drawn:
                     drawn.extend(rng.randint(0, 10) for _ in curves)
-                return gamma(x, drawn)
+                return _add_weighted_curves(x(), curves, drawn)
 
             return -1, build_later
         weights = [rng.randint(0, 10) for _ in curves]
         gamma_l = x_l + Fraction(sum(map(mul, weights, c_l)), l_den)
         gamma_k = x_k + Fraction(sum(map(mul, weights, c_k)), k_den)
-        return sign(gamma_k - s * gamma_l), lambda: gamma(x, weights)
+        return sign(gamma_k - s * gamma_l), lambda: _add_weighted_curves(x(), curves, weights)
 
     return draw
 
@@ -576,9 +558,10 @@ def _boundary_draw(
     direction d, one ``rng.randint(-3, 3)`` per coordinate, staying on the
     null quadric: x = b + t*d with t = -2*b.d/d^2, negated when x.L < 0.  A
     direction with d^2 = 0 or x.L = 0 is redrawn, at most 32 times before
-    falling back to b.  G*b, G*L, G*K and the Y-block of G are kept as int
-    rows over common denominators, computed once here, so that d^2, b.d,
-    d.L and d.K are integer sums and only t, x.L and x.K are Fractions.
+    falling back to b.  G*b, G*L and G*K (the lattice's ``_gram_row``,
+    densified) and the Y-block of G are kept as int rows over common
+    denominators, computed once here, so that d^2, b.d, d.L and d.K are
+    integer sums and only t, x.L and x.K are Fractions.
     Falls back to L, drawing nothing, when the lattice admits no cheap
     rational null vector.
     """
@@ -591,15 +574,17 @@ def _boundary_draw(
     m, rank = model.base.rank, model.rank
     flat, g_den = _over_common_denominator([g for row in model.base.gram_Y for g in row])
     gram_y = [flat[i : i + m] for i in range(0, m * m, m)]
-    b_row, b_den = _over_common_denominator(_gram_times(base))
-    l_row, l_den = _over_common_denominator(_gram_times(line))
-    k_row, k_den = _over_common_denominator(_gram_times(canonical))
+    b_row, b_den = _dense_gram_row(base)
+    l_row, l_den = _dense_gram_row(line)
+    k_row, k_den = _dense_gram_row(canonical)
 
     def draw(rng: random.Random) -> tuple[Fraction, Fraction, Callable[[], DivisorClass]]:
         for _ in range(32):
             d = [rng.randint(-3, 3) for _ in range(rank)]
             y, e = d[:m], d[m:]
-            # g_den * d^2: the Y-block through the integer Gram rows, E_i^2 = -1
+            # g_den * d^2, the one pairing stated outside the lattice: d is a raw
+            # int vector redrawn in the sampler's hot loop, so it skips building a
+            # class for _gram_row.  Y-block by the integer Gram rows, E_i^2 = -1.
             d_sq = sum(a * sum(map(mul, row, y)) for a, row in zip(y, gram_y) if a)
             d_sq -= g_den * sum(map(mul, e, e))
             if d_sq == 0:
@@ -622,14 +607,13 @@ def _boundary_draw(
     return draw
 
 
-def _gram_times(v: DivisorClass) -> list[Fraction]:
-    """G*v: gram_Y times the Y-block of v, then -v_i on the E-block, since E_i^2 = -1."""
-    m = v.model.base.rank
-    y = v.coords[:m]
-    return [sum(map(mul, row, y)) for row in v.model.base.gram_Y] + [-c for c in v.coords[m:]]
+def _dense_gram_row(v: DivisorClass) -> tuple[list[int], int]:
+    """G*v of a rational class as a dense int row over its least common denominator."""
+    row = dict(_gram_row(v))
+    return _over_common_denominator([row.get(j, 0) for j in range(v.model.rank)])
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """(nums, den) with values[i] = nums[i]/den over the least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

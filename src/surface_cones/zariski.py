@@ -23,8 +23,9 @@ from typing import Sequence
 
 from . import linalg
 from .cones import ConePosition, in_positive_cone
-from .errors import AdjunctionParityError, ModelValidationError, PreconditionError, ZariskiError
+from .errors import ModelValidationError, PreconditionError, ZariskiError
 from .lattice import BlowupModel, DivisorClass, arithmetic_genus, intersect
+from .lattice import _adjunction_genus, _gram_row, _pair_row
 from .scalar import Exact, as_fraction
 
 
@@ -109,61 +110,23 @@ class NegativeCurveRecord:
 def _integer_form(divisor: DivisorClass) -> tuple | None:
     """(support, G*C, C^2, C.K) of an integral class; None unless every coordinate is an integer.
 
-    G*C is kept as its nonzero ``(index, value)`` entries, each value an int
-    where it is integral.  On the E-block (G*C)_i = -c_i, since E_i^2 = -1,
-    and K has coordinates k_Y on Y and 1 on each E_i.
+    G*C is the lattice's ``_gram_row``; C^2 and C.K pair C and the model's
+    canonical class with it.
     """
     coords = divisor.coords
     support = []
     for i, c in enumerate(coords):
-        if not isinstance(c, Fraction) or c.denominator != 1:
+        if type(c) is not Fraction:
             return None
-        if c:
-            support.append((i, c.numerator))
-    base = divisor.model.base
-    m = base.rank
-    y_block = [(i, c) for i, c in support if i < m]
-    gram_row = []
-    for j, row in enumerate(base.gram_Y):
-        value = sum(_integral(row[i]) * c for i, c in y_block)
-        if value:
-            gram_row.append((j, _integral(value)))
-    gram_row += [(i, -c) for i, c in support if i >= m]
+        numerator, denominator = c.as_integer_ratio()
+        if denominator != 1:
+            return None
+        if numerator:
+            support.append((i, numerator))
+    gram_row = _gram_row(divisor)
     square = _pair_row(coords, gram_row)
-    c_dot_k = sum(_integral(base.k_Y[j]) * w if j < m else w for j, w in gram_row)
+    c_dot_k = _pair_row(divisor.model.canonical().coords, gram_row)
     return tuple(support), tuple(gram_row), square, c_dot_k
-
-
-def _integral(value):
-    """An integral Fraction as an int, so that integer arithmetic stays in ints."""
-    return value.numerator if value.denominator == 1 else value
-
-
-def _pair_row(xs, gram_row) -> Exact:
-    """sum_j xs[j] * w over the ``(j, w)`` entries, with rational terms summed in integers."""
-    num, den = 0, 1
-    exact = None
-    for j, w in gram_row:
-        v = xs[j]
-        if not v:
-            continue
-        if type(v) is Fraction and type(w) is int:
-            d = v.denominator
-            if d == den:
-                num += v.numerator * w
-            else:
-                num, den = num * d + v.numerator * w * den, den * d
-        else:
-            exact = v * w if exact is None else exact + v * w
-    rational = Fraction(num, den)
-    return rational if exact is None else exact + rational
-
-
-def _adjunction_genus(value: Fraction) -> Fraction:
-    """1 + value/2 for value = C^2 + C.K, which adjunction requires to be an even integer."""
-    if value.denominator != 1 or value.numerator % 2 != 0:
-        raise AdjunctionParityError(f"non-integral class for adjunction: C^2 + C.K = {value}")
-    return 1 + value / 2
 
 
 def _is_exceptional(model: BlowupModel, support) -> bool:
@@ -172,18 +135,15 @@ def _is_exceptional(model: BlowupModel, support) -> bool:
 
 
 def _add_weighted_curves(
-    x: DivisorClass, curves: Sequence[NegativeCurveRecord], rng: random.Random
+    x: DivisorClass, curves: Sequence[NegativeCurveRecord], weights: Sequence[int]
 ) -> DivisorClass:
-    """x + sum w_i C_i with one ``rng.randint(0, 10)`` per curve, in list order.
+    """x + sum w_i C_i, with the weighted sum accumulated in ints over the curves' supports.
 
-    The weighted sum is accumulated in ints over the curves' supports and
-    added to x once.  ``list_decomposition_check`` draws its samples with it;
-    the falsification sampler in ``thresholds`` draws the same weights but
-    decides each draw's pairing before it builds the class.
+    ``list_decomposition_check`` and the falsification sampler in
+    ``thresholds`` both build their samples with it.
     """
     total = [0] * len(x.coords)
-    for record in curves:
-        weight = rng.randint(0, 10)
+    for weight, record in zip(weights, curves):
         if weight:
             for i, c in record.support:
                 total[i] += weight * c
@@ -314,7 +274,8 @@ def list_decomposition_check(
     reconstruction: list[str] = []
     for k in range(samples):
         rng = random.Random(seed * 1_000_003 + k)
-        y = _add_weighted_curves(_random_cone_element(model, rng), curves, rng)
+        x = _random_cone_element(model, rng)
+        y = _add_weighted_curves(x, curves, [rng.randint(0, 10) for _ in curves])
         try:
             decomposition = ne_decompose(y, curves)
         except ZariskiError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
+from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel
 from surface_cones.linalg import is_negative_definite, solve_linear
 from surface_cones.scalar import as_fraction
 from surface_cones.zariski import NegativeCurveRecord
@@ -39,6 +39,37 @@ def enriques_surface() -> SurfaceModel:
         chi=1, kY_sq=0, gram_Y=((0, 1), (1, 0)), k_Y=(0, 0), a_Y=(1, 1),
         kind="Enriques", pg=0, irregularity=0,
     )
+
+
+def k3_with_minus_two_curve() -> SurfaceModel:
+    return SurfaceModel(
+        chi=2, kY_sq=0, gram_Y=((4, 1), (1, -2)), k_Y=(0, 0), a_Y=(1, 0), kind="K3",
+        pg=1, irregularity=0,
+    )
+
+
+def non_integral_gram() -> SurfaceModel:
+    """A hyperbolic base with a half-integer Gram entry: adjunction parity can fail."""
+    return SurfaceModel(
+        chi=1, kY_sq=0, gram_Y=((2, Fraction(1, 2)), (Fraction(1, 2), -2)), k_Y=(0, 0),
+        a_Y=(1, 0),
+    )
+
+
+def dense_intersect(x: DivisorClass, y: DivisorClass):
+    """Reference pairing, independent of the lattice's kernel: every term of the double sum.
+
+    Zeros included: gram_Y on the Y-block, -x_k*y_k on each exceptional coordinate.
+    """
+    m = x.model.base.rank
+    gram = x.model.base.gram_Y
+    total = Fraction(0)
+    for i in range(m):
+        for j in range(m):
+            total = total + x.coords[i] * gram[i][j] * y.coords[j]
+    for k in range(m, x.model.rank):
+        total = total - x.coords[k] * y.coords[k]
+    return total
 
 
 def standard_minus_one_records(model: BlowupModel) -> list[NegativeCurveRecord]:
@@ -109,19 +140,19 @@ def brute_force_zariski(divisor: DivisorClass, curves) -> tuple[DivisorClass, di
     for size in range(len(curves) + 1):
         for subset in itertools.combinations(indices, size):
             gram = [
-                [as_fraction(intersect(curves[i].cls, curves[j].cls)) for j in subset]
+                [as_fraction(dense_intersect(curves[i].cls, curves[j].cls)) for j in subset]
                 for i in subset
             ]
             if not is_negative_definite(gram):
                 continue
-            rhs = [as_fraction(intersect(divisor, curves[i].cls)) for i in subset]
+            rhs = [as_fraction(dense_intersect(divisor, curves[i].cls)) for i in subset]
             solution = solve_linear(gram, rhs) if subset else []
             if solution is None or any(a < 0 for a in solution):
                 continue
             p = divisor
             for idx, a in zip(subset, solution):
                 p = p - a * curves[idx].cls
-            if any(as_fraction(intersect(p, record.cls)) < 0 for record in curves):
+            if any(as_fraction(dense_intersect(p, record.cls)) < 0 for record in curves):
                 continue
             coeffs = {i: a for i, a in zip(subset, solution) if a != 0}
             candidates.append((p, coeffs))

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, diagnostics, determinism, fixtures."""
 
 import json
-import os
 import re
 
 import pytest
@@ -129,13 +128,6 @@ class TestCertifyAndVerify:
         assert code == 1
         assert f"{field}:" in err
 
-    @pytest.mark.parametrize("cap", ["abc", "1/0"])
-    def test_malformed_delta_cap_exit_one(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("SURFACE_CONES_DELTA_CAP", cap)
-        code, _, err = run_cli(["certify-ray", "--input", "fixture:p2_r12"], capsys)
-        assert code == 1
-        assert "SURFACE_CONES_DELTA_CAP" in err
-
     @pytest.mark.parametrize(
         "path, field",
         [
@@ -254,6 +246,10 @@ class TestSegreCheck:
             ({"nagata": [{"deg": 3, "mults": 2}]}, "nagata[0].mults"),
             ({"nagata": [{"deg": 3, "mults": [1], "variant": "bogus"}]}, "nagata[0].variant"),
             ({"nagata": {"deg": 3}}, "nagata"),
+            ({"pencils": [{"g": 1, "dim": -1}]}, "pencils[0].dim"),
+            ({"nagata": [{"deg": 0, "mults": [1]}]}, "nagata[0].deg"),
+            ({"nagata": [{"deg": 3, "mults": []}]}, "nagata[0].mults"),
+            ({"nagata": [{"deg": 3, "mults": [1, "-1/2"]}]}, "nagata[0].mults[1]"),
         ],
     )
     def test_malformed_entries_exit_one(self, capsys, tmp_path, changes, field):
@@ -263,6 +259,21 @@ class TestSegreCheck:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("command", ["segre-check", "analyze", "thresholds"])
+    def test_non_integer_chi_exit_one(self, capsys, tmp_path, command):
+        doc = {"surface": dict(P2_SURFACE, chi="1/2"), "r": 12}
+        path = write_json(tmp_path, "in.json", doc)
+        code, out, err = run_cli([command, "--input", path, "--samples", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: chi: must be an integer to derive nu and pi, got 1/2\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "thresholds"])
+    def test_given_bounds_do_not_read_chi(self, capsys, tmp_path, command):
+        doc = {"surface": dict(P2_SURFACE, chi="1/2"), "r": 12, "nu": 1, "pi": 0}
+        path = write_json(tmp_path, "in.json", doc)
+        code, _, _ = run_cli([command, "--input", path, "--samples", "0"], capsys)
+        assert code == 0
 
 
 def _e1_record(r, **changes):
@@ -466,6 +477,34 @@ class TestSurfaceFields:
         assert err == f"error: class: unknown surface class {value!r}\n"
 
 
+class TestCoordinateListLength:
+    """A coordinate list of the wrong length names its field."""
+
+    def test_curve_coords_for_another_r(self, capsys, tmp_path):
+        doc = dict(cli.load_fixture("p2_r12"), r=0)
+        code, out, err = run_cli(
+            ["certify-ray", "--input", write_json(tmp_path, "in.json", doc)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: curves[0].coords: expected 1 coordinates, got 13\n"
+
+    def test_short_divisor(self, capsys, tmp_path):
+        doc = {"surface": P2_SURFACE, "r": 2, "divisor": [1, 0]}
+        code, out, err = run_cli(
+            ["zariski", "--input", write_json(tmp_path, "in.json", doc)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: divisor: expected 3 coordinates, got 2\n"
+
+    def test_short_slice_class(self, capsys, tmp_path):
+        doc = {"surface": P2_SURFACE, "r": 2, "classes": [[1, 0, 0], [0, 1]]}
+        code, out, err = run_cli(
+            ["slice", "--input", write_json(tmp_path, "in.json", doc)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: classes[1]: expected 3 coordinates, got 2\n"
+
+
 FIELD_PATH = re.compile(r"error: [A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 MUTATIONS = [True, None, 1.5, "x", [], {}, -1, [[1]]]
 
@@ -502,20 +541,6 @@ def test_single_field_mutations_exit_cleanly(capsys, tmp_path, fixture):
                 if code == 1 and not FIELD_PATH.match(err):
                     failures.append((key, value, command, err))
     assert failures == []
-
-
-class TestEnvironmentOverride:
-    def test_delta_cap_env(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("SURFACE_CONES_DELTA_CAP", "1/1000")
-        certs_path = tmp_path / "certs.json"
-        code, _, _ = run_cli(
-            ["certify-ray", "--input", "fixture:p2_r11", "--output", str(certs_path)],
-            capsys,
-        )
-        assert code == 0
-        doc = json.loads(certs_path.read_text())
-        deltas = {c["delta"] for c in doc["certificates"]}
-        assert deltas == {"1/1000"}
 
 
 class TestInputHandling:

@@ -143,8 +143,7 @@ def _swap_last_alpha(text: str) -> str:
 
 
 @pytest.mark.parametrize("command, fixture", sorted(GOLDEN))
-def test_golden_output(capsys, monkeypatch, command, fixture):
-    monkeypatch.delenv("SURFACE_CONES_DELTA_CAP", raising=False)
+def test_golden_output(capsys, command, fixture):
     code = cli.main([command, "--input", f"fixture:{fixture}", *EXTRA_ARGS.get(command, [])])
     assert _digest(code, capsys.readouterr()) == GOLDEN[command, fixture]
 
@@ -166,8 +165,7 @@ def test_golden_input(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
-def test_golden_verify(capsys, monkeypatch, tmp_path, case):
-    monkeypatch.delenv("SURFACE_CONES_DELTA_CAP", raising=False)
+def test_golden_verify(capsys, tmp_path, case):
     fixture, _, tamper = case.partition(" ")
     cli.main(["certify-ray", "--input", f"fixture:{fixture}"])
     text = capsys.readouterr().out

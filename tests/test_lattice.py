@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import abelian_surface, enriques_surface, k3_surface, p2_blowup, p2_surface
+from helpers import (
+    abelian_surface,
+    dense_intersect,
+    enriques_surface,
+    k3_surface,
+    k3_with_minus_two_curve,
+    non_integral_gram,
+    p2_blowup,
+    p2_surface,
+)
 from surface_cones.errors import (
     AdjunctionParityError,
     MixedRadicandError,
@@ -42,20 +51,11 @@ pairing_models = st.one_of(
     st.builds(p2_blowup, st.integers(min_value=0, max_value=6)),
     st.builds(BlowupModel, st.just(abelian_surface()), st.integers(min_value=0, max_value=3)),
     st.builds(BlowupModel, st.just(enriques_surface()), st.integers(min_value=0, max_value=3)),
+    st.builds(
+        BlowupModel, st.just(k3_with_minus_two_curve()), st.integers(min_value=0, max_value=3)
+    ),
+    st.builds(BlowupModel, st.just(non_integral_gram()), st.integers(min_value=0, max_value=3)),
 )
-
-
-def dense_intersect(x, y):
-    """Reference pairing: every term of the double sum, zeros included."""
-    m = x.model.base.rank
-    gram = x.model.base.gram_Y
-    total = Fraction(0)
-    for i in range(m):
-        for j in range(m):
-            total = total + x.coords[i] * gram[i][j] * y.coords[j]
-    for k in range(m, x.model.rank):
-        total = total - x.coords[k] * y.coords[k]
-    return total
 
 
 @st.composite

@@ -79,6 +79,8 @@ def reference_divisor_from_json(model, doc, field):
         for i, c in enumerate(doc):
             serialize._scalar_from_json(c, f"{field}[{i}]")
         raise
+    if len(coords) != model.rank:
+        raise ModelValidationError(f"expected {model.rank} coordinates, got {len(coords)}", field)
     return model.divisor(coords)
 
 
@@ -104,7 +106,7 @@ class TestDivisorFromJson:
             (["1/0"], (MalformedValueError, "d[0]")),
             (["abc", "abc"], (MalformedValueError, "d[0]")),
             ([1, "1/0"], (MalformedValueError, "d[1]")),
-            (["2", "2", "2"], (ModelValidationError, None)),  # rank 2, three coordinates
+            (["2", "2", "2"], (ModelValidationError, "d")),  # rank 2, three coordinates
         ],
     )
     def test_examples_match_reference(self, doc, expected):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     abelian_surface,
+    dense_intersect,
     half_gram,
     k3_surface,
     levels_one_and_two,
@@ -525,14 +526,14 @@ def _reference_boundary_class(model, rng):
         direction = model.divisor(
             [Fraction(rng.randint(-3, 3)) for _ in range(model.rank)]
         )
-        d_sq = intersect(direction, direction)
+        d_sq = dense_intersect(direction, direction)
         if sign(d_sq) == 0:
             continue
-        t = -2 * intersect(base, direction) / d_sq
+        t = -2 * dense_intersect(base, direction) / d_sq
         x = base + t * direction
         if x.is_zero():
             continue
-        x_dot_l = sign(intersect(x, model.line()))
+        x_dot_l = sign(dense_intersect(x, model.line()))
         if x_dot_l < 0:
             x = -x
         elif x_dot_l == 0:
@@ -551,7 +552,7 @@ def reference_draw(model, curves, s, rng):
                 if v:
                     coords[idx] += weight * v
     gamma = model.divisor(coords)
-    return gamma, sign(intersect(gamma, model.canonical() - s * model.line()))
+    return gamma, sign(dense_intersect(gamma, model.canonical() - s * model.line()))
 
 
 def k3_sextic(r):

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     abelian_surface,
     brute_force_zariski,
+    dense_intersect,
     enriques_surface,
     half_gram,
+    k3_with_minus_two_curve,
+    non_integral_gram,
     p2_blowup,
     p2_surface,
     standard_minus_one_records,
@@ -27,7 +30,7 @@ from surface_cones.errors import (
     PreconditionError,
     ZariskiError,
 )
-from surface_cones.lattice import BlowupModel, SurfaceModel, arithmetic_genus, intersect
+from surface_cones.lattice import BlowupModel, arithmetic_genus, intersect
 from surface_cones.scalar import as_fraction, is_rational, sqrt_scalar
 from surface_cones.zariski import (
     NegativeCurveRecord,
@@ -70,11 +73,11 @@ class TestRecordValidation:
 
 
 def reference_record_check(cls, self_int, genus, is_exceptional) -> tuple:
-    """The record validation before integer supports: dense pairings and ``arithmetic_genus``."""
+    """The record validation before integer supports, on dense pairings and dense adjunction."""
     coords = cls.coords
     if not all(isinstance(c, Fraction) and c.denominator == 1 for c in coords):
         raise ModelValidationError("curve class must have integer coordinates", "curve")
-    square = as_fraction(intersect(cls, cls))
+    square = as_fraction(dense_intersect(cls, cls))
     if square != self_int:
         raise ModelValidationError(
             f"declared self-intersection {self_int} but class squares to {square}",
@@ -84,7 +87,7 @@ def reference_record_check(cls, self_int, genus, is_exceptional) -> tuple:
         raise ModelValidationError(
             f"self-intersection must be <= -1, got {self_int}", "curve.self_int"
         )
-    adjunction = arithmetic_genus(cls)
+    adjunction = reference_genus(cls)
     if adjunction != genus:
         raise ModelValidationError(
             f"declared genus {genus} but adjunction gives {adjunction}", "curve.genus"
@@ -106,11 +109,21 @@ def reference_is_exceptional(divisor) -> bool:
     return len(ones) == 1 and ones[0] == 1
 
 
+def reference_genus(divisor) -> Fraction:
+    """1 + (C^2 + C.K)/2 from dense pairings; C^2 + C.K must be an even integer."""
+    value = as_fraction(
+        dense_intersect(divisor, divisor) + dense_intersect(divisor, divisor.model.canonical())
+    )
+    if value.denominator != 1 or value.numerator % 2 != 0:
+        raise AdjunctionParityError(f"non-integral class for adjunction: C^2 + C.K = {value}")
+    return 1 + value / 2
+
+
 def reference_from_class(divisor) -> tuple:
     return reference_record_check(
         divisor,
-        as_fraction(intersect(divisor, divisor)),
-        arithmetic_genus(divisor),
+        as_fraction(dense_intersect(divisor, divisor)),
+        reference_genus(divisor),
         reference_is_exceptional(divisor),
     )
 
@@ -126,25 +139,10 @@ def outcome(build):
     return result
 
 
-def _k3_with_minus_two_curve() -> SurfaceModel:
-    return SurfaceModel(
-        chi=2, kY_sq=0, gram_Y=((4, 1), (1, -2)), k_Y=(0, 0), a_Y=(1, 0), kind="K3",
-        pg=1, irregularity=0,
-    )
-
-
-def _non_integral_gram() -> SurfaceModel:
-    """A hyperbolic base with a half-integer Gram entry: adjunction parity can fail."""
-    return SurfaceModel(
-        chi=1, kY_sq=0, gram_Y=((2, Fraction(1, 2)), (Fraction(1, 2), -2)), k_Y=(0, 0),
-        a_Y=(1, 0),
-    )
-
-
 RECORD_MODELS = [
     BlowupModel(base(), 4)
-    for base in (p2_surface, _k3_with_minus_two_curve, abelian_surface, enriques_surface,
-                 _non_integral_gram)
+    for base in (p2_surface, k3_with_minus_two_curve, abelian_surface, enriques_surface,
+                 non_integral_gram)
 ]
 
 
@@ -220,8 +218,8 @@ class TestIntegerRecordDifferential:
             coords.append(value)
         x = model.divisor(coords)
         value = record.dot(x)
-        assert value == intersect(x, record.cls)
-        assert is_rational(value) == is_rational(intersect(x, record.cls))
+        assert value == intersect(x, record.cls) == dense_intersect(x, record.cls)
+        assert is_rational(value) == is_rational(dense_intersect(x, record.cls))
 
     def test_dot_rejects_another_model(self):
         record = NegativeCurveRecord.from_class(p2_blowup(2).exceptional(1))
