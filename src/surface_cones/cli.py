@@ -121,10 +121,7 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
     """
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
-        curves = [
-            serialize.curve_from_json(model, record, f"curves[{i}]")
-            for i, record in enumerate(_list(doc["curves"], "curves", "curve records"))
-        ]
+        curves = serialize._curves_from_json(model, doc["curves"])
     else:
         curves = [
             zariski.NegativeCurveRecord.from_class(model.exceptional(i))

@@ -52,12 +52,14 @@ def parse_rational(value, field: str) -> Fraction:
         raise MalformedValueError(f"not a rational number: {value!r}", field)
 
 
-def parse_int(value, field: str, minimum: int | None = None) -> int:
-    """An integer that is not a bool, at least ``minimum`` when one is given."""
+def parse_int(value, field: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """An integer that is not a bool, within ``minimum`` and ``maximum`` when they are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedValueError(f"must be an integer, got {value!r}", field)
     if minimum is not None and value < minimum:
         raise ModelValidationError(f"must be at least {minimum}, got {value}", field)
+    if maximum is not None and value > maximum:
+        raise ModelValidationError(f"must be at most {maximum}, got {value}", field)
     return value
 
 
@@ -145,11 +147,12 @@ class SurfaceModel:
         if all(v.denominator == 1 for row in self.gram_Y for v in row) and all(
             v.denominator == 1 for v in self.k_Y
         ):
-            for i in range(m):
-                if (self.gram_Y[i][i] + self.k_Y[i]) % 2 != 0:
+            # e_i^2 + e_i.K_Y is even for each basis class e_i, with e_i.K_Y = (gram_Y k_Y)_i
+            for i, row in enumerate(self.gram_Y):
+                value = row[i] + sum(g * k for g, k in zip(row, self.k_Y))
+                if value % 2 != 0:
                     raise ModelValidationError(
-                        "adjunction parity fails: diagonal + k_Y entry must be even",
-                        f"k_Y[{i}]",
+                        f"adjunction parity fails: e_{i}^2 + e_{i}.K_Y = {value} is odd", "k_Y"
                     )
 
     def _pair_y(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import CertificateError, MalformedValueError, ModelValidationError
 from .lattice import BlowupModel, DivisorClass, SurfaceModel, parse_int, parse_rational
-from .scalar import compare, scalar_from_json, scalar_to_json
+from .scalar import scalar_from_json, scalar_to_json
 from .strict_inclusion import (
     StrictInclusionWitness,
     WitnessConstruction,
@@ -279,12 +279,12 @@ def _verify_zariski(doc) -> str | None:
     model = blowup_from_json(doc)
     try:
         curves = tuple(_curves_from_json(model, doc["curves"]))
-        divisor = divisor_from_json(model, doc["divisor"], "divisor")
-        P = divisor_from_json(model, doc["P"], "P")
     except MalformedValueError:
         raise
     except ModelValidationError as exc:
         return f"curve_record_consistent violated ({exc})"
+    divisor = divisor_from_json(model, doc["divisor"], "divisor")
+    P = divisor_from_json(model, doc["P"], "P")
     decomposition = ZariskiDecomposition(
         divisor=divisor, P=P, coeffs=_coeffs_from_json(doc["coeffs"], len(curves)), curves=curves
     )
@@ -306,11 +306,11 @@ def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
 
 
 def _verify_strict(doc) -> str | None:
-    """The builders' alpha and gamma checks, plus the identities they hold by construction."""
+    """The builders' ``alpha_checks`` and ``gamma_checks`` on the document's fields."""
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
         return "certificate marked invalid"
-    curve = model.exceptional(parse_int(doc["curve_index"], "curve_index", 1))
+    curve = model.exceptional(parse_int(doc["curve_index"], "curve_index", 1, model.r))
     try:
         construction = WitnessConstruction(doc["construction"])
     except ValueError:
@@ -319,16 +319,14 @@ def _verify_strict(doc) -> str | None:
         )
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
     delta = None if doc.get("delta") is None else parse_rational(doc["delta"], "delta")
-    checks = alpha_checks(alpha, curve, delta)
+    s = t = None
     if construction is WitnessConstruction.FROM_S:
         s = _scalar_from_json(doc["s"], "s")
         t = _scalar_from_json(doc["t"], "t")
-        checks["alpha_identity"] = t * curve - (model.canonical() - s * model.line()) == alpha
-        checks["t_lower_bound"] = compare(t, 1) >= 0
+    checks = alpha_checks(alpha, curve, delta, s, t)
     if doc.get("gamma") is not None:
         lam = _scalar_from_json(doc["lambda"], "lambda")
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
-        checks["gamma_identity"] = curve + lam * alpha == gamma
-        checks.update(gamma_checks(gamma))
+        checks.update(gamma_checks(gamma, curve, lam, alpha))
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None

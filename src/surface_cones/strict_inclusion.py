@@ -20,7 +20,7 @@ gamma^2 < 0 and gamma.K >= 2, the strict-inclusion witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -245,7 +245,8 @@ class StrictInclusionWitness:
 
     The alpha part must satisfy alpha^2 = 0, alpha.h >= 0 for the recorded
     delta, alpha.C <= 0 and alpha.K > 0; the completed witness adds
-    gamma = C + lambda*alpha with gamma^2 < 0 and gamma.K > 0.
+    gamma = C + lambda*alpha with gamma^2 < 0 and gamma.K > 0.  ``checks``
+    holds the ``RECORDED_WITNESS_CHECKS`` that were evaluated.
     """
 
     construction: WitnessConstruction
@@ -261,24 +262,69 @@ class StrictInclusionWitness:
     failing: str | None
 
 
+# the entries of alpha_checks and gamma_checks a witness records, in their JSON order
+RECORDED_WITNESS_CHECKS = (
+    "delta_t_nonneg", "alpha_sq_zero", "alpha_dot_h_nonneg", "alpha_dot_C_nonpos",
+    "alpha_dot_K_positive", "gamma_sq_negative", "gamma_dot_K_positive",
+)
+
+
 def alpha_checks(
-    alpha: DivisorClass, curve: DivisorClass, delta: Fraction | None
+    alpha: DivisorClass, curve: DivisorClass, delta: Fraction | None,
+    s: Exact | None = None, t: Exact | None = None,
 ) -> dict[str, bool]:
-    """The alpha-part invariants of a witness, shared by the builders and ``verify``."""
-    return {
+    """The alpha-part invariants of a witness, in the order failures are reported.
+
+    The builders and ``verify`` both evaluate this list; a from-s witness
+    (t given) adds ``alpha_identity``, alpha = t*C - (K - sL).  For C = E_i
+    that gives alpha.C = 1 - t, so t >= 1 is part of ``alpha_dot_C_nonpos``.
+    """
+    k = alpha.model.canonical()
+    checks = {
         "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
         "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
         "alpha_dot_C_nonpos": sign(intersect(alpha, curve)) <= 0,
-        "alpha_dot_K_positive": sign(intersect(alpha, alpha.model.canonical())) > 0,
+        "alpha_dot_K_positive": sign(intersect(alpha, k)) > 0,
     }
+    if t is not None:
+        checks["alpha_identity"] = t * curve - (k - s * alpha.model.line()) == alpha
+    return checks
 
 
-def gamma_checks(gamma: DivisorClass) -> dict[str, bool]:
-    """The invariants of the completed witness gamma, shared with ``verify``."""
+def gamma_checks(
+    gamma: DivisorClass, curve: DivisorClass, lambda_: Exact, alpha: DivisorClass
+) -> dict[str, bool]:
+    """The invariants of the completed witness, reported after ``alpha_checks``."""
     return {
+        "gamma_identity": curve + lambda_ * alpha == gamma,
         "gamma_sq_negative": sign(intersect(gamma, gamma)) < 0,
         "gamma_dot_K_positive": sign(intersect(gamma, gamma.model.canonical())) > 0,
     }
+
+
+def _witness(
+    construction, curve_index, alpha, delta=None, s=None, t=None, lambda_=None, gamma=None,
+    decided=(),
+) -> StrictInclusionWitness:
+    """The witness with these fields; its lists are evaluated and their recorded entries kept.
+
+    ``decided`` holds entries settled before: the from-s builder's
+    ``delta_t_nonneg``, or the alpha stage's when gamma is added.  If they
+    all hold, the alpha list is evaluated, or the gamma list when gamma is given.
+    """
+    checks = dict(decided)
+    if all(checks.values()):
+        curve = alpha.model.exceptional(curve_index)
+        if gamma is None:
+            checks.update(alpha_checks(alpha, curve, delta, s, t))
+        else:
+            checks.update(gamma_checks(gamma, curve, lambda_, alpha))
+    failing = first_failing(checks)
+    recorded = {name: checks[name] for name in RECORDED_WITNESS_CHECKS if name in checks}
+    return StrictInclusionWitness(
+        construction, curve_index, alpha, delta, s, t, lambda_, gamma, recorded,
+        failing is None, failing,
+    )
 
 
 def alpha_from_s(
@@ -290,41 +336,19 @@ def alpha_from_s(
     raised, so an infeasible s is distinguishable from an implementation
     error.
     """
-    if not 1 <= curve_index <= model.r:
-        raise PreconditionError(f"exceptional index {curve_index} out of range 1..{model.r}")
     curve = model.exceptional(curve_index)
     delta_t = ThresholdContext.from_model(model).k_minus_sl_sq(s) + 1
     if sign(delta_t) < 0:
-        return StrictInclusionWitness(
-            construction=WitnessConstruction.FROM_S,
-            curve_index=curve_index,
-            alpha=model.zero(),
-            delta=None,
-            s=s,
-            t=None,
-            lambda_=None,
-            gamma=None,
-            checks={"delta_t_nonneg": False},
-            valid=False,
-            failing="delta_t_nonneg",
+        return _witness(
+            WitnessConstruction.FROM_S, curve_index, model.zero(), s=s,
+            decided={"delta_t_nonneg": False},
         )
     t = 1 + sqrt_scalar(delta_t)
     alpha = t * curve - (model.canonical() - s * model.line())
     delta = choose_positive_delta(alpha, delta_cap(model))
-    checks = {"delta_t_nonneg": True, **alpha_checks(alpha, curve, delta)}
-    failing = first_failing(checks)
-    return StrictInclusionWitness(
-        construction=WitnessConstruction.FROM_S,
-        curve_index=curve_index,
-        alpha=alpha,
-        delta=delta,
-        s=s,
-        t=t,
-        lambda_=None,
-        gamma=None,
-        checks=checks,
-        valid=failing is None,
-        failing=failing,
+    return _witness(
+        WitnessConstruction.FROM_S, curve_index, alpha, delta, s, t,
+        decided={"delta_t_nonneg": True},
     )
 
 
@@ -345,58 +369,28 @@ class UniruledOutcome:
 def uniruled_witness(model: BlowupModel) -> UniruledOutcome:
     if model.r < 2:
         raise PreconditionError("construction needs r >= 2 blown-up points")
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    tilt = sqrt_scalar(Fraction(a_sq, model.r - 1))
-    value = ak + (model.r - 1) * tilt
+    tilt = sqrt_scalar(Fraction(model.base.a_sq, model.r - 1))
+    value = model.base.a_dot_k + (model.r - 1) * tilt
     if sign(value) <= 0:
         return UniruledOutcome(satisfied=False, value=value, witness=None)
-    coords = list(model.base.a_Y) + [-tilt] * (model.r - 1) + [Fraction(0)]
-    alpha = model.divisor(coords)
-    curve = model.exceptional(model.r)
+    alpha = model.divisor(list(model.base.a_Y) + [-tilt] * (model.r - 1) + [Fraction(0)])
     delta = choose_positive_delta(alpha, delta_cap(model))
-    checks = alpha_checks(alpha, curve, delta)
-    failing = first_failing(checks)
-    witness = StrictInclusionWitness(
-        construction=WitnessConstruction.UNIRULED,
-        curve_index=model.r,
-        alpha=alpha,
-        delta=delta,
-        s=None,
-        t=None,
-        lambda_=None,
-        gamma=None,
-        checks=checks,
-        valid=failing is None,
-        failing=failing,
-    )
+    witness = _witness(WitnessConstruction.UNIRULED, model.r, alpha, delta)
     return UniruledOutcome(satisfied=True, value=value, witness=witness)
 
 
 def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
     """Complete an alpha witness: gamma = C + lambda*alpha leaves the positive cone.
 
-    lambda = (2 + |C.K|)/(alpha.K) is the smallest clean choice making
-    gamma.K >= 2 exactly; any larger value works as well.
+    lambda = (2 + |C.K|)/(alpha.K), with alpha.K > 0 on a valid witness, is the
+    smallest clean choice making gamma.K >= 2 exactly; any larger value works as well.
     """
     if not witness.valid:
         raise PreconditionError(f"alpha witness invalid: {witness.failing}")
-    model = witness.alpha.model
-    curve = model.exceptional(witness.curve_index)
-    k = model.canonical()
-    alpha_k = intersect(witness.alpha, k)
-    if sign(alpha_k) <= 0:
-        raise PreconditionError("alpha.K must be positive to scale gamma")
-    c_k = intersect(curve, k)
-    lam = (2 + abs(c_k)) / alpha_k
-    gamma = curve + lam * witness.alpha
-    checks = {**witness.checks, **gamma_checks(gamma)}
-    failing = first_failing(checks)
-    return replace(
-        witness,
-        lambda_=lam,
-        gamma=gamma,
-        checks=checks,
-        valid=failing is None,
-        failing=failing,
+    curve = witness.alpha.model.exceptional(witness.curve_index)
+    k = witness.alpha.model.canonical()
+    lam = (2 + abs(intersect(curve, k))) / intersect(witness.alpha, k)
+    return _witness(
+        witness.construction, witness.curve_index, witness.alpha, witness.delta,
+        witness.s, witness.t, lam, curve + lam * witness.alpha, decided=witness.checks,
     )

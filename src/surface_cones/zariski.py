@@ -170,7 +170,7 @@ class ZariskiDecomposition:
         return n
 
     def check_invariants(self) -> str | None:
-        """Name of the first violated invariant, or None when all hold."""
+        """Name of the first violated invariant, or None when all hold; ``verify`` runs it too."""
         n = self.negative_part()
         if self.P + n != self.divisor:
             return "decomposition_sum"
@@ -187,7 +187,14 @@ class ZariskiDecomposition:
         gram = [[self.curves[i].dot(self.curves[j].cls) for j in support] for i in support]
         if not linalg.is_negative_definite(gram):
             return "support_negative_definite"
+        if not self.P_in_positive_cone:
+            return "P_in_positive_cone"
         return None
+
+    @property
+    def P_in_positive_cone(self) -> bool:
+        """The last entry of ``check_invariants``; ``ne_decompose`` raises on it alone."""
+        return in_positive_cone(self.P) is not ConePosition.OUTSIDE
 
 
 def zariski_decompose(
@@ -245,7 +252,7 @@ def ne_decompose(
     of y.
     """
     decomposition = zariski_decompose(y, curves)
-    if in_positive_cone(decomposition.P) is ConePosition.OUTSIDE:
+    if not decomposition.P_in_positive_cone:
         raise ZariskiError("list incomplete: P not in positive cone")
     return decomposition
 

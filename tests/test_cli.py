@@ -400,7 +400,9 @@ class TestStrictInclusion:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "field, value", [("construction", 5), ("construction", "tilted"), ("curve_index", True)]
+        "field, value",
+        [("construction", 5), ("construction", "tilted"), ("curve_index", True),
+         ("curve_index", 12)],
     )
     def test_malformed_witness_field_exit_one(self, capsys, tmp_path, field, value):
         out_path = tmp_path / "witness.json"
@@ -476,6 +478,15 @@ class TestSurfaceFields:
         assert (code, out) == (1, "")
         assert err == f"error: class: unknown surface class {value!r}\n"
 
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_adjunction_parity_names_k_y(self, capsys, tmp_path, command):
+        # gram_Y[0][0] + k_Y[0] is even, but e_0.K_Y = (gram_Y k_Y)_0 = 2 makes e_0^2 + e_0.K_Y odd
+        surface = {"chi": 1, "kY_sq": 2, "gram_Y": [[1, 1], [1, -1]], "k_Y": [1, 1], "a_Y": [1, 0]}
+        doc = {"surface": surface, "r": 1}
+        code, out, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: k_Y: adjunction parity fails: e_0^2 + e_0.K_Y = 3 is odd\n"
+
 
 class TestCoordinateListLength:
     """A coordinate list of the wrong length names its field."""
@@ -495,6 +506,18 @@ class TestCoordinateListLength:
         )
         assert (code, out) == (1, "")
         assert err == "error: divisor: expected 3 coordinates, got 2\n"
+
+    @pytest.mark.parametrize("field", ["divisor", "P"])
+    def test_short_decomposition_field(self, capsys, tmp_path, field):
+        doc = {"surface": P2_SURFACE, "r": 2, "divisor": [2, 1, 0]}
+        out_path = tmp_path / "dec.json"
+        run_cli(["zariski", "--input", write_json(tmp_path, "in.json", doc),
+                 "--output", str(out_path)], capsys)
+        decomposition = json.loads(out_path.read_text())
+        decomposition[field] = decomposition[field][:2]
+        code, out, err = run_cli(["verify", write_json(tmp_path, "bad.json", decomposition)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {field}: expected 3 coordinates, got 2\n"
 
     def test_short_slice_class(self, capsys, tmp_path):
         doc = {"surface": P2_SURFACE, "r": 2, "classes": [[1, 0, 0], [0, 1]]}

@@ -168,7 +168,7 @@ class TestSignature:
     def test_non_diagonal_gram(self):
         from surface_cones.lattice import SurfaceModel
 
-        surface = SurfaceModel(chi=1, kY_sq=-1, gram_Y=((2, 1), (1, -1)), k_Y=(0, 1), a_Y=(1, 0))
+        surface = SurfaceModel(chi=1, kY_sq=-6, gram_Y=((2, 1), (1, -1)), k_Y=(1, 4), a_Y=(1, 0))
         report = diagonalize(BlowupModel(surface, 0))
         assert (report.n_plus, report.n_minus, report.n_zero) == (1, 1, 0)
 

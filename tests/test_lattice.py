@@ -102,6 +102,13 @@ class TestModelValidation:
             SurfaceModel(chi=1, kY_sq=4, gram_Y=((1,),), k_Y=(2,), a_Y=(1,))
         assert "parity" in str(info.value)
 
+    def test_parity_pairs_with_gram_times_k(self):
+        # e_0.K_Y is (gram_Y k_Y)_0 = 2, not k_Y[0] = 1, so e_0^2 + e_0.K_Y = 3 is odd
+        with pytest.raises(ModelValidationError) as info:
+            SurfaceModel(chi=1, kY_sq=2, gram_Y=((1, 1), (1, -1)), k_Y=(1, 1), a_Y=(1, 0))
+        assert info.value.field == "k_Y"
+        assert "e_0^2 + e_0.K_Y = 3" in str(info.value)
+
     def test_bool_entry_rejected(self):
         with pytest.raises(ModelValidationError) as info:
             SurfaceModel(chi=1, kY_sq=9, gram_Y=((True,),), k_Y=(-3,), a_Y=(1,))

@@ -19,6 +19,8 @@ from surface_cones.errors import CertificateError, MalformedValueError, ModelVal
 from surface_cones.lattice import intersect
 from surface_cones.scalar import make_scalar, scalar_from_json, scalar_to_json, sqrt_scalar
 from surface_cones.strict_inclusion import (
+    StrictInclusionWitness,
+    WitnessConstruction,
     alpha_from_s,
     gamma_witness,
     solve_s_system,
@@ -222,6 +224,97 @@ class TestRayVerifyRejections:
         code, err = verify_exit(doc, tmp_path, capsys)
         assert code == 3
         assert "r_inequality violated" in err
+
+
+def planted_alpha_dot_k_zero():
+    """A uniruled witness on p2_r10: alpha = L - (E_1 + ... + E_9)/3 is null, alpha.K = 0."""
+    model = p2_blowup(10)
+    alpha = model.divisor([1] + [Fraction(-1, 3)] * 9 + [0])
+    witness = StrictInclusionWitness(
+        WitnessConstruction.UNIRULED, 10, alpha, Fraction(1, 20), None, None, None, None, {},
+        True, None,
+    )
+    return serialize.witness_to_json(witness)
+
+
+def planted_delta_zero():
+    doc = ray_cert_doc()
+    doc["delta"] = "0"
+    return doc
+
+
+def planted_smaller_t0_root(r):
+    """L - E_1 - E_2 with t0 the smaller root of its quadratic: 1/T for the larger root T.
+
+    u = C.(K - sL) = 2 - sqrt(r - 1), so t0 is about 0.46 at r = 12 and 0.57 at r = 11.
+    """
+    model = p2_blowup(r)
+    doc = ray_cert_doc(r, curve_index=r)
+    curve = model.pullback([1]) - model.exceptional(1) - model.exceptional(2)
+    k_minus_sl = model.canonical() - scalar_from_json(doc["s"]) * model.line()
+    u = intersect(curve, k_minus_sl)
+    assert u == 2 - sqrt_scalar(r - 1)
+    t0 = -u - sqrt_scalar(u * u - 1)
+    doc.update(t0=scalar_to_json(t0), alpha=serialize.divisor_to_json(t0 * curve - k_minus_sl))
+    return doc
+
+
+def from_s_witness_doc():
+    model = p2_blowup(11)
+    s = solve_s_system(model)[0].sample
+    return model, s, serialize.witness_to_json(gamma_witness(alpha_from_s(model, s, 1)))
+
+
+def planted_t_below_one():
+    """The p2_r11 from-s witness with t = 1 - sqrt(D_t) and its alpha: still null, alpha.C > 0."""
+    model, s, doc = from_s_witness_doc()
+    t = 1 - sqrt_scalar(ThresholdContext.from_model(model).k_minus_sl_sq(s) + 1)
+    alpha = t * model.exceptional(1) - (model.canonical() - s * model.line())
+    doc.update(t=scalar_to_json(t), alpha=serialize.divisor_to_json(alpha))
+    return doc
+
+
+def planted_t_off_alpha():
+    """The p2_r11 from-s witness with t raised by 1 and alpha kept: only the identity fails."""
+    _, _, doc = from_s_witness_doc()
+    doc["t"] = scalar_to_json(scalar_from_json(doc["t"]) + 1)
+    return doc
+
+
+def planted_p_outside_positive_cone():
+    """p2_r10, curves E_1..E_10, D = L - E_1 - ... - E_4: no curve meets D negatively, D^2 = -3."""
+    model = p2_blowup(10)
+    curves = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, 11)]
+    divisor = model.divisor([1] + [-1] * 4 + [0] * 6)
+    return serialize.zariski_to_json(zariski_decompose(divisor, curves))
+
+
+@pytest.mark.parametrize(
+    "plant, check",
+    [
+        pytest.param(planted_alpha_dot_k_zero, "alpha_dot_K_positive", id="alpha_dot_k_zero"),
+        pytest.param(planted_delta_zero, "alpha_dot_h_nonneg", id="delta_zero"),
+        pytest.param(lambda: planted_smaller_t0_root(12), "t0_positive", id="smaller_t0_r12"),
+        # t0 in [1/(2n), 1/n): a bound halved to 1/(2n) would accept it
+        pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),
+        pytest.param(planted_t_below_one, "alpha_dot_C_nonpos", id="t_below_one"),
+        pytest.param(planted_t_off_alpha, "alpha_identity", id="t_off_alpha"),
+        pytest.param(planted_p_outside_positive_cone, "P_in_positive_cone", id="p_outside_cone"),
+    ],
+)
+def test_planted_boundary_document(tmp_path, capsys, plant, check):
+    """A document at the boundary of one check: verify exits 3 naming that check first."""
+    code, err = verify_exit(plant(), tmp_path, capsys)
+    assert code == 3
+    assert err == f"certificate 0: {check} violated\n"
+
+
+def test_zariski_refuses_the_planted_input(capsys, tmp_path):
+    doc = planted_p_outside_positive_cone()
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({k: doc[k] for k in ("surface", "r", "curves", "divisor")}))
+    assert cli.main(["zariski", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "infeasible: list incomplete: P not in positive cone\n"
 
 
 def reference_verify(documents):

@@ -72,7 +72,7 @@ class TestConditionSets:
         assert condition_sets(BlowupModel(abelian_surface(), 2)) == {ConditionLabel.D}
 
     def test_negative_canonical_square_is_c(self):
-        surface = SurfaceModel(chi=1, kY_sq=-1, gram_Y=((2, 1), (1, -1)), k_Y=(0, 1), a_Y=(1, 0))
+        surface = SurfaceModel(chi=1, kY_sq=-6, gram_Y=((2, 1), (1, -1)), k_Y=(1, 4), a_Y=(1, 0))
         assert ConditionLabel.C in condition_sets(BlowupModel(surface, 1))
 
     def test_a_condition_model(self):
