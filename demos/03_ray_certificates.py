@@ -14,8 +14,8 @@ from surface_cones import (
     NegativeCurveRecord,
     SurfaceModel,
     ThresholdContext,
+    cone_equality_check,
     intersect,
-    main_theorem_check,
     ray_certificate,
     ray_certificate_to_json,
     s_threshold,
@@ -50,6 +50,9 @@ print("re-verification from JSON:", verify_certificate(json.loads(json.dumps(doc
 doc["alpha"][0] = "1"
 print("after tampering with alpha:", verify_certificate(doc).failing)
 
-report = main_theorem_check(model, records, 1, 0, samples=300, seed=0)
-print(f"falsification sampling ({report.samples} draws, seed {report.seed}):"
-      f" counterexamples = {len(report.counterexamples)}")
+# valid certificates at levels s_n <= s_nu prove the cone equality at s_nu:
+# no class of the generated cone pairing nonnegatively with K - s_nu L leaves
+# the positive cone (see the lemma in cone_equality_check)
+report = cone_equality_check(model, records, 1, 0)
+print(f"cone equality at s = {report.s}: {len(report.certificates)} certificates,"
+      f" passed = {report.passed}")

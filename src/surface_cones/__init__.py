@@ -69,13 +69,13 @@ from .zariski import (
 )
 from .thresholds import (
     ConditionCheck,
-    MainTheoremReport,
+    ConeEqualityReport,
     RayContainmentCert,
     ThresholdContext,
     certify_list,
     check_conditions,
+    cone_equality_check,
     k_minus_sl_h_negative,
-    main_theorem_check,
     ray_certificate,
     s_monotonicity,
     s_threshold,

@@ -306,7 +306,10 @@ def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
 
 
 def _verify_strict(doc) -> str | None:
-    """The builders' ``alpha_checks`` and ``gamma_checks`` on the document's fields."""
+    """The builders' ``alpha_checks`` and ``gamma_checks`` on the document's fields.
+
+    A document without ``gamma`` fails ``gamma_identity``, after the alpha list.
+    """
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
         return "certificate marked invalid"
@@ -324,7 +327,9 @@ def _verify_strict(doc) -> str | None:
         s = _scalar_from_json(doc["s"], "s")
         t = _scalar_from_json(doc["t"], "t")
     checks = alpha_checks(alpha, curve, delta, s, t)
-    if doc.get("gamma") is not None:
+    if doc.get("gamma") is None:
+        checks["gamma_identity"] = False
+    else:
         lam = _scalar_from_json(doc["lambda"], "lambda")
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
         checks.update(gamma_checks(gamma, curve, lam, alpha))

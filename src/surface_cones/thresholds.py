@@ -19,36 +19,26 @@ on r that these constructions need; ``check_conditions``, the ray
 certificates and the strict-inclusion solver all read it (or its
 ``first_bound`` and ``k_minus_sl_sq``) from there.  ``ray_checks`` is the one
 list of ray-certificate invariants, shared by the builder and ``verify``.
-The sampled check that the K-sL-nonnegative part of the generated cone stays
-inside the positive cone also lives here.
+``cone_equality_check`` certifies a curve list at s = s_nu; by the lemma in
+its docstring, valid certificates prove that the part of the generated cone
+pairing nonnegatively with K - s_nu L lies inside the positive cone, so
+nothing is left to sample.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Sequence
 
-from .cones import ConePosition, in_positive_cone
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
     ThresholdError,
 )
-from .lattice import BlowupModel, DivisorClass, _gram_row, intersect
-from .scalar import (
-    Exact,
-    as_fraction,
-    compare,
-    exact_sqrt,
-    is_rational,
-    sign,
-    sqrt_scalar,
-)
-from .zariski import NegativeCurveRecord, _add_weighted_curves
+from .lattice import BlowupModel, DivisorClass, intersect
+from .scalar import Exact, compare, sign, sqrt_scalar
+from .zariski import NegativeCurveRecord
 
 
 @dataclass(frozen=True)
@@ -397,57 +387,45 @@ def k_minus_sl_h_negative(model: BlowupModel, s: Exact, delta: Fraction) -> Exac
 
 
 @dataclass(frozen=True)
-class SampledCounterexample:
-    coords: tuple[Fraction, ...]
-    pairing_sign: int
-
-
-@dataclass(frozen=True)
-class MainTheoremReport:
+class ConeEqualityReport:
     nu: int
     pi: int
     s: Exact
     condition: ConditionCheck
     certificates: tuple[RayContainmentCert, ...]
-    samples: int
-    seed: int
-    counterexamples: tuple[SampledCounterexample, ...]
 
     @property
     def passed(self) -> bool:
-        return (
-            self.condition.satisfied
-            and all(c.valid for c in self.certificates)
-            and not self.counterexamples
-        )
+        return self.condition.satisfied and all(c.valid for c in self.certificates)
 
 
-def main_theorem_check(
+def cone_equality_check(
     model: BlowupModel,
     curves: Sequence[NegativeCurveRecord],
     nu: int,
     pi: int,
-    samples: int = 1000,
-    seed: int = 0,
-) -> MainTheoremReport:
-    """Certify every listed ray, then try to falsify cone equality at s = s_nu.
+) -> ConeEqualityReport:
+    """Certify every listed ray at its own level; valid certificates prove cone equality at s_nu.
 
-    Each curve is certified at its own threshold s_n; the containment at the
-    top threshold follows because s_n <= s_nu is verified exactly and adding
-    a nonnegative multiple of the nef L moves K - s_nu L to K - s_n L inside
-    the positive cone.  A curve whose C^2 is not an integer has no level and
-    raises :class:`PreconditionError`.  Sampling then tries to falsify the
-    cone equality: each of the ``samples`` draws seeds its own
-    ``random.Random`` and draws, in ``_sample_draw``, gamma = x + sum w_i C_i,
-    with x a random rational class on the cone boundary, moved from a null
-    base computed once per call, and integer weights 0 <= w_i <= 10.  When
-    every listed curve pairs nonpositively with K - s_nu L, a draw whose x
-    already pairs negatively is decided from x alone, without drawing its
-    weights; any other draw decides gamma.(K - s_nu L) as
-    sign(gamma.K - s_nu*(gamma.L)) from integer pairings, without building
-    gamma.  Every sample pairing nonnegatively with K - s_nu L is built and
-    must land inside the positive cone; any violation is reported exactly,
-    once per sample, never suppressed.
+    Each curve is certified at its own threshold s_n, with s_n <= s_nu
+    verified exactly.  A curve whose C^2 is not an integer has no level and
+    raises :class:`PreconditionError`, as does a type outside the
+    (nu, pi) range; a violated r-condition raises :class:`ThresholdError`.
+
+    Lemma.  Write v = K - s_nu L, so v^2 = -1/nu.  A valid certificate of
+    C_i at its level n_i gives t0_i*C_i = alpha_i + (s_nu - s_{n_i})*L + v
+    with t0_i > 0, alpha_i null and forward, and s_nu - s_{n_i} >= 0, so
+    t0_i*C_i is v plus a class of Pos-bar.  Hence any x = p + sum w_i C_i,
+    with p in Pos-bar and w_i >= 0, is p' + lambda*v with p' in Pos-bar and
+    lambda = sum w_i/t0_i >= 0.  If x.v >= 0, then p'.v >= lambda/nu, so
+    x^2 = p'^2 + 2*lambda*(p'.v) - lambda^2/nu >= p'^2 + lambda^2/nu >= 0
+    and x.p' = p'^2 + lambda*(p'.v) >= 0: x lies in Pos-bar.  So no class of
+    the generated cone pairing nonnegatively with v leaves the positive cone
+    whenever ``passed`` holds, and no sample can falsify it.  NE-bar is the
+    closure of Pos-bar plus the negative-curve rays; when the Segre Problem
+    holds for (nu, pi) every negative curve has a type in that range, and
+    the parts of NE-bar and Pos-bar on which v is nonnegative coincide.  The
+    closure step at x.v = 0 is the paper's.
     """
     ctx = ThresholdContext.from_model(model)
     condition = check_conditions(ctx, nu, pi)
@@ -468,152 +446,6 @@ def main_theorem_check(
     for certificate in certificates:
         if compare(certificate.s, s) > 0:
             raise InternalConsistencyError("curve threshold exceeds the top threshold")
-    draw = _sample_draw(model, curves, s)
-    counterexamples: list[SampledCounterexample] = []
-    for k in range(samples):
-        pairing, build = draw(random.Random(seed * 1_000_003 + k))
-        if pairing < 0:
-            continue
-        gamma = build()
-        if in_positive_cone(gamma) is ConePosition.OUTSIDE:
-            counterexamples.append(
-                SampledCounterexample(
-                    coords=tuple(as_fraction(c) for c in gamma.coords),
-                    pairing_sign=pairing,
-                )
-            )
-    return MainTheoremReport(
-        nu=nu,
-        pi=pi,
-        s=s,
-        condition=condition,
-        certificates=certificates,
-        samples=samples,
-        seed=seed,
-        counterexamples=tuple(counterexamples),
+    return ConeEqualityReport(
+        nu=nu, pi=pi, s=s, condition=condition, certificates=certificates
     )
-
-
-def _sample_draw(
-    model: BlowupModel, curves: Sequence[NegativeCurveRecord], s: Exact
-) -> Callable[[random.Random], tuple[int, Callable[[], DivisorClass]]]:
-    """The sampler's draw: the sign of gamma.(K - sL) and a builder of gamma = x + sum w_i C_i.
-
-    x and its pairings x.L and x.K come from ``_boundary_draw``, and one
-    ``rng.randint(0, 10)`` per curve, in list order, gives the weights.
-    Whether every listed curve has C.(K - sL) <= 0 is decided once here, one
-    ``sign`` per distinct (C.K, C.L).  When it holds and x already pairs
-    negatively, so does gamma, since w_i >= 0: the draw returns -1 without
-    drawing the weights, and its builder draws them, once, when it is first
-    called.  Any other draw draws the weights at once and decides
-    sign(gamma.K - s*(gamma.L)) from integer sums, with C.L and C.K of every
-    curve kept as ints over a common denominator.  Either builder adds the
-    weighted sum, accumulated in ints over the curves' supports, to x; it is
-    called only for a draw that is tested.
-    """
-    boundary = _boundary_draw(model)
-    line, canonical = model.line(), model.canonical()
-    dots_l = [record.dot(line) for record in curves]
-    dots_k = [record.dot(canonical) for record in curves]
-    curves_nonpositive = all(sign(k - s * l) <= 0 for k, l in set(zip(dots_k, dots_l)))
-    c_l, l_den = _over_common_denominator(dots_l)
-    c_k, k_den = _over_common_denominator(dots_k)
-
-    def draw(rng: random.Random) -> tuple[int, Callable[[], DivisorClass]]:
-        x_l, x_k, x = boundary(rng)
-        if curves_nonpositive and sign(x_k - s * x_l) < 0:
-            drawn: list[int] = []
-
-            def build_later() -> DivisorClass:
-                if not drawn:
-                    drawn.extend(rng.randint(0, 10) for _ in curves)
-                return _add_weighted_curves(x(), curves, drawn)
-
-            return -1, build_later
-        weights = [rng.randint(0, 10) for _ in curves]
-        gamma_l = x_l + Fraction(sum(map(mul, weights, c_l)), l_den)
-        gamma_k = x_k + Fraction(sum(map(mul, weights, c_k)), k_den)
-        return sign(gamma_k - s * gamma_l), lambda: _add_weighted_curves(x(), curves, weights)
-
-    return draw
-
-
-def _null_base(model: BlowupModel) -> DivisorClass | None:
-    """c*L - (E_1 + ... + E_k) with c^2*A^2 = k for the least k <= r with c rational, or None."""
-    for k in range(1, model.r + 1):
-        c = exact_sqrt(Fraction(k) / model.base.a_sq)
-        if c is not None and is_rational(c):
-            coords = list(c * v for v in model.base.a_Y)
-            coords += [Fraction(-1)] * k + [Fraction(0)] * (model.r - k)
-            return model.divisor(coords)
-    return None
-
-
-def _boundary_draw(
-    model: BlowupModel,
-) -> Callable[[random.Random], tuple[Fraction, Fraction, Callable[[], DivisorClass]]]:
-    """Random rational class x on the boundary of the positive cone: (x.L, x.K, builder of x).
-
-    Moves the null base b (from ``_null_base``) along a random integer
-    direction d, one ``rng.randint(-3, 3)`` per coordinate, staying on the
-    null quadric: x = b + t*d with t = -2*b.d/d^2, negated when x.L < 0.  A
-    direction with d^2 = 0 or x.L = 0 is redrawn, at most 32 times before
-    falling back to b.  G*b, G*L and G*K (the lattice's ``_gram_row``,
-    densified) and the Y-block of G are kept as int rows over common
-    denominators, computed once here, so that d^2, b.d, d.L and d.K are
-    integer sums and only t, x.L and x.K are Fractions.
-    Falls back to L, drawing nothing, when the lattice admits no cheap
-    rational null vector.
-    """
-    line, canonical = model.line(), model.canonical()
-    base = _null_base(model)
-    if base is None:
-        fallback = (intersect(line, line), intersect(line, canonical), model.line)
-        return lambda rng: fallback
-    b_l, b_k = intersect(base, line), intersect(base, canonical)
-    m, rank = model.base.rank, model.rank
-    flat, g_den = _over_common_denominator([g for row in model.base.gram_Y for g in row])
-    gram_y = [flat[i : i + m] for i in range(0, m * m, m)]
-    b_row, b_den = _dense_gram_row(base)
-    l_row, l_den = _dense_gram_row(line)
-    k_row, k_den = _dense_gram_row(canonical)
-
-    def draw(rng: random.Random) -> tuple[Fraction, Fraction, Callable[[], DivisorClass]]:
-        for _ in range(32):
-            d = [rng.randint(-3, 3) for _ in range(rank)]
-            y, e = d[:m], d[m:]
-            # g_den * d^2, the one pairing stated outside the lattice: d is a raw
-            # int vector redrawn in the sampler's hot loop, so it skips building a
-            # class for _gram_row.  Y-block by the integer Gram rows, E_i^2 = -1.
-            d_sq = sum(a * sum(map(mul, row, y)) for a, row in zip(y, gram_y) if a)
-            d_sq -= g_den * sum(map(mul, e, e))
-            if d_sq == 0:
-                continue
-            t = Fraction(-2 * g_den * sum(map(mul, b_row, d)), b_den * d_sq)
-            x_l = b_l + t * Fraction(sum(map(mul, l_row, d)), l_den)
-            # x = 0 forces x.L = 0, so this redraw also covers the zero class
-            if x_l == 0:
-                continue
-            x_k = b_k + t * Fraction(sum(map(mul, k_row, d)), k_den)
-            flip = x_l < 0
-
-            def build() -> DivisorClass:
-                x = base + t * model.divisor(d)
-                return -x if flip else x
-
-            return (-x_l, -x_k, build) if flip else (x_l, x_k, build)
-        return b_l, b_k, lambda: base
-
-    return draw
-
-
-def _dense_gram_row(v: DivisorClass) -> tuple[list[int], int]:
-    """G*v of a rational class as a dense int row over its least common denominator."""
-    row = dict(_gram_row(v))
-    return _over_common_denominator([row.get(j, 0) for j in range(v.model.rank)])
-
-
-def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """(nums, den) with values[i] = nums[i]/den over the least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den

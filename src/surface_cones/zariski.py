@@ -139,8 +139,7 @@ def _add_weighted_curves(
 ) -> DivisorClass:
     """x + sum w_i C_i, with the weighted sum accumulated in ints over the curves' supports.
 
-    ``list_decomposition_check`` and the falsification sampler in
-    ``thresholds`` both build their samples with it.
+    ``list_decomposition_check`` builds its samples with it.
     """
     total = [0] * len(x.coords)
     for weight, record in zip(weights, curves):
@@ -275,8 +274,9 @@ def list_decomposition_check(
     """Sample the cone generated by the list and confirm both decomposition directions.
 
     Forward: random nonnegative combinations of list curves and positive-cone
-    classes decompose and reconstruct exactly.  Reverse: each listed curve is
-    extremal, i.e. its own decomposition is the trivial one.
+    classes decompose, and each decomposition passes ``check_invariants``
+    (reconstruction and P in the positive cone included).  Reverse: each
+    listed curve is extremal, i.e. its own decomposition is the trivial one.
     """
     reconstruction: list[str] = []
     for k in range(samples):
@@ -284,12 +284,9 @@ def list_decomposition_check(
         x = _random_cone_element(model, rng)
         y = _add_weighted_curves(x, curves, [rng.randint(0, 10) for _ in curves])
         try:
-            decomposition = ne_decompose(y, curves)
+            decomposition = zariski_decompose(y, curves)
         except ZariskiError as exc:
             reconstruction.append(f"sample {k}: {exc}")
-            continue
-        if decomposition.P + decomposition.negative_part() != y:
-            reconstruction.append(f"sample {k}: reconstruction mismatch")
             continue
         violated = decomposition.check_invariants()
         if violated is not None:

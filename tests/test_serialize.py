@@ -281,6 +281,13 @@ def planted_t_off_alpha():
     return doc
 
 
+def planted_gamma_null():
+    """The p2_r11 from-s witness with gamma and lambda null: its alpha holds, but no gamma."""
+    _, _, doc = from_s_witness_doc()
+    doc.update({"gamma": None, "lambda": None})
+    return doc
+
+
 def planted_p_outside_positive_cone():
     """p2_r10, curves E_1..E_10, D = L - E_1 - ... - E_4: no curve meets D negatively, D^2 = -3."""
     model = p2_blowup(10)
@@ -299,6 +306,7 @@ def planted_p_outside_positive_cone():
         pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),
         pytest.param(planted_t_below_one, "alpha_dot_C_nonpos", id="t_below_one"),
         pytest.param(planted_t_off_alpha, "alpha_identity", id="t_off_alpha"),
+        pytest.param(planted_gamma_null, "gamma_identity", id="gamma_null"),
         pytest.param(planted_p_outside_positive_cone, "P_in_positive_cone", id="p_outside_cone"),
     ],
 )

@@ -1,6 +1,7 @@
 """Zariski decomposition: worked instances, invariants, oracle agreement."""
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import random
@@ -405,3 +406,28 @@ class TestListDecompositionCheck:
         a = list_decomposition_check(model, curves, samples=30, seed=5)
         b = list_decomposition_check(model, curves, samples=30, seed=5)
         assert a == b
+
+    def test_sample_outside_the_cone_names_p_in_positive_cone(self, monkeypatch):
+        # L - 3E_1 meets L positively but has square -8; with no curves P is the sample
+        model = p2_blowup(10)
+        outside = model.line() - 3 * model.exceptional(1)
+        monkeypatch.setattr(zariski, "_random_cone_element", lambda model, rng: outside)
+        report = list_decomposition_check(model, [], samples=3, seed=0)
+        assert not report.passed
+        assert report.reconstruction_failures == tuple(
+            f"sample {k}: P_in_positive_cone" for k in range(3)
+        )
+
+    def test_wrong_sum_names_decomposition_sum(self, monkeypatch):
+        model = p2_blowup(10)
+        original = zariski.zariski_decompose
+
+        def shifted(divisor, curves):
+            decomposition = original(divisor, curves)
+            return dataclasses.replace(decomposition, P=decomposition.P + model.line())
+
+        monkeypatch.setattr(zariski, "zariski_decompose", shifted)
+        report = list_decomposition_check(model, [], samples=2, seed=0)
+        assert report.reconstruction_failures == tuple(
+            f"sample {k}: decomposition_sum" for k in range(2)
+        )
