@@ -394,7 +394,6 @@ def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
     if not condition.satisfied:
         sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
         return 2
-    values = thresholds.s_monotonicity(ctx, bounds.nu)
     main = thresholds.cone_equality_check(model, inp.curves, bounds.nu, bounds.pi)
     labels = strict_inclusion.condition_sets(model)
     intervals = strict_inclusion.solve_s_system(model) if labels else []
@@ -413,16 +412,17 @@ def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
     report = {
         "command": "analyze",
         "seed": args.seed,
-        # echoed only: the certificates prove what a sampler would test
+        # echoed only: the lemma proves what a sampler would test
         "samples": args.samples,
         "input": inp.doc,
         "segre_bounds": dataclasses.asdict(bounds),
         "condition": _condition_json(condition),
-        "thresholds": [scalar_to_json(v) for v in values],
+        "thresholds": [scalar_to_json(v) for v in main.thresholds],
         "main_theorem": {
             "s": scalar_to_json(main.s),
-            "certificates": len(main.certificates),
-            "certificates_valid": sum(1 for c in main.certificates if c.valid),
+            # the curves decided and those trapped: see cone_equality_check
+            "certificates": len(main.trapped),
+            "certificates_valid": sum(main.trapped),
             # empty whenever "passed" can be true: see cone_equality_check
             "counterexamples": [],
             "passed": main.passed,

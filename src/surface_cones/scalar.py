@@ -162,27 +162,6 @@ class Scalar:
     def __neg__(self):
         return Scalar(_neg(self._a), _neg(self._b), self._d)
 
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return self if sign(self) >= 0 else -self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return _inv(self) ** (-exponent)
-        result: Exact = Fraction(1)
-        base: Exact = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = _mul(result, base)
-            base = _mul(base, base)
-            n >>= 1
-        return result
-
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):

@@ -16,12 +16,13 @@ from .errors import CertificateError, MalformedValueError, ModelValidationError
 from .lattice import BlowupModel, DivisorClass, SurfaceModel, parse_int, parse_rational
 from .scalar import scalar_from_json, scalar_to_json
 from .strict_inclusion import (
+    RECORDED_WITNESS_CHECKS,
     StrictInclusionWitness,
     WitnessConstruction,
     alpha_checks,
     gamma_checks,
 )
-from .thresholds import RayContainmentCert, first_failing, ray_checks
+from .thresholds import RECORDED_RAY_CHECKS, RayContainmentCert, first_failing, ray_checks
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
 
 RAY_KIND = "ray_containment"
@@ -251,6 +252,7 @@ def verify_certificate(doc) -> VerifyResult:
 
 
 def _verify_ray(doc) -> str | None:
+    """The builder's ``ray_checks`` on the document's fields, then ``recorded_checks``."""
     model = blowup_from_json(doc)
     try:
         curve = curve_from_json(model, doc["curve"])
@@ -271,8 +273,16 @@ def _verify_ray(doc) -> str | None:
         alpha=divisor_from_json(model, doc["alpha"], "alpha"),
         delta=parse_rational(doc["delta"], "delta"),
     )
+    checks["recorded_checks"] = _recorded_checks_hold(doc, RECORDED_RAY_CHECKS)
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None
+
+
+def _recorded_checks_hold(doc, names) -> bool:
+    """``checks`` maps exactly ``names``, in any key order, to JSON true; ``failing`` is null."""
+    checks = doc.get("checks")
+    exact = checks == dict.fromkeys(names, True) and all(v is True for v in checks.values())
+    return exact and "failing" in doc and doc["failing"] is None
 
 
 def _verify_zariski(doc) -> str | None:
@@ -308,7 +318,7 @@ def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
 def _verify_strict(doc) -> str | None:
     """The builders' ``alpha_checks`` and ``gamma_checks`` on the document's fields.
 
-    A document without ``gamma`` fails ``gamma_identity``, after the alpha list.
+    Without ``gamma`` it fails ``gamma_identity`` after the alpha list; ``recorded_checks`` is last.
     """
     model = blowup_from_json(doc)
     if not doc.get("valid", False):
@@ -333,5 +343,8 @@ def _verify_strict(doc) -> str | None:
         lam = _scalar_from_json(doc["lambda"], "lambda")
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
         checks.update(gamma_checks(gamma, curve, lam, alpha))
+    # only a from-s witness has D_t, so only it records delta_t_nonneg, the first name
+    recorded = RECORDED_WITNESS_CHECKS if t is not None else RECORDED_WITNESS_CHECKS[1:]
+    checks["recorded_checks"] = _recorded_checks_hold(doc, recorded)
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None

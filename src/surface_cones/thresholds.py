@@ -19,10 +19,10 @@ on r that these constructions need; ``check_conditions``, the ray
 certificates and the strict-inclusion solver all read it (or its
 ``first_bound`` and ``k_minus_sl_sq``) from there.  ``ray_checks`` is the one
 list of ray-certificate invariants, shared by the builder and ``verify``.
-``cone_equality_check`` certifies a curve list at s = s_nu; by the lemma in
-its docstring, valid certificates prove that the part of the generated cone
-pairing nonnegatively with K - s_nu L lies inside the positive cone, so
-nothing is left to sample.
+``cone_equality_check`` decides each listed curve by C.(K - s_n L) <= -1,
+which its docstring proves equivalent to a valid certificate; by the lemma
+there, trapped curves put the part of the generated cone pairing
+nonnegatively with K - s_nu L inside the positive cone.
 """
 
 from __future__ import annotations
@@ -246,6 +246,12 @@ def _curve_type(curve: NegativeCurveRecord) -> tuple[int, int]:
     return int(-curve.self_int), int(curve.genus)
 
 
+def _require_not_contracted(curve: NegativeCurveRecord, c_dot_l: Exact) -> None:
+    """General points exclude a curve with C.L = 0 other than an E_i."""
+    if sign(c_dot_l) == 0 and not curve.is_exceptional:
+        raise PreconditionError("contracted curve is not exceptional; general points exclude it")
+
+
 def ray_certificate(
     model: BlowupModel,
     curve: NegativeCurveRecord,
@@ -267,10 +273,7 @@ def ray_certificate(
     expected = s_threshold(ctx, level)
     if compare(s, expected) != 0:
         raise PreconditionError(f"s = {s} is not the threshold for level {level}")
-    if sign(curve.dot(model.line())) == 0 and not curve.is_exceptional:
-        raise PreconditionError(
-            "contracted curve is not exceptional; general points exclude it"
-        )
+    _require_not_contracted(curve, curve.dot(model.line()))
     condition = ctx.r_condition(n, 2 * p + n - 1)
     k_minus_sl = model.canonical() - s * model.line()
     u = curve.dot(k_minus_sl)
@@ -388,40 +391,49 @@ def k_minus_sl_h_negative(model: BlowupModel, s: Exact, delta: Fraction) -> Exac
 
 @dataclass(frozen=True)
 class ConeEqualityReport:
-    nu: int
-    pi: int
-    s: Exact
+    """One ``trapped`` verdict per listed curve, in list order; ``thresholds`` is s_1..s_nu."""
+
     condition: ConditionCheck
-    certificates: tuple[RayContainmentCert, ...]
+    thresholds: tuple[Exact, ...]
+    trapped: tuple[bool, ...]
+
+    @property
+    def s(self) -> Exact:
+        return self.thresholds[-1]
 
     @property
     def passed(self) -> bool:
-        return self.condition.satisfied and all(c.valid for c in self.certificates)
+        return self.condition.satisfied and all(self.trapped)
 
 
 def cone_equality_check(
-    model: BlowupModel,
-    curves: Sequence[NegativeCurveRecord],
-    nu: int,
-    pi: int,
+    model: BlowupModel, curves: Sequence[NegativeCurveRecord], nu: int, pi: int
 ) -> ConeEqualityReport:
-    """Certify every listed ray at its own level; valid certificates prove cone equality at s_nu.
+    """Decide each listed curve by one comparison; all trapped proves cone equality at s_nu.
 
-    Each curve is certified at its own threshold s_n, with s_n <= s_nu
-    verified exactly.  A curve whose C^2 is not an integer has no level and
-    raises :class:`PreconditionError`, as does a type outside the
-    (nu, pi) range; a violated r-condition raises :class:`ThresholdError`.
+    A non-integral C^2, a type outside the (nu, pi) range or a contracted
+    curve other than an E_i raises :class:`PreconditionError`; a violated
+    r-condition raises :class:`ThresholdError`.  A curve of type (n, p) is
+    trapped when u = C.(K - s_n L) = 2p - 2 + n - s_n*C.L <= -1 and, if
+    C.L < 0, C.L >= A.K_Y; when A^2 > 1/(4r), that is when its ray
+    certificate at level n is valid.
 
-    Lemma.  Write v = K - s_nu L, so v^2 = -1/nu.  A valid certificate of
-    C_i at its level n_i gives t0_i*C_i = alpha_i + (s_nu - s_{n_i})*L + v
-    with t0_i > 0, alpha_i null and forward, and s_nu - s_{n_i} >= 0, so
-    t0_i*C_i is v plus a class of Pos-bar.  Hence any x = p + sum w_i C_i,
-    with p in Pos-bar and w_i >= 0, is p' + lambda*v with p' in Pos-bar and
+    Exactness.  For every admissible (n, p), r_condition(1, 2pi + nu - 1)
+    gives s_n >= s_1 >= q = 2p + n - 1 >= 0.  So u <= -1 gives a real
+    t0 = (-u + sqrt(u^2 - 1))/n >= 1/n and a null alpha = t0*C - (K - s_n L),
+    with alpha.L = t0*C.L + sqrt(D_n/4), which is >= 0 when C.L >= 0.  When
+    C.L < 0, u = q - 1 - s_n*C.L <= -1 forces q = 0, s_n = 0 and t0 = 1, so
+    alpha.L = C.L - A.K_Y.  A null alpha is forward (or 0) exactly when
+    alpha.L >= 0; as |alpha.(sum E_i)| <= sqrt(r/A^2)*|alpha.L|, so is
+    alpha.(L - delta*sum E_i) at the builder's delta = 1/(2r) if A^2 > 1/(4r).
+
+    Lemma.  Write v = K - s_nu L, so v^2 = -1/nu.  A trapped C_i of level n_i
+    gives t0_i*C_i = alpha_i + (s_nu - s_{n_i})*L + v, with t0_i > 0, alpha_i
+    in Pos-bar and s_nu >= s_{n_i}.  So any x = p + sum w_i C_i, with p in
+    Pos-bar and w_i >= 0, is p' + lambda*v with p' in Pos-bar and
     lambda = sum w_i/t0_i >= 0.  If x.v >= 0, then p'.v >= lambda/nu, so
     x^2 = p'^2 + 2*lambda*(p'.v) - lambda^2/nu >= p'^2 + lambda^2/nu >= 0
-    and x.p' = p'^2 + lambda*(p'.v) >= 0: x lies in Pos-bar.  So no class of
-    the generated cone pairing nonnegatively with v leaves the positive cone
-    whenever ``passed`` holds, and no sample can falsify it.  NE-bar is the
+    and x.p' = p'^2 + lambda*(p'.v) >= 0: x lies in Pos-bar.  NE-bar is the
     closure of Pos-bar plus the negative-curve rays; when the Segre Problem
     holds for (nu, pi) every negative curve has a type in that range, and
     the parts of NE-bar and Pos-bar on which v is nonnegative coincide.  The
@@ -433,19 +445,20 @@ def cone_equality_check(
         raise ThresholdError(
             f"conditions for (nu, pi) = ({nu}, {pi}) fail", binding=condition.binding
         )
-    for record in curves:
-        n, p = _curve_type(record)
+    types = [_curve_type(record) for record in curves]
+    for record, (n, p) in zip(curves, types):
         if not 1 <= n <= nu:
             raise PreconditionError(
                 f"curve with self-intersection {record.self_int} outside 1 <= n <= {nu}"
             )
         if not 0 <= p <= pi:
             raise PreconditionError(f"curve with genus {record.genus} outside 0 <= p <= {pi}")
-    s = s_threshold(ctx, nu)
-    certificates = tuple(certify_list(model, curves))
-    for certificate in certificates:
-        if compare(certificate.s, s) > 0:
-            raise InternalConsistencyError("curve threshold exceeds the top threshold")
-    return ConeEqualityReport(
-        nu=nu, pi=pi, s=s, condition=condition, certificates=certificates
-    )
+    values = tuple(s_monotonicity(ctx, nu))
+    line = model.line()
+    trapped = []
+    for record, (n, p) in zip(curves, types):
+        d = record.dot(line)
+        _require_not_contracted(record, d)
+        u = 2 * p - 2 + n - values[n - 1] * d
+        trapped.append(compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK))
+    return ConeEqualityReport(condition, values, tuple(trapped))

@@ -170,8 +170,7 @@ class ZariskiDecomposition:
 
     def check_invariants(self) -> str | None:
         """Name of the first violated invariant, or None when all hold; ``verify`` runs it too."""
-        n = self.negative_part()
-        if self.P + n != self.divisor:
+        if self.P + self.negative_part() != self.divisor:
             return "decomposition_sum"
         if any(a < 0 for a in self.coeffs.values()):
             return "coefficients_nonnegative"
@@ -180,8 +179,6 @@ class ZariskiDecomposition:
             return "P_orthogonal_to_support"
         if any(as_fraction(v) < 0 for v in pairings):
             return "P_nef_against_list"
-        if intersect(self.P, n) != 0:
-            return "P_dot_N_zero"
         support = self.support
         gram = [[self.curves[i].dot(self.curves[j].cls) for j in support] for i in support]
         if not linalg.is_negative_definite(gram):
@@ -217,10 +214,8 @@ def zariski_decompose(
             gram = [[curves[i].dot(curves[j].cls) for j in support] for i in support]
             if not linalg.is_negative_definite(gram):
                 raise ZariskiError("curve list violates Hodge index")
-            rhs = [pairings[i] for i in support]
-            solution = linalg.solve_linear(gram, rhs)
-            if solution is None:
-                raise ZariskiError("curve list violates Hodge index")
+            # a negative definite Gram matrix is invertible, so this always solves
+            solution = linalg.solve_linear(gram, [pairings[i] for i in support])
             coeffs = dict(zip(support, solution))
             candidate = divisor
             for i in support:

@@ -29,6 +29,7 @@ from surface_cones.strict_inclusion import (
 )
 from surface_cones.thresholds import (
     ThresholdContext,
+    certify_list,
     check_conditions,
     cone_equality_check,
     k_minus_sl_h_negative,
@@ -205,16 +206,17 @@ def test_criterion_7_counterexample_detectors():
 
 
 def test_criterion_8_main_theorem_falsification_sampling():
-    # valid certificates at levels s_n <= s_nu prove that no class of the
-    # generated cone pairing nonnegatively with K - s_nu L leaves the positive
-    # cone (the lemma of cone_equality_check), so no sample can falsify it
+    # trapped curves at levels s_n <= s_nu prove that no class of the generated
+    # cone pairing nonnegatively with K - s_nu L leaves the positive cone (the
+    # lemma of cone_equality_check), so no sample can falsify it; each verdict
+    # is the validity of the explicit certificate, built here as the oracle
     model = p2_blowup(12)
     curves = standard_minus_one_records(model)
     report = cone_equality_check(model, curves, 1, 0)
     assert report.passed
     assert report.s == make_scalar(-3, 1, 11)
-    assert len(report.certificates) == 78
-    for cert in report.certificates:
-        assert cert.valid
+    certificates = certify_list(model, curves)
+    assert report.trapped == tuple(c.valid for c in certificates) == (True,) * 78
+    for cert in certificates:
         assert compare(cert.s, report.s) <= 0
-    print("ACCEPTANCE 8 [PASS] 78 valid certificates at s_n <= s_1: cone equality proved")
+    print("ACCEPTANCE 8 [PASS] 78 curves trapped at s_n <= s_1, each a valid certificate")

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,19 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", "--input", "fixture:p2_r9", "--samples", "5"], capsys)
         assert code == 2
         assert "binding" in err
+
+    def test_k3_with_a_minus_two_curve(self, capsys):
+        # the pullback of the base's (-2)-curve and E_1..E_3 at r = 37, (nu, pi) = (2, 1):
+        # analyze decides each curve by u <= -1 and builds no t0; certify-ray still
+        # builds t0 for the (-2)-curve, whose square root lies in a second quadratic field
+        path = str(Path(__file__).parent / "data" / "k3_minus_two_curve_r37.json")
+        code, out, _ = run_cli(["analyze", "--input", path], capsys)
+        assert code == 0
+        main = json.loads(out)["main_theorem"]
+        assert (main["certificates"], main["certificates_valid"], main["passed"]) == (4, 4, True)
+        code, _, err = run_cli(["certify-ray", "--input", path], capsys)
+        assert code == 1
+        assert err.startswith("error: mixed radicands: cannot combine")
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -1,7 +1,9 @@
 """Round trips and the standalone verifier, including tamper detection."""
 
 import functools
+import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,24 +19,35 @@ from helpers import (
 from surface_cones import cli, serialize
 from surface_cones.errors import CertificateError, MalformedValueError, ModelValidationError
 from surface_cones.lattice import intersect
-from surface_cones.scalar import make_scalar, scalar_from_json, scalar_to_json, sqrt_scalar
+from surface_cones.scalar import (
+    compare,
+    make_scalar,
+    scalar_from_json,
+    scalar_to_json,
+    sqrt_scalar,
+)
 from surface_cones.strict_inclusion import (
     StrictInclusionWitness,
     WitnessConstruction,
+    alpha_checks,
     alpha_from_s,
+    gamma_checks,
     gamma_witness,
     solve_s_system,
     uniruled_witness,
 )
 from surface_cones.thresholds import (
+    RECORDED_RAY_CHECKS,
+    RayContainmentCert,
     ThresholdContext,
     certify_list,
     orbit_alpha,
     orbit_key,
     ray_certificate,
+    ray_checks,
     s_threshold,
 )
-from surface_cones.zariski import NegativeCurveRecord, zariski_decompose
+from surface_cones.zariski import NegativeCurveRecord, ZariskiDecomposition, zariski_decompose
 
 
 def ray_cert_doc(r: int = 12, curve_index: int = 0):
@@ -296,25 +309,185 @@ def planted_p_outside_positive_cone():
     return serialize.zariski_to_json(zariski_decompose(divisor, curves))
 
 
-@pytest.mark.parametrize(
-    "plant, check",
-    [
-        pytest.param(planted_alpha_dot_k_zero, "alpha_dot_K_positive", id="alpha_dot_k_zero"),
-        pytest.param(planted_delta_zero, "alpha_dot_h_nonneg", id="delta_zero"),
-        pytest.param(lambda: planted_smaller_t0_root(12), "t0_positive", id="smaller_t0_r12"),
-        # t0 in [1/(2n), 1/n): a bound halved to 1/(2n) would accept it
-        pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),
-        pytest.param(planted_t_below_one, "alpha_dot_C_nonpos", id="t_below_one"),
-        pytest.param(planted_t_off_alpha, "alpha_identity", id="t_off_alpha"),
-        pytest.param(planted_gamma_null, "gamma_identity", id="gamma_null"),
-        pytest.param(planted_p_outside_positive_cone, "P_in_positive_cone", id="p_outside_cone"),
-    ],
-)
+def planted_ray_doc(model, cls, level):
+    """A ray certificate of ``cls`` at ``level`` from the formulas alone, recorded as valid.
+
+    s = s_level, u = C.(K - sL), t0 = (-u + sqrt(u^2 - n/level))/n and
+    alpha = t0*C - (K - sL), so alpha^2 = 0 even where the builder refuses
+    the level or the curve.
+    """
+    record = NegativeCurveRecord.from_class(cls)
+    n, p = int(-record.self_int), int(record.genus)
+    s = s_threshold(ThresholdContext.from_model(model), level)
+    k_minus_sl = model.canonical() - s * model.line()
+    u = intersect(cls, k_minus_sl)
+    t0 = (-u + sqrt_scalar(u * u - Fraction(n, level))) / n
+    cert = RayContainmentCert(
+        record, n, p, level, s, t0, t0 * cls - k_minus_sl, Fraction(1, 2 * model.r),
+        dict.fromkeys(RECORDED_RAY_CHECKS, True), True, None,
+    )
+    return serialize.ray_certificate_to_json(model, cert)
+
+
+def planted_curve_level():
+    """L - E_1 - E_2 - E_3, of level n = 2, certified at level 1 on p2_r37, where s_1 = 3."""
+    model = p2_blowup(37)
+    e = model.exceptional
+    return planted_ray_doc(model, model.line() - e(1) - e(2) - e(3), level=1)
+
+
+def planted_curve_pairing_bound():
+    """K_X on p2_r10, of type (1, 0), at level m = 2: u = -1 + 3*s_2 is about -0.753.
+
+    The larger root t0 is at least 1/n exactly when u <= -(1 + n/m)/2, which
+    needs m > n.  Where the r-inequality holds, s_m >= s_n >= q >= 0 makes
+    u <= -1 for C.L >= 0, so u > -1 needs C.L < 0, hence q = 0: only a
+    (-1)-class with C.L < 0 and s_m*|C.L| <= (1 - 1/m)/2 keeps every earlier
+    check true.  Here s_1 = 0, C.L = -3 and 3*s_2 = 3*sqrt(19/2) - 9 <= 1/4.
+    """
+    model = p2_blowup(10)
+    doc = planted_ray_doc(model, model.canonical(), level=2)
+    u = intersect(model.canonical(), model.canonical() - scalar_from_json(doc["s"]) * model.line())
+    assert compare(u, -1) > 0 and compare(u, Fraction(-3, 4)) <= 0
+    return doc
+
+
+def planted_r_inequality():
+    """The genus-1 cubic 3L - E_1 - ... - E_10 at r = 10, which needs r >= 26."""
+    model = p2_blowup(10)
+    return planted_ray_doc(model, model.divisor([3] + [-1] * 10), level=1)
+
+
+def planted_smaller_s_root():
+    """The p2_r12 certificate with s the smaller root: the roots sum to 2*A.K_Y/A^2."""
+    doc = ray_cert_doc()
+    ctx = ThresholdContext.from_model(p2_blowup(12))
+    doc["s"] = scalar_to_json(2 * ctx.AK / ctx.A_sq - s_threshold(ctx, 1))
+    return doc
+
+
+def planted_alpha_not_null():
+    doc = ray_cert_doc()
+    doc["alpha"][2] = "5"
+    return doc
+
+
+def planted_recorded_checks_false():
+    """The p2_r12 certificate with every recorded check false and a bogus failing name."""
+    doc = ray_cert_doc()
+    doc.update(checks=dict.fromkeys(doc["checks"], False), failing="bogus")
+    return doc
+
+
+def planted_witness_checks_false():
+    _, _, doc = from_s_witness_doc()
+    doc["checks"] = dict.fromkeys(doc["checks"], False)
+    return doc
+
+
+def planted_gamma(lambda_of):
+    """The p2_r11 from-s witness with gamma = C + lambda*alpha for lambda = lambda_of(alpha)."""
+    model, _, doc = from_s_witness_doc()
+    alpha = serialize.divisor_from_json(model, doc["alpha"], "alpha")
+    lam = lambda_of(alpha)
+    gamma = model.exceptional(1) + lam * alpha
+    doc.update({"lambda": scalar_to_json(lam), "gamma": serialize.divisor_to_json(gamma)})
+    return doc
+
+
+def planted_zariski(classes, divisor, P, coeffs):
+    """A decomposition document on p2_r10; classes, divisor and P as coordinate lists."""
+    model = p2_blowup(10)
+
+    def cls(coords):
+        return model.divisor(coords + [0] * (11 - len(coords)))
+
+    curves = tuple(NegativeCurveRecord.from_class(cls(c)) for c in classes)
+    return serialize.zariski_to_json(ZariskiDecomposition(cls(divisor), cls(P), coeffs, curves))
+
+
+PLANTED = [
+    pytest.param(planted_alpha_dot_k_zero, "alpha_dot_K_positive", id="alpha_dot_k_zero"),
+    pytest.param(planted_delta_zero, "alpha_dot_h_nonneg", id="delta_zero"),
+    pytest.param(lambda: planted_smaller_t0_root(12), "t0_positive", id="smaller_t0_r12"),
+    # t0 in [1/(2n), 1/n): a bound halved to 1/(2n) would accept it
+    pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),
+    pytest.param(planted_t_below_one, "alpha_dot_C_nonpos", id="t_below_one"),
+    pytest.param(planted_t_off_alpha, "alpha_identity", id="t_off_alpha"),
+    pytest.param(planted_gamma_null, "gamma_identity", id="gamma_null"),
+    pytest.param(planted_p_outside_positive_cone, "P_in_positive_cone", id="p_outside_cone"),
+    pytest.param(planted_curve_level, "curve_level", id="level_below_n"),
+    pytest.param(planted_curve_pairing_bound, "curve_pairing_bound", id="pairing_above_minus_one"),
+    pytest.param(planted_r_inequality, "r_inequality", id="cubic_at_r10"),
+    pytest.param(planted_smaller_s_root, "s_threshold", id="smaller_s_root"),
+    pytest.param(planted_alpha_not_null, "alpha_sq_zero", id="alpha_not_null"),
+    pytest.param(planted_recorded_checks_false, "recorded_checks", id="ray_checks_false"),
+    pytest.param(planted_witness_checks_false, "recorded_checks", id="witness_checks_false"),
+    # lambda = 1/(2*alpha.C) gives gamma^2 = C^2 + 2*lambda*(alpha.C) = 0
+    pytest.param(
+        lambda: planted_gamma(lambda a: 1 / (2 * intersect(a, a.model.exceptional(1)))),
+        "gamma_sq_negative", id="gamma_null_square",
+    ),
+    # lambda = 1/alpha.K gives gamma.K = C.K + 1 = 0
+    pytest.param(
+        lambda: planted_gamma(lambda a: 1 / intersect(a, a.model.canonical())),
+        "gamma_dot_K_positive", id="gamma_dot_k_zero",
+    ),
+    # P = L + E_1 for D = L
+    pytest.param(
+        lambda: planted_zariski([[0, 1]], [1], [1, 1], {}), "decomposition_sum", id="p_not_d"
+    ),
+    # P = L + E_1 and N = -E_1
+    pytest.param(
+        lambda: planted_zariski([[0, 1]], [1], [1, 1], {0: Fraction(-1)}),
+        "coefficients_nonnegative", id="negative_coefficient",
+    ),
+    # P = L - E_1 and N = E_1: P.N = 1, so P is not orthogonal to the support
+    pytest.param(
+        lambda: planted_zariski([[0, 1]], [1], [1, -1], {0: Fraction(1)}),
+        "P_orthogonal_to_support", id="p_dot_n_one",
+    ),
+    # D = P = L + E_1 with no support, and P.E_1 = -1
+    pytest.param(
+        lambda: planted_zariski([[0, 1]], [1, 1], [1, 1], {}), "P_nef_against_list",
+        id="p_meets_e1_negatively",
+    ),
+    # E_1 and L - E_1 - E_2 have Gram [[-1, 1], [1, -1]]; P = L - E_2 meets both in 0
+    pytest.param(
+        lambda: planted_zariski(
+            [[0, 1], [1, -1, -1]], [2, 0, -2], [1, 0, -1], {0: Fraction(1), 1: Fraction(1)}
+        ),
+        "support_negative_definite", id="singular_support",
+    ),
+]
+
+
+@pytest.mark.parametrize("plant, check", PLANTED)
 def test_planted_boundary_document(tmp_path, capsys, plant, check):
     """A document at the boundary of one check: verify exits 3 naming that check first."""
     code, err = verify_exit(plant(), tmp_path, capsys)
     assert code == 3
     assert err == f"certificate 0: {check} violated\n"
+
+
+def test_planted_table_covers_every_check():
+    model = p2_blowup(12)
+    cert = certify_list(model, standard_minus_one_records(model))[0]
+    names = set(
+        ray_checks(
+            model, cert.curve, cert.n, cert.p, cert.level, cert.s, cert.t0, cert.alpha, cert.delta
+        )
+    )
+    model, _, doc = from_s_witness_doc()
+    curve = model.exceptional(1)
+    alpha = serialize.divisor_from_json(model, doc["alpha"], "alpha")
+    s, t = scalar_from_json(doc["s"]), scalar_from_json(doc["t"])
+    names |= set(alpha_checks(alpha, curve, Fraction(doc["delta"]), s, t))
+    names |= set(gamma_checks(curve + alpha, curve, 1, alpha))
+    source = inspect.getsource(ZariskiDecomposition.check_invariants)
+    names |= set(re.findall(r'return "(\w+)"', source))
+    assert len(names) == 19
+    assert names <= {param.values[1] for param in PLANTED}
 
 
 def test_zariski_refuses_the_planted_input(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Thresholds, r-conditions, ray certificates, and the cone-equality check."""
 
 import dataclasses
+import json
+import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,10 +21,15 @@ from helpers import (
     p2_surface,
     standard_minus_one_records,
 )
-from surface_cones import serialize
+from surface_cones import serialize, thresholds
 from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
-from surface_cones.errors import InternalConsistencyError, PreconditionError, ThresholdError
+from surface_cones.errors import (
+    InternalConsistencyError,
+    MixedRadicandError,
+    PreconditionError,
+    ThresholdError,
+)
 from surface_cones.lattice import BlowupModel, DivisorClass, SurfaceModel, intersect
 from surface_cones.scalar import (
     as_fraction,
@@ -30,6 +38,7 @@ from surface_cones.scalar import (
     sign,
     sqrt_scalar,
 )
+from surface_cones.segre import segre_bounds
 from surface_cones.thresholds import (
     ConditionCheck,
     ThresholdContext,
@@ -43,6 +52,8 @@ from surface_cones.thresholds import (
     s_threshold,
 )
 from surface_cones.zariski import NegativeCurveRecord
+
+DATA = Path(__file__).parent / "data"
 
 
 def ctx_p2(r: int) -> ThresholdContext:
@@ -442,7 +453,8 @@ class TestMainTheorem:
         report = cone_equality_check(model, curves, 1, 0)
         assert report.passed
         assert report.s == make_scalar(-3, 1, 11)
-        assert all(c.valid for c in report.certificates)
+        assert report.trapped == tuple(c.valid for c in certify_list(model, curves))
+        assert report.trapped == (True,) * 78
 
     def test_conditions_checked_before_sampling(self):
         model = p2_blowup(9)
@@ -459,8 +471,8 @@ class TestMainTheorem:
             cone_equality_check(model, [record], 1, 0)
 
     def test_mixed_levels_certified_at_own_thresholds(self):
-        # (nu, pi) = (2, 1) on the plane needs r >= 9 + 1 + 9 + 18 = 37;
-        # each curve is certified at its own s_n with s_n <= s_nu verified
+        # (nu, pi) = (2, 1) on the plane needs r >= 9 + 1 + 9 + 18 = 37; each
+        # curve is decided at its own s_n, and its certificate has s_n <= s_nu
         model = BlowupModel(p2_surface(), 37)
         records = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in (1, 2)]
         cls = model.pullback([1])
@@ -469,8 +481,11 @@ class TestMainTheorem:
         records.append(NegativeCurveRecord.from_class(cls))
         report = cone_equality_check(model, records, 2, 1)
         assert report.passed
-        assert [c.level for c in report.certificates] == [1, 1, 2]
-        for cert in report.certificates:
+        assert report.thresholds == tuple(s_monotonicity(ThresholdContext.from_model(model), 2))
+        certificates = certify_list(model, records)
+        assert [c.level for c in certificates] == [1, 1, 2]
+        assert report.trapped == tuple(c.valid for c in certificates) == (True,) * 3
+        for cert in certificates:
             assert compare(cert.s, report.s) <= 0
 
     def test_deterministic_given_seed(self):
@@ -479,7 +494,7 @@ class TestMainTheorem:
         a = cone_equality_check(model, curves, 1, 0)
         b = cone_equality_check(model, curves, 1, 0)
         assert a.passed and b.passed
-        assert [c.alpha for c in a.certificates] == [c.alpha for c in b.certificates]
+        assert (a.thresholds, a.trapped) == (b.thresholds, b.trapped)
 
     @pytest.mark.parametrize("r, lo, hi", [(10, 3001, 3162), (12, 2764, 2886)])
     def test_lemma_on_the_generated_cone(self, r, lo, hi):
@@ -520,6 +535,155 @@ class TestMainTheorem:
         x = model.line() - 3 * model.exceptional(1)
         assert intersect(x, model.canonical()) == 0
         assert outside_the_lemma(x, 0)
+
+
+def certificate_outcome(model, record):
+    """The builder's verdict on one curve at its own level, or its precondition text."""
+    n = int(-record.self_int)
+    s = s_threshold(ThresholdContext.from_model(model), n)
+    try:
+        return ray_certificate(model, record, s, level=n).valid
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def lemma_outcome(model, record):
+    """``cone_equality_check``'s verdict on one curve, at (nu, pi) its own type, or its text."""
+    n, p = int(-record.self_int), int(record.genus)
+    try:
+        return cone_equality_check(model, [record], n, p).trapped[0]
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# (surface fields, a_Y choices): integral a_Y and a_Y with denominators 2 and 3
+DIFFERENTIAL_BASES = [
+    (dict(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(-3,)), [(1,), (Fraction(1, 2),), (Fraction(1, 3),)]),
+    (
+        dict(chi=2, kY_sq=0, gram_Y=((4, 1), (1, -2)), k_Y=(0, 0)),
+        [(1, 0), (Fraction(1, 2), 0), (1, Fraction(1, 3))],
+    ),
+    (dict(chi=2, kY_sq=0, gram_Y=((2,),), k_Y=(0,)), [(1,), (Fraction(1, 2),), (Fraction(2, 3),)]),
+    (
+        dict(chi=1, kY_sq=0, gram_Y=((0, 1), (1, 0)), k_Y=(0, 0)),
+        [(1, 1), (Fraction(1, 2), 1), (1, Fraction(1, 3))],
+    ),
+]
+
+
+def draw_curve(rng):
+    """A random integral class of type (n, p), n <= 4, p <= 3, at an r where (n, p) is admissible.
+
+    r starts at the combined condition's bound, where s_n can equal q, and
+    the E-block may be positive, so C.L < 0 and contracted classes occur.
+    """
+    spec, a_choices = rng.choice(DIFFERENTIAL_BASES)
+    gram, k_y = spec["gram_Y"], spec["k_Y"]
+    base = [rng.randint(-3, 3) for _ in gram]
+    e_block = [rng.choice((-3, -2, -1, -1, 0, 0, 1)) for _ in range(rng.randint(0, 6))]
+
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+
+    square = pair(base, base) - sum(e * e for e in e_block)
+    c_dot_k = pair(base, k_y) - sum(e_block)
+    n, p = -square, (square + c_dot_k) // 2 + 1
+    if not (1 <= n <= 4 and 0 <= p <= 3):
+        return None
+    surface = SurfaceModel(a_Y=rng.choice(a_choices), **spec)
+    condition = ThresholdContext.from_model(BlowupModel(surface, 0)).r_condition(1, 2 * p + n - 1)
+    r = max(len(e_block), math.ceil(condition.bound) + condition.strict) + rng.randint(0, 3)
+    if not 1 <= r <= 60:
+        return None
+    model = BlowupModel(surface, r)
+    coords = base + e_block + [0] * (r - len(e_block))
+    return model, NegativeCurveRecord.from_class(model.divisor(coords))
+
+
+def k3_reproducer():
+    """The K3 input on which the builder crashes: the pullback of a (-2)-curve and E_1..E_3."""
+    doc = json.loads((DATA / "k3_minus_two_curve_r37.json").read_text())
+    model = serialize.blowup_from_json(doc)
+    return model, [serialize.curve_from_json(model, c) for c in doc["curves"]]
+
+
+def quadric_canonical():
+    """K_X on P1xP1 blown up at 9 points, a (-1)-class of genus 0."""
+    surface = SurfaceModel(chi=1, kY_sq=8, gram_Y=((0, 1), (1, 0)), k_Y=(-2, -2), a_Y=(1, 1))
+    model = BlowupModel(surface, 9)
+    return model, NegativeCurveRecord.from_class(model.canonical())
+
+
+class TestDecidedByTheLemma:
+    """``cone_equality_check`` decides each curve by u <= -1; ``ray_certificate`` is the oracle."""
+
+    @pytest.mark.parametrize("name", ["p2_r10", "p2_r12", "p2_r17", "k3_generic"])
+    def test_builds_no_certificate(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cone_equality_check built a certificate")
+
+        monkeypatch.setattr(thresholds, "certify_list", refuse)
+        monkeypatch.setattr(thresholds, "ray_certificate", refuse)
+        doc = load_fixture(name)
+        model = serialize.blowup_from_json(doc)
+        curves = [serialize.curve_from_json(model, c) for c in doc["curves"]]
+        bounds = segre_bounds(model.base.chi)
+        report = cone_equality_check(model, curves, bounds.nu, bounds.pi)
+        assert report.passed and len(report.trapped) == len(curves)
+
+    def test_contracted_curve_raises_at_the_same_index(self):
+        model = p2_blowup(17)
+        e = model.exceptional
+        classes = [e(1), model.pullback([1]) - e(1) - e(2), e(3) - e(4), e(5), e(4) - e(3)]
+        curves = [NegativeCurveRecord.from_class(c) for c in classes]
+        with pytest.raises(PreconditionError) as expected:
+            certify_list(model, curves)
+        assert cone_equality_check(model, curves[:2], 2, 0).trapped == (True, True)
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(expected.value))}$"):
+            cone_equality_check(model, curves, 2, 0)
+
+    def test_k_x_on_the_quadric_at_r9(self):
+        # C.L = A.K_Y = -4 < 0 forces s_1 = 0 and t0 = 1, so alpha = C - K = 0
+        model, record = quadric_canonical()
+        assert record.dot(model.line()) == -4
+        cert = ray_certificate(model, record, Fraction(0), level=1)
+        assert cert.valid and cert.alpha.is_zero()
+        assert lemma_outcome(model, record) is True
+
+    def test_backward_alpha_is_not_trapped(self):
+        # C = K - f with f = 3L - E_1 - ... - E_9 null and K-orthogonal at r = 10:
+        # u = C.K = -1, but alpha = C - K = -f has alpha.L = C.L - A.K_Y = -3 < 0
+        model = p2_blowup(10)
+        record = NegativeCurveRecord.from_class(model.divisor([-6] + [2] * 9 + [1]))
+        assert (record.self_int, record.genus, record.dot(model.line())) == (-1, 0, -6)
+        assert certificate_outcome(model, record) is False
+        assert lemma_outcome(model, record) is False
+        # with a_Y = 1/10, A^2 = 1/100 < 1/(4r): h = L - sum E_i/20 has h^2 < 0, so a
+        # recorded delta no longer shows alpha forward, and only the lemma's C.L >= A.K_Y does
+        surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
+        model = BlowupModel(surface, 10)
+        record = NegativeCurveRecord.from_class(model.divisor([-6] + [2] * 9 + [1]))
+        assert intersect(record.cls - model.canonical(), model.line()) == Fraction(-3, 10)
+        assert lemma_outcome(model, record) is False
+
+    def test_verdict_equals_the_certificate(self):
+        rng = random.Random(19)
+        compared = untrapped = raised = skipped = 0
+        drawn = [draw_curve(rng) for _ in range(20000)]
+        model, curves = k3_reproducer()
+        drawn += [(model, c) for c in curves] + [quadric_canonical()]
+        for entry in filter(None, drawn):
+            model, record = entry
+            try:
+                expected = certificate_outcome(model, record)
+            except MixedRadicandError:
+                skipped += 1
+                continue
+            assert lemma_outcome(model, record) == expected, (model, record.cls.coords)
+            compared += 1
+            untrapped += expected is False
+            raised += isinstance(expected, str)
+        assert compared >= 1500 and untrapped >= 1 and raised >= 1 and skipped >= 1
 
 
 class TestCurveLevel:
