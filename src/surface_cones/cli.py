@@ -117,16 +117,16 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
 
     ``nu`` and ``pi`` are read together into ``bounds``; without them, and
     for ``chi``, ``bounds`` is derived from chi, which must be an integer.
-    ``curves`` defaults to the exceptional classes.
+    ``curves`` defaults to the exceptional classes, one S_r-orbit: E_1 is
+    validated and moved to each other E_i.
     """
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
         curves = serialize._curves_from_json(model, doc["curves"])
     else:
-        curves = [
-            zariski.NegativeCurveRecord.from_class(model.exceptional(i))
-            for i in range(1, model.r + 1)
-        ]
+        exceptional = [model.exceptional(i) for i in range(1, model.r + 1)]
+        curves = [zariski.NegativeCurveRecord.from_class(e) for e in exceptional[:1]]
+        curves += [curves[0]._moved(e) for e in exceptional[1:]]
     parsed = _Input(doc, model, curves)
     if "nu" in reads and ("nu" in doc or "pi" in doc):
         nu = parse_int(doc.get("nu", 1), "nu")
@@ -505,14 +505,10 @@ def _orbit_entry(doc) -> _OrbitEntry | None:
     rest = {k: v for k, v in doc.items() if k != "alpha"}
     rest["curve"] = {k: v for k, v in curve.items() if k != "coords"}
     try:
-        return _OrbitEntry((_canonical(rest), orbit), coords, tuple(map(_canonical, alpha)), m)
+        key = (serialize._canonical(rest), orbit)
+        return _OrbitEntry(key, coords, tuple(map(serialize._canonical, alpha)), m)
     except (TypeError, ValueError):
         return None
-
-
-def _canonical(value) -> str:
-    """Type-strict canonical JSON: 1, 1.0, true and "1" all differ."""
-    return json.dumps(value, sort_keys=True)
 
 
 # Each model command's handler and the fields it reads besides surface, r and curves;

@@ -309,23 +309,23 @@ class DivisorClass:
 
 
 def intersect(x: DivisorClass, y: DivisorClass) -> Exact:
-    """Intersection pairing on the blow-up: x.y = sum_j x_j (G*y)_j over ``_gram_row(y)``."""
+    """Intersection pairing on the blow-up: x.y = sum_j x_j (G*y)_j over y's ``_gram_row``."""
     x._check_model(y)
-    return _pair_row(x.coords, _gram_row(y))
+    return _pair_row(x.coords, _gram_row(y.model, y.coords))
 
 
-def _gram_row(v: DivisorClass) -> list[tuple[int, Exact]]:
-    """The nonzero entries ``(j, (G*v)_j)`` of the Gram matrix times v, ints where integral.
+def _gram_row(model: BlowupModel, coords: Sequence) -> list[tuple[int, Exact]]:
+    """The nonzero entries ``(j, (G*v)_j)`` of G times v = ``coords``, ints where integral.
 
     The one statement of the blow-up pairing: gram_Y times v's Y-block, then
     (G*v)_i = -v_i on the E-block, since the E_i are orthogonal to Y and to
     each other with E_i^2 = -1.  Zero coordinates and Gram entries are skipped.
+    The coordinates may be exact values or, for an integral class, plain ints.
     """
-    coords = v.coords
-    m = v.model.base.rank
+    m = model.base.rank
     y_block = [(i, _integral(c)) for i, c in enumerate(coords[:m]) if c]
     row = []
-    for j, gram in enumerate(v.model.base.gram_Y):
+    for j, gram in enumerate(model.base.gram_Y):
         value = sum(_integral(gram[i]) * c for i, c in y_block if gram[i])
         if value:
             row.append((j, _integral(value)))

@@ -9,6 +9,7 @@ dispatch.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any
 
@@ -22,12 +23,23 @@ from .strict_inclusion import (
     alpha_checks,
     gamma_checks,
 )
-from .thresholds import RECORDED_RAY_CHECKS, RayContainmentCert, first_failing, ray_checks
+from .thresholds import (
+    RECORDED_RAY_CHECKS,
+    RayContainmentCert,
+    first_failing,
+    orbit_key,
+    ray_checks,
+)
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
 
 RAY_KIND = "ray_containment"
 ZARISKI_KIND = "zariski_decomposition"
 STRICT_KIND = "strict_inclusion"
+
+
+# json.dumps(value, sort_keys=True) from one reused encoder; type-strict, so that
+# 1, 1.0, true and "1" all differ
+_canonical = json.JSONEncoder(sort_keys=True).encode
 
 
 def _number_to_json(value: Fraction):
@@ -161,10 +173,49 @@ def curve_from_json(model: BlowupModel, doc, field: str = "curve") -> NegativeCu
 
 
 def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
-    """The ``curves`` list of a document: records named ``curves[i]``."""
+    """The ``curves`` list of a document: records named ``curves[i]``, one parse per S_r-orbit.
+
+    Equals ``curve_from_json`` on each entry, errors included.  An entry's key
+    is the ``orbit_key`` of its coordinates and the canonical JSON of its
+    other fields.  The first entry of each key is parsed by ``curve_from_json``;
+    a later one is a permutation of the E_i applied to that entry, which
+    preserves every check of the record, so it cannot fail and takes the
+    record ``_moved`` to its coordinates, read through one memo of raw JSON
+    values.  An entry without a key (not an object, coordinates not all ints
+    or all strings, fields that are not JSON) is parsed in full.
+    """
     if not isinstance(doc, list):
         raise MalformedValueError(f"must be a list of curve records, got {doc!r}", "curves")
-    return [curve_from_json(model, c, f"curves[{i}]") for i, c in enumerate(doc)]
+    m = model.base.rank
+    first: dict[tuple, NegativeCurveRecord] = {}
+    values: dict = {}  # raw JSON coordinate -> its parsed value
+    records = []
+    for i, entry in enumerate(doc):
+        key = _curve_key(entry, m)
+        record = first.get(key)
+        if record is None:
+            record = curve_from_json(model, entry, f"curves[{i}]")
+            if key is not None:
+                first[key] = record
+                values.update(zip(entry["coords"], record.cls.coords))
+        else:
+            coords = tuple(map(values.__getitem__, entry["coords"]))
+            record = record._moved(DivisorClass(model, coords))
+        records.append(record)
+    return records
+
+
+def _curve_key(entry, m: int) -> tuple | None:
+    """(orbit key of the coordinates, canonical JSON of the other fields), or None."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
+        return None
+    orbit = orbit_key(entry["coords"], m)
+    if orbit is None:
+        return None
+    try:
+        return orbit, _canonical({k: v for k, v in entry.items() if k != "coords"})
+    except (TypeError, ValueError):
+        return None
 
 
 def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dict[str, Any]:

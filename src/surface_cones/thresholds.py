@@ -143,26 +143,36 @@ def delta_cap(model: BlowupModel) -> Fraction:
 
 
 def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None:
-    """Largest delta = cap/2^k with alpha.(L - delta*sum E_i) >= 0, or None.
+    """Largest delta = cap/2^k with r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0, or None.
 
-    Each candidate is one pairing with ``ample_h(delta)``, which raises
-    :class:`PreconditionError` for a cap <= 0.  The pairing with L is fixed,
-    so halving terminates whenever it is positive; the choice is
-    deterministic and recorded in certificates.
+    h = L - delta*sum E_i has h^2 = A^2 - r*delta^2, so the first candidate
+    is the largest cap/2^k that puts h inside the positive cone, where a
+    null alpha pairs nonnegatively with h exactly when it is forward.  Each
+    candidate is one pairing with ``ample_h(delta)``, which raises
+    :class:`PreconditionError` for a cap <= 0.  The choice is deterministic
+    and recorded in certificates.
     """
+    model = alpha.model
     delta = cap
+    while delta > 0 and model.r * delta * delta >= model.base.a_sq:
+        delta = delta / 2
     for _ in range(64):
-        if sign(intersect(alpha, alpha.model.ample_h(delta))) >= 0:
+        if sign(intersect(alpha, model.ample_h(delta))) >= 0:
             return delta
         delta = delta / 2
     return None
 
 
 def alpha_dot_h_nonneg(alpha: DivisorClass, delta: Fraction | None) -> bool:
-    """alpha.(L - delta*sum E_i) >= 0 for a recorded delta > 0; False without one."""
-    if delta is None or delta <= 0:
+    """alpha.h >= 0 for h = L - delta*sum E_i at a recorded delta > 0 with r*delta^2 < A^2.
+
+    False without such a delta: only then is h in the positive cone, so that
+    alpha.h >= 0 shows a null alpha forward.
+    """
+    model = alpha.model
+    if delta is None or delta <= 0 or model.r * delta * delta >= model.base.a_sq:
         return False
-    return sign(intersect(alpha, alpha.model.ample_h(delta))) >= 0
+    return sign(intersect(alpha, model.ample_h(delta))) >= 0
 
 
 def first_failing(checks: dict[str, bool]) -> str | None:
@@ -192,7 +202,8 @@ def ray_checks(
     (``ctx.r_condition(n, 2p + n - 1)``), ``s_threshold`` (s is the larger
     root of (K - sL)^2 = -1/level), ``alpha_sq_zero``, ``t0_positive``
     (t0 >= 1/n), ``alpha_identity`` (alpha = t0*C - (K - sL)),
-    ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_dot_h_nonneg``.
+    ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_dot_h_nonneg``
+    (r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0).
     """
     ctx = ThresholdContext.from_model(model)
     k_minus_sl = model.canonical() - s * model.line()
@@ -415,8 +426,10 @@ def cone_equality_check(
     curve other than an E_i raises :class:`PreconditionError`; a violated
     r-condition raises :class:`ThresholdError`.  A curve of type (n, p) is
     trapped when u = C.(K - s_n L) = 2p - 2 + n - s_n*C.L <= -1 and, if
-    C.L < 0, C.L >= A.K_Y; when A^2 > 1/(4r), that is when its ray
-    certificate at level n is valid.
+    C.L < 0, C.L >= A.K_Y; that is when its ray certificate at level n is
+    valid.  The verdict depends on (n, p, C.L) and, through the contracted
+    curve test, on whether C is an E_i, so it is computed once per distinct
+    such key, at its first curve in list order, where any raise happens.
 
     Exactness.  For every admissible (n, p), r_condition(1, 2pi + nu - 1)
     gives s_n >= s_1 >= q = 2p + n - 1 >= 0.  So u <= -1 gives a real
@@ -424,8 +437,8 @@ def cone_equality_check(
     with alpha.L = t0*C.L + sqrt(D_n/4), which is >= 0 when C.L >= 0.  When
     C.L < 0, u = q - 1 - s_n*C.L <= -1 forces q = 0, s_n = 0 and t0 = 1, so
     alpha.L = C.L - A.K_Y.  A null alpha is forward (or 0) exactly when
-    alpha.L >= 0; as |alpha.(sum E_i)| <= sqrt(r/A^2)*|alpha.L|, so is
-    alpha.(L - delta*sum E_i) at the builder's delta = 1/(2r) if A^2 > 1/(4r).
+    alpha.L >= 0, and so exactly when alpha.(L - delta*sum E_i) >= 0 at the
+    builder's delta, whose h lies inside the positive cone (r*delta^2 < A^2).
 
     Lemma.  Write v = K - s_nu L, so v^2 = -1/nu.  A trapped C_i of level n_i
     gives t0_i*C_i = alpha_i + (s_nu - s_{n_i})*L + v, with t0_i > 0, alpha_i
@@ -455,10 +468,14 @@ def cone_equality_check(
             raise PreconditionError(f"curve with genus {record.genus} outside 0 <= p <= {pi}")
     values = tuple(s_monotonicity(ctx, nu))
     line = model.line()
+    verdicts: dict[tuple, bool] = {}
     trapped = []
     for record, (n, p) in zip(curves, types):
         d = record.dot(line)
-        _require_not_contracted(record, d)
-        u = 2 * p - 2 + n - values[n - 1] * d
-        trapped.append(compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK))
+        key = (n, p, d, record.is_exceptional)
+        if key not in verdicts:
+            _require_not_contracted(record, d)
+            u = 2 * p - 2 + n - values[n - 1] * d
+            verdicts[key] = compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK)
+        trapped.append(verdicts[key])
     return ConeEqualityReport(condition, values, tuple(trapped))

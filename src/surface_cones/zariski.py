@@ -10,8 +10,10 @@ All curves with negative pairing are added per round, which makes the
 output independent of list order.
 
 Each record keeps its class's integer support and the nonzero entries of
-G*C, computed once when the record is built; every pairing with a listed
-curve, here and in the ray builder, is ``NegativeCurveRecord.dot`` over them.
+G*C; every pairing with a listed curve, here and in the ray builder, is
+``NegativeCurveRecord.dot`` over them.  A record is validated when it is
+built, except a record moved from a validated one by a permutation of the
+E_i, which keeps that record's checked fields (``NegativeCurveRecord._moved``).
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ class NegativeCurveRecord:
     """A declared integral curve class with negative self-intersection.
 
     ``support`` holds the ``(index, int)`` pairs of the nonzero coordinates
-    of ``cls``.  It is computed once, when the record is built, together
-    with the nonzero entries of G*C, the Gram matrix times C; C^2, C.K and
-    the exceptional test are read from them, and :meth:`dot` pairs any class
-    with C over them.
+    of ``cls``.  The constructor computes it together with the nonzero
+    entries of G*C, the Gram matrix times C, and reads C^2, C.K and the
+    exceptional test from them; :meth:`_moved` copies a validated record to
+    the image of its class under a permutation of the E_i, computing only
+    these two.  :meth:`dot` pairs any class with C over them.
     """
 
     cls: DivisorClass
@@ -96,6 +99,19 @@ class NegativeCurveRecord:
             _form=form,
         )
 
+    def _moved(self, image: DivisorClass) -> "NegativeCurveRecord":
+        """The record of ``image``, the image of ``cls`` under a permutation of the E_i.
+
+        The permutation fixes K and preserves the pairing, so C^2, C.K and the
+        one-1-in-the-E-block pattern, hence ``self_int``, ``genus`` and
+        ``is_exceptional``, carry over unchecked; ``support`` and G*C are read
+        from ``image``, whose coordinates are integral Fractions like ``cls``'s.
+        """
+        support, gram_row = _support_and_row(image.model, [c.numerator for c in image.coords])
+        moved = object.__new__(NegativeCurveRecord)
+        moved.__dict__.update(vars(self), cls=image, support=support, _gram_row=gram_row)
+        return moved
+
     def dot(self, x: DivisorClass) -> Exact:
         """x.C = sum_j x_j (G*C)_j; equal to ``intersect(x, self.cls)``.
 
@@ -110,23 +126,27 @@ class NegativeCurveRecord:
 def _integer_form(divisor: DivisorClass) -> tuple | None:
     """(support, G*C, C^2, C.K) of an integral class; None unless every coordinate is an integer.
 
-    G*C is the lattice's ``_gram_row``; C^2 and C.K pair C and the model's
-    canonical class with it.
+    Each coordinate is read once, into an int; G*C is the lattice's
+    ``_gram_row`` of those ints, C^2 their sum against it and C.K the model's
+    canonical class paired with it.
     """
-    coords = divisor.coords
-    support = []
-    for i, c in enumerate(coords):
+    ints = []
+    for c in divisor.coords:
         if type(c) is not Fraction:
             return None
         numerator, denominator = c.as_integer_ratio()
         if denominator != 1:
             return None
-        if numerator:
-            support.append((i, numerator))
-    gram_row = _gram_row(divisor)
-    square = _pair_row(coords, gram_row)
+        ints.append(numerator)
+    support, gram_row = _support_and_row(divisor.model, ints)
+    square = Fraction(sum(ints[j] * w for j, w in gram_row))
     c_dot_k = _pair_row(divisor.model.canonical().coords, gram_row)
-    return tuple(support), tuple(gram_row), square, c_dot_k
+    return support, gram_row, square, c_dot_k
+
+
+def _support_and_row(model: BlowupModel, ints: list[int]) -> tuple:
+    """The nonzero ``(index, int)`` coordinates of an integral class and its ``_gram_row``."""
+    return tuple((i, c) for i, c in enumerate(ints) if c), tuple(_gram_row(model, ints))
 
 
 def _is_exceptional(model: BlowupModel, support) -> bool:

@@ -126,6 +126,22 @@ class TestCertifyAndVerify:
         assert code == 3
         assert "alpha_sq_zero violated" in err
 
+    def test_backward_alpha_below_a_quarter_r(self, capsys, tmp_path):
+        # a_Y = 1/10 at r = 10: A^2 = 1/100 <= 1/(4r), so h = L - sum E_i/20 has h^2 < 0;
+        # the curve's null alpha has alpha.L = -3/10 and no delta with r*delta^2 < A^2 takes it
+        path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")
+        code, out, err = run_cli(["certify-ray", "--input", path], capsys)
+        assert (code, err) == (2, "1 certificate(s) invalid: alpha_dot_h_nonneg\n")
+        doc = json.loads(out)
+        cert = doc["certificates"][0]
+        assert (cert["delta"], cert["valid"]) == (None, False)
+        assert cert["failing"] == "alpha_dot_h_nonneg"
+        # the document an earlier builder wrote, with delta 1/(2r) and every check true
+        cert.update(delta="1/20", valid=True, failing=None)
+        cert["checks"]["alpha_dot_h_nonneg"] = True
+        code, _, err = run_cli(["verify", write_json(tmp_path, "old.json", doc)], capsys)
+        assert (code, err) == (3, "certificate 0: alpha_dot_h_nonneg violated\n")
+
     def test_truncated_json_exit_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "ray_containment", "surface"')

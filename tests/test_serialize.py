@@ -17,7 +17,13 @@ from helpers import (
     standard_minus_one_records,
 )
 from surface_cones import cli, serialize
-from surface_cones.errors import CertificateError, MalformedValueError, ModelValidationError
+from surface_cones import zariski
+from surface_cones.errors import (
+    CertificateError,
+    MalformedValueError,
+    ModelValidationError,
+    SurfaceConesError,
+)
 from surface_cones.lattice import intersect
 from surface_cones.scalar import (
     compare,
@@ -675,6 +681,157 @@ class TestOrbitVerify:
         assert outcome(cli._verify_documents, documents) == outcome(
             reference_verify, documents
         )
+
+
+def plane_curve_entries(r: int, spell) -> list[dict]:
+    """All E_i, then all L - E_i - E_j, at r: two orbits; coordinates written by ``spell``."""
+    records = standard_minus_one_records(p2_blowup(r))
+    return [{"coords": [spell(int(c)) for c in record.cls.coords]} for record in records]
+
+
+def declared_entries(r: int) -> list[dict]:
+    """The same list as ``curve_to_json`` writes it: str coords, declared fields."""
+    return [serialize.curve_to_json(record) for record in standard_minus_one_records(p2_blowup(r))]
+
+
+def record_fields(record) -> tuple:
+    fields = (
+        record.cls, record.self_int, record.genus, record.is_exceptional, record.support,
+        record._gram_row,
+    )
+    return fields, tuple(map(type, fields))
+
+
+def per_curve(model, entries):
+    """The curve list as read before orbits: ``curve_from_json`` on each entry."""
+    return [serialize.curve_from_json(model, c, f"curves[{i}]") for i, c in enumerate(entries)]
+
+
+def parse_outcome(parse, model, entries):
+    """Each record's fields, or the error's class, text and field."""
+    try:
+        return [record_fields(record) for record in parse(model, entries)]
+    except SurfaceConesError as exc:
+        return type(exc), str(exc), getattr(exc, "field", None)
+
+
+def curve_list(name: str) -> tuple:
+    """(model, curve entries) of a fixture, or of an r = 17 plane list in one spelling."""
+    if name.startswith("plane_r17"):
+        spelling = name.removeprefix("plane_r17_")
+        entries = {
+            "int": plane_curve_entries(17, int),
+            "str": plane_curve_entries(17, str),
+            "declared": declared_entries(17),
+        }[spelling]
+        return p2_blowup(17), entries
+    doc = cli.load_fixture(name)
+    return serialize.blowup_from_json(doc), doc["curves"]
+
+
+FIXTURES = [
+    "abelian", "enriques", "k3_generic", "p2_r1", "p2_r9", "p2_r10", "p2_r11", "p2_r12", "p2_r17"
+]
+
+
+def set_self_int(entry):
+    entry["self_int"] = -2
+
+
+def bool_coordinate(entry):
+    entry["coords"][0] = False
+
+
+def extra_key(entry):
+    entry["note"] = "moved"
+
+
+def string_coordinates(entry):
+    entry["coords"] = [str(c) for c in entry["coords"]]
+
+
+def flip_exceptional(entry):
+    entry["is_exceptional"] = not entry.get("is_exceptional", False)
+
+
+def drop_genus(entry):
+    entry.pop("genus", None)
+
+
+def float_self_int(entry):
+    entry["self_int"] = float(entry.get("self_int", -1))
+
+
+MEMBER_EDITS = {
+    f.__name__: f
+    for f in (
+        set_self_int, bool_coordinate, extra_key, string_coordinates, flip_exceptional,
+        drop_genus, float_self_int,
+    )
+}
+
+
+class TestCurvesPerOrbit:
+    """``serialize._curves_from_json`` parses one entry per S_r-orbit and moves it to the rest."""
+
+    @pytest.mark.parametrize(
+        "name", FIXTURES + ["plane_r17_int", "plane_r17_str", "plane_r17_declared"]
+    )
+    def test_records_equal_the_per_curve_parse(self, name):
+        model, entries = curve_list(name)
+        assert parse_outcome(serialize._curves_from_json, model, entries) == parse_outcome(
+            per_curve, model, entries
+        )
+
+    def test_default_exceptional_list(self):
+        model = p2_blowup(17)
+        parsed = cli._parse(serialize.blowup_to_json(model), ())
+        built = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, 18)]
+        assert list(map(record_fields, parsed.curves)) == list(map(record_fields, built))
+
+    def test_p2_r17_validates_two_records(self, monkeypatch):
+        calls = []
+        original = zariski._integer_form
+        monkeypatch.setattr(zariski, "_integer_form", lambda d: calls.append(d) or original(d))
+        model, entries = curve_list("p2_r17")
+        assert len(serialize._curves_from_json(model, entries)) == 153
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("spelling", ["int", "declared"])
+    @pytest.mark.parametrize("edit", sorted(MEMBER_EDITS))
+    @pytest.mark.parametrize("index", [5, 16, 40, 152])  # later members of both orbits
+    def test_edited_member_matches_the_per_curve_parse(self, spelling, edit, index):
+        model, entries = curve_list(f"plane_r17_{spelling}")
+        MEMBER_EDITS[edit](entries[index])
+        expected = parse_outcome(per_curve, model, entries)
+        assert parse_outcome(serialize._curves_from_json, model, entries) == expected
+
+    def test_edited_member_errors_name_its_field(self):
+        model, entries = curve_list("plane_r17_declared")
+        set_self_int(entries[40])
+        assert parse_outcome(serialize._curves_from_json, model, entries) == (
+            ModelValidationError,
+            "curves[40].self_int: declared self-intersection -2 but class squares to -1",
+            "curves[40].self_int",
+        )
+        model, entries = curve_list("plane_r17_int")
+        bool_coordinate(entries[40])
+        assert parse_outcome(serialize._curves_from_json, model, entries)[1:] == (
+            "curves[40].coords[0]: not a serialized scalar: False",
+            "curves[40].coords[0]",
+        )
+
+
+NESTED = {"b": {"d": 1, "c": [2, {"f": 0, "e": 1}]}, "a": None}
+
+
+@pytest.mark.parametrize("value", [1, 1.0, True, "1", None, "Zariski–Fujita é", NESTED])
+def test_canonical_encoder_equals_json_dumps(value):
+    assert serialize._canonical(value) == json.dumps(value, sort_keys=True)
+
+
+def test_canonical_encoder_is_type_strict():
+    assert len({serialize._canonical(v) for v in (1, 1.0, True, "1")}) == 4
 
 
 class TestZariskiVerification:

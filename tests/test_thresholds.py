@@ -42,10 +42,12 @@ from surface_cones.segre import segre_bounds
 from surface_cones.thresholds import (
     ConditionCheck,
     ThresholdContext,
+    alpha_dot_h_nonneg,
     certify_list,
     check_conditions,
     choose_positive_delta,
     cone_equality_check,
+    delta_cap,
     k_minus_sl_h_negative,
     ray_certificate,
     s_monotonicity,
@@ -571,13 +573,24 @@ DIFFERENTIAL_BASES = [
 ]
 
 
-def draw_curve(rng):
+# a_Y with A^2 <= 1/(4r) at every admissible r: h = L - delta*sum E_i needs delta < 1/(2r)
+SMALL_A_BASES = [
+    (dict(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(-3,)), [(Fraction(1, 10),), (Fraction(1, 20),)]),
+    (dict(chi=2, kY_sq=0, gram_Y=((2,),), k_Y=(0,)), [(Fraction(1, 10),)]),
+    (
+        dict(chi=1, kY_sq=0, gram_Y=((0, 1), (1, 0)), k_Y=(0, 0)),
+        [(Fraction(1, 10), Fraction(1, 9))],
+    ),
+]
+
+
+def draw_curve(rng, bases=DIFFERENTIAL_BASES):
     """A random integral class of type (n, p), n <= 4, p <= 3, at an r where (n, p) is admissible.
 
     r starts at the combined condition's bound, where s_n can equal q, and
     the E-block may be positive, so C.L < 0 and contracted classes occur.
     """
-    spec, a_choices = rng.choice(DIFFERENTIAL_BASES)
+    spec, a_choices = rng.choice(bases)
     gram, k_y = spec["gram_Y"], spec["k_Y"]
     base = [rng.randint(-3, 3) for _ in gram]
     e_block = [rng.choice((-3, -2, -1, -1, 0, 0, 1)) for _ in range(rng.randint(0, 6))]
@@ -658,13 +671,68 @@ class TestDecidedByTheLemma:
         assert (record.self_int, record.genus, record.dot(model.line())) == (-1, 0, -6)
         assert certificate_outcome(model, record) is False
         assert lemma_outcome(model, record) is False
-        # with a_Y = 1/10, A^2 = 1/100 < 1/(4r): h = L - sum E_i/20 has h^2 < 0, so a
-        # recorded delta no longer shows alpha forward, and only the lemma's C.L >= A.K_Y does
+        # with a_Y = 1/10, A^2 = 1/100 < 1/(4r): h = L - sum E_i/20 has h^2 < 0 and pairs
+        # nonnegatively with this backward alpha, so the builder takes only deltas with
+        # r*delta^2 < A^2, and none of them shows alpha forward
         surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
         model = BlowupModel(surface, 10)
         record = NegativeCurveRecord.from_class(model.divisor([-6] + [2] * 9 + [1]))
-        assert intersect(record.cls - model.canonical(), model.line()) == Fraction(-3, 10)
+        alpha = record.cls - model.canonical()
+        assert intersect(alpha, model.line()) == Fraction(-3, 10)
+        assert sign(intersect(alpha, model.ample_h(Fraction(1, 20)))) >= 0
+        assert not alpha_dot_h_nonneg(alpha, Fraction(1, 20))
+        assert certificate_outcome(model, record) is False
         assert lemma_outcome(model, record) is False
+
+    def test_decided_once_per_type(self, monkeypatch):
+        # p2_r17's 153 curves are E_i and L - E_i - E_j: two values of (n, p, C.L, E_i or not)
+        doc = load_fixture("p2_r17")
+        model = serialize.blowup_from_json(doc)
+        curves = serialize._curves_from_json(model, doc["curves"])
+        bounds = segre_bounds(model.base.chi)
+        calls = []
+        monkeypatch.setattr(thresholds, "compare", lambda x, y: calls.append(x) or compare(x, y))
+        report = cone_equality_check(model, curves, bounds.nu, bounds.pi)
+        assert report.passed and len(report.trapped) == 153
+        assert len(calls) - (bounds.nu - 1) == 2  # s_monotonicity compares nu - 1 pairs
+
+    def test_types_apart_by_c_dot_l(self):
+        # L - E_1 - E_2 and the backward class above share (n, p) = (1, 0) and neither is
+        # an E_i; only their C.L, 1 and -6, sets their verdicts apart
+        model = p2_blowup(10)
+        e = model.exceptional
+        classes = [model.pullback([1]) - e(1) - e(2), model.divisor([-6] + [2] * 9 + [1])]
+        curves = [NegativeCurveRecord.from_class(c) for c in classes]
+        report = cone_equality_check(model, curves + curves[:1], 1, 0)
+        assert report.trapped == (True, False, True)
+
+    def test_first_contracted_curve_raises(self, monkeypatch):
+        model = p2_blowup(17)
+        e = model.exceptional
+        classes = [e(1), e(3) - e(4), model.pullback([1]) - e(1) - e(2), e(6) - e(5)]
+        curves = [NegativeCurveRecord.from_class(c) for c in classes]
+        checked = []
+        original = thresholds._require_not_contracted
+        monkeypatch.setattr(
+            thresholds,
+            "_require_not_contracted",
+            lambda record, d: checked.append(record) or original(record, d),
+        )
+        with pytest.raises(PreconditionError, match="^contracted curve is not exceptional"):
+            cone_equality_check(model, curves, 2, 0)
+        assert checked == curves[:2]
+
+    def test_contracted_curve_of_an_exceptional_type(self):
+        # a base (-1)-class y with A.y = 0 has the type (1, 0) and the C.L = 0 of an E_i but
+        # is not one, so it does not share E_1's verdict: the check raises at it
+        surface = SurfaceModel(chi=1, kY_sq=8, gram_Y=((1, 0), (0, -1)), k_Y=(-3, 1), a_Y=(1, 0))
+        model = BlowupModel(surface, 10)
+        classes = [model.exceptional(1), model.pullback([0, 1])]
+        curves = [NegativeCurveRecord.from_class(c) for c in classes]
+        assert (curves[1].self_int, curves[1].genus, curves[1].dot(model.line())) == (-1, 0, 0)
+        assert cone_equality_check(model, curves[:1], 1, 0).passed
+        with pytest.raises(PreconditionError, match="^contracted curve is not exceptional"):
+            cone_equality_check(model, curves, 1, 0)
 
     def test_verdict_equals_the_certificate(self):
         rng = random.Random(19)
@@ -684,6 +752,25 @@ class TestDecidedByTheLemma:
             untrapped += expected is False
             raised += isinstance(expected, str)
         assert compared >= 1500 and untrapped >= 1 and raised >= 1 and skipped >= 1
+
+    def test_verdict_equals_the_certificate_below_a_quarter_r(self):
+        rng = random.Random(20)
+        compared = untrapped = 0
+        drawn = [draw_curve(rng, SMALL_A_BASES) for _ in range(3000)]
+        # |C.L| <= 3/10 on the drawn P2 classes; this one has C.L = -6/10 < A.K_Y
+        model = BlowupModel(dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),)), 10)
+        drawn.append((model, NegativeCurveRecord.from_class(model.divisor([-6] + [2] * 9 + [1]))))
+        for entry in filter(None, drawn):
+            model, record = entry
+            assert model.base.a_sq <= Fraction(1, 4 * model.r)
+            try:
+                expected = certificate_outcome(model, record)
+            except MixedRadicandError:
+                continue
+            assert lemma_outcome(model, record) == expected, (model, record.cls.coords)
+            compared += 1
+            untrapped += expected is False
+        assert compared >= 200 and untrapped >= 1
 
 
 class TestCurveLevel:
@@ -754,6 +841,15 @@ class TestDeltaChooser:
         # alpha.(L - delta*(E_1 + E_2)) = cap/2^k - delta: negative until delta = cap/2^k
         alpha = model.divisor([cap / 2**k, -1, 0])
         assert choose_positive_delta(alpha, cap) == cap / 2**k
+
+    def test_first_delta_puts_h_in_the_positive_cone(self):
+        # a_Y = 1/10 at r = 10: r*delta^2 < A^2 = 1/100 first holds at delta = 1/40
+        surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
+        model = BlowupModel(surface, 10)
+        alpha = model.line()
+        assert choose_positive_delta(alpha, delta_cap(model)) == Fraction(1, 40)
+        assert not alpha_dot_h_nonneg(alpha, Fraction(1, 20))
+        assert alpha_dot_h_nonneg(alpha, Fraction(1, 40))
 
     @pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4)])
     def test_nonpositive_cap_rejected(self, cap):
