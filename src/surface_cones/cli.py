@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -73,7 +74,95 @@ def _emit_report(args: argparse.Namespace, report: dict) -> None:
     if args.format == "text":
         _emit(args, _render_text(report))
     else:
-        _emit(args, json.dumps(report, indent=2) + "\n")
+        _emit(args, _indented_json(report) + "\n")
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, indent=2)``, character for character, written by one recursion.
+
+    Strings go through the C ``encode_basestring_ascii``, and a list of only
+    strings or only ints is written with one join.  The types are those
+    ``json`` writes without a ``default``: dicts with string keys, lists,
+    tuples, strings, ints, floats, booleans and None; any other raises
+    TypeError.  Unlike ``json.dumps`` it does not check for cycles.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _float_json(value: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN, Infinity and -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the text of a value of exactly one of these types; subclasses take the isinstance tests
+_ATOMS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is the line break and indent before it."""
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        out.append(atom(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        prefix = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            atom = _ATOMS.get(type(item))
+            if atom is not None:
+                out.append(prefix + _quote(key) + ": " + atom(item))
+            else:
+                out.append(prefix + _quote(key) + ": ")
+                _write_json(item, inner, out)
+            prefix = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        if all(type(item) is str for item in value):
+            out.append("[" + inner + separator.join(map(_quote, value)) + newline + "]")
+        elif all(type(item) is int for item in value):
+            out.append("[" + inner + separator.join(map(int.__repr__, value)) + newline + "]")
+        else:
+            prefix = "[" + inner
+            for item in value:
+                atom = _ATOMS.get(type(item))
+                if atom is not None:
+                    out.append(prefix + atom(item))
+                else:
+                    out.append(prefix)
+                    _write_json(item, inner, out)
+                prefix = separator
+            out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -238,7 +327,7 @@ def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
     if not condition.satisfied:
         sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
         return 2
-    delta = thresholds.delta_cap(model)
+    delta = thresholds.first_delta(model, thresholds.delta_cap(model))
     report = {
         "command": "thresholds",
         "seed": args.seed,

@@ -142,20 +142,29 @@ def delta_cap(model: BlowupModel) -> Fraction:
     return Fraction(1, 2 * model.r) if model.r else Fraction(1, 2)
 
 
-def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None:
-    """Largest delta = cap/2^k with r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0, or None.
+def first_delta(model: BlowupModel, cap: Fraction) -> Fraction:
+    """Largest delta = cap/2^k with r*delta^2 < A^2; ``cap`` itself when cap <= 0.
 
-    h = L - delta*sum E_i has h^2 = A^2 - r*delta^2, so the first candidate
-    is the largest cap/2^k that puts h inside the positive cone, where a
-    null alpha pairs nonnegatively with h exactly when it is forward.  Each
-    candidate is one pairing with ``ample_h(delta)``, which raises
-    :class:`PreconditionError` for a cap <= 0.  The choice is deterministic
-    and recorded in certificates.
+    h = L - delta*sum E_i has h^2 = A^2 - r*delta^2, so this is the largest
+    cap/2^k that puts h inside the positive cone.
     """
-    model = alpha.model
     delta = cap
     while delta > 0 and model.r * delta * delta >= model.base.a_sq:
         delta = delta / 2
+    return delta
+
+
+def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None:
+    """Largest delta = cap/2^k with r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0, or None.
+
+    The first candidate is ``first_delta(model, cap)``, where h is inside the
+    positive cone and a null alpha pairs nonnegatively with h exactly when it
+    is forward.  Each candidate is one pairing with ``ample_h(delta)``, which
+    raises :class:`PreconditionError` for a cap <= 0.  The choice is
+    deterministic and recorded in certificates.
+    """
+    model = alpha.model
+    delta = first_delta(model, cap)
     for _ in range(64):
         if sign(intersect(alpha, model.ample_h(delta))) >= 0:
             return delta

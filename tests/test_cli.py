@@ -2,9 +2,11 @@
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surface_cones import cli
 
@@ -92,6 +94,17 @@ class TestThresholds:
         report = json.loads(out)
         assert report["thresholds"] == [{"a": "-3", "b": "1", "d": "11"}]
         assert report["condition"]["satisfied"] is True
+
+    def test_reported_delta_puts_h_in_the_positive_cone(self, capsys):
+        # a_Y = 1/10 at r = 10: 1/(2r) = 1/20 has r*delta^2 = A^2 = 1/100, so the first
+        # delta inside the cone is 1/40, where (K - s_1 L).h = A.K_Y - s_1*A^2 + r*delta
+        path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")
+        code, out, _ = run_cli(["thresholds", "--input", path], capsys)
+        assert code == 0
+        report = json.loads(out)
+        delta, a_sq = Fraction(report["delta"]), Fraction(1, 100)
+        assert 10 * delta**2 < a_sq
+        assert (report["delta"], report["k_minus_sl_dot_h"]) == ("1/40", "-1/20")
 
     def test_malformed_gram_exit_one(self, capsys, tmp_path):
         doc = {"surface": dict(P2_SURFACE, gram_Y=[[1, 0], [2, -1]], k_Y=[-3, 1], a_Y=[1, 0]),
@@ -605,3 +618,40 @@ class TestInputHandling:
     def test_missing_file_exit_one(self, capsys):
         code, _, _ = run_cli(["analyze", "--input", "/nonexistent/x.json"], capsys)
         assert code == 1
+
+
+JSON_ATOMS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**30, max_value=10**60).map(lambda n: -n if n % 2 else n)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(alphabet=st.characters(min_codepoint=0x80))
+)
+JSON_TREES = st.recursive(
+    JSON_ATOMS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(st.text(max_size=3), max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    """The report writer against ``json.dumps(value, indent=2)``, its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    @example({"a": [], "b": {}, "c": [[]], "d": ({"e": ()},), "\u00e9\u2028": "\ud83d\ude00\x00\""})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**100, True, None])
+    @example(["1", "-1/2", {"a": "1", "b": "1", "d": "2"}, 3, [1, 2], []])
+    def test_equals_json_dumps(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {None: 1}, [Fraction(1, 2)], {"a": {1, 2}}, b"x"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._indented_json(value)

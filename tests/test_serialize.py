@@ -1,5 +1,6 @@
 """Round trips and the standalone verifier, including tamper detection."""
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -24,12 +25,13 @@ from surface_cones.errors import (
     ModelValidationError,
     SurfaceConesError,
 )
-from surface_cones.lattice import intersect
+from surface_cones.lattice import BlowupModel, intersect
 from surface_cones.scalar import (
     compare,
     make_scalar,
     scalar_from_json,
     scalar_to_json,
+    sign,
     sqrt_scalar,
 )
 from surface_cones.strict_inclusion import (
@@ -335,6 +337,24 @@ def planted_ray_doc(model, cls, level):
     return serialize.ray_certificate_to_json(model, cert)
 
 
+def planted_h_on_the_null_cone():
+    """a_Y = 1/8 at r = 16, L - E_1 - E_2 with the built delta 1/64 raised to 1/32.
+
+    At 1/32, r*delta^2 = 1/64 = A^2, so h = L - delta*sum E_i is null, on the
+    boundary of the positive cone, while alpha.h >= 0 still holds there.
+    """
+    surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 8),))
+    model = BlowupModel(surface, 16)
+    e = model.exceptional
+    record = NegativeCurveRecord.from_class(model.pullback([1]) - e(1) - e(2))
+    cert = certify_list(model, [record])[0]
+    assert cert.valid and cert.delta == Fraction(1, 64)
+    assert sign(intersect(cert.alpha, model.ample_h(Fraction(1, 32)))) >= 0
+    doc = serialize.ray_certificate_to_json(model, cert)
+    doc["delta"] = "1/32"
+    return doc
+
+
 def planted_curve_level():
     """L - E_1 - E_2 - E_3, of level n = 2, certified at level 1 on p2_r37, where s_1 = 3."""
     model = p2_blowup(37)
@@ -415,6 +435,7 @@ def planted_zariski(classes, divisor, P, coeffs):
 PLANTED = [
     pytest.param(planted_alpha_dot_k_zero, "alpha_dot_K_positive", id="alpha_dot_k_zero"),
     pytest.param(planted_delta_zero, "alpha_dot_h_nonneg", id="delta_zero"),
+    pytest.param(planted_h_on_the_null_cone, "alpha_dot_h_nonneg", id="h_null"),
     pytest.param(lambda: planted_smaller_t0_root(12), "t0_positive", id="smaller_t0_r12"),
     # t0 in [1/(2n), 1/n): a bound halved to 1/(2n) would accept it
     pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),

@@ -48,6 +48,7 @@ from surface_cones.thresholds import (
     choose_positive_delta,
     cone_equality_check,
     delta_cap,
+    first_delta,
     k_minus_sl_h_negative,
     ray_certificate,
     s_monotonicity,
@@ -81,6 +82,11 @@ class TestSThreshold:
         with pytest.raises(ThresholdError) as info:
             s_threshold(ctx_p2(0), 1)
         assert "r too small" in str(info.value)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_level_below_one_rejected(self, n):
+        with pytest.raises(PreconditionError, match="level must be a positive integer"):
+            ctx_p2(10).delta_quarter(n)
 
     def test_weak_inequality_for_higher_n(self):
         # on a quartic K3 at r = 1 the n = 2 radicand is 4 - 2 = 2 > 0
@@ -848,6 +854,7 @@ class TestDeltaChooser:
         model = BlowupModel(surface, 10)
         alpha = model.line()
         assert choose_positive_delta(alpha, delta_cap(model)) == Fraction(1, 40)
+        assert first_delta(model, delta_cap(model)) == Fraction(1, 40)
         assert not alpha_dot_h_nonneg(alpha, Fraction(1, 20))
         assert alpha_dot_h_nonneg(alpha, Fraction(1, 40))
 

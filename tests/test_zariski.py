@@ -22,16 +22,17 @@ from helpers import (
     p2_surface,
     standard_minus_one_records,
 )
-from surface_cones import serialize, zariski
+from surface_cones import cli, serialize, zariski
 from surface_cones.cli import load_fixture
 from surface_cones.errors import (
     AdjunctionParityError,
     ModelMismatchError,
     ModelValidationError,
     PreconditionError,
+    SurfaceConesError,
     ZariskiError,
 )
-from surface_cones.lattice import BlowupModel, arithmetic_genus, intersect
+from surface_cones.lattice import BlowupModel, SurfaceModel, arithmetic_genus, intersect
 from surface_cones.scalar import as_fraction, is_rational, sqrt_scalar
 from surface_cones.zariski import (
     NegativeCurveRecord,
@@ -431,3 +432,144 @@ class TestListDecompositionCheck:
         assert report.reconstruction_failures == tuple(
             f"sample {k}: decomposition_sum" for k in range(2)
         )
+
+
+def reference_list_check(model, curves, samples, seed):
+    """``list_decomposition_check`` as it was before the Gram rows: every curve decomposed."""
+    reconstruction = []
+    for k in range(samples):
+        rng = random.Random(seed * 1_000_003 + k)
+        x = zariski._random_cone_element(model, rng)
+        y = zariski._add_weighted_curves(x, curves, [rng.randint(0, 10) for _ in curves])
+        try:
+            decomposition = zariski_decompose(y, curves)
+        except ZariskiError as exc:
+            reconstruction.append(f"sample {k}: {exc}")
+            continue
+        violated = decomposition.check_invariants()
+        if violated is not None:
+            reconstruction.append(f"sample {k}: {violated}")
+    extremality = []
+    for i, record in enumerate(curves):
+        try:
+            decomposition = zariski_decompose(record.cls, curves)
+        except (ZariskiError, PreconditionError) as exc:
+            extremality.append(f"curve {i}: {exc}")
+            continue
+        if not decomposition.P.is_zero() or decomposition.coeffs != {i: Fraction(1)}:
+            extremality.append(f"curve {i}: ray decomposed nontrivially")
+    return zariski.DecompositionReport(
+        passed=not reconstruction and not extremality,
+        samples=samples,
+        seed=seed,
+        reconstruction_failures=tuple(reconstruction),
+        extremality_failures=tuple(extremality),
+    )
+
+
+def check_outcome(check, model, curves, samples, seed):
+    """The report, or the class and message of what the check raised."""
+    try:
+        return check(model, curves, samples, seed)
+    except SurfaceConesError as exc:
+        return type(exc), str(exc)
+
+
+def negative_pair_list():
+    """On p2_r10: E_1, E_2, L - E_1 - E_2 - E_3 and L - E_1 - E_2; the last two pair to -1."""
+    model = p2_blowup(10)
+    e, line = model.exceptional, model.line()
+    classes = [e(1), e(2), line - e(1) - e(2) - e(3), line - e(1) - e(2)]
+    return model, [NegativeCurveRecord.from_class(c) for c in classes]
+
+
+def duplicated_list():
+    model = p2_blowup(10)
+    classes = [model.exceptional(i) for i in (1, 2, 3, 2)]
+    return model, [NegativeCurveRecord.from_class(c) for c in classes]
+
+
+def mixed_model_list():
+    """E_1 and E_2 on p2_r3, and E_3 on a plane of the same rank with a_Y = 1/2."""
+    model = p2_blowup(3)
+    other = BlowupModel(dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 2),)), 3)
+    classes = [model.exceptional(1), model.exceptional(2), other.exceptional(3)]
+    return model, [NegativeCurveRecord.from_class(c) for c in classes]
+
+
+def negative_l_list():
+    """On P1xP1 blown up at 9 points: E_1 - E_2, and K_X, a (-1)-class with C.L = -4.
+
+    The two pair to 0, so only the row of K_X fails, on C.L < 0.
+    """
+    surface = SurfaceModel(chi=1, kY_sq=8, gram_Y=((0, 1), (1, 0)), k_Y=(-2, -2), a_Y=(1, 1))
+    model = BlowupModel(surface, 9)
+    classes = [model.exceptional(1) - model.exceptional(2), model.canonical()]
+    return model, [NegativeCurveRecord.from_class(c) for c in classes]
+
+
+def fixture_list(name):
+    def build():
+        parsed = cli._parse(load_fixture(name), ())
+        return parsed.model, parsed.curves
+
+    return build
+
+
+FIXTURES = ("abelian", "enriques", "k3_generic", "p2_r1", "p2_r9", "p2_r10", "p2_r11", "p2_r12",
+            "p2_r17")
+
+LIST_CASES = {
+    **{name: fixture_list(name) for name in FIXTURES},
+    "negative_pair": negative_pair_list,
+    "duplicated": duplicated_list,
+    "mixed_model": mixed_model_list,
+    "negative_l": negative_l_list,
+    "half_gram": lambda: half_gram(6),
+}
+
+
+class TestExtremalityFromTheGram:
+    """``list_decomposition_check`` against the loop that decomposed every listed curve."""
+
+    @pytest.mark.parametrize("case", sorted(LIST_CASES))
+    def test_matches_the_decomposition_loop(self, case):
+        model, curves = LIST_CASES[case]()
+        rng = random.Random(case)
+        for trial in range(3):
+            # the whole list first, then shuffled sublists
+            drawn = list(curves) if trial == 0 else rng.sample(curves, rng.randint(1, len(curves)))
+            samples, seed = rng.randint(0, 2), rng.randrange(1 << 20)
+            expected = check_outcome(reference_list_check, model, drawn, samples, seed)
+            actual = check_outcome(list_decomposition_check, model, drawn, samples, seed)
+            assert actual == expected
+
+    @pytest.mark.parametrize(
+        "case, decomposed, failures",
+        [
+            ("p2_r17", [], ()),
+            ("half_gram", [], ()),
+            # the two curves pairing to -1 fail the row test, yet each decomposes trivially:
+            # only the samples see this list fail
+            ("negative_pair", [2, 3], ()),
+            ("duplicated", [1, 3], ("curve 1: curve list violates Hodge index",
+                                    "curve 3: curve list violates Hodge index")),
+            ("negative_l", [1], ("curve 1: divisor must pair nonnegatively with L",)),
+            ("mixed_model", [0, 1, 2], tuple(
+                f"curve {i}: curve list belongs to a different model" for i in range(3)
+            )),
+        ],
+    )
+    def test_only_failing_rows_are_decomposed(self, monkeypatch, case, decomposed, failures):
+        model, curves = LIST_CASES[case]()
+        calls = []
+        original = zariski.zariski_decompose
+
+        def counting(divisor, listed):
+            calls.append(next(i for i, record in enumerate(curves) if record.cls is divisor))
+            return original(divisor, listed)
+
+        monkeypatch.setattr(zariski, "zariski_decompose", counting)
+        report = list_decomposition_check(model, curves, samples=0, seed=0)
+        assert calls == decomposed
+        assert report.extremality_failures == failures
