@@ -42,8 +42,8 @@ print("all valid:", all(c.valid for c in certs))
 sample = certs[20]
 print(f"sample certificate (curve #{20}): t0 = {sample.t0}")
 print(f"  alpha^2 = {intersect(sample.alpha, sample.alpha)} (exact zero)")
-print(f"  alpha.h sign with delta = {sample.delta}:",
-      sign(intersect(sample.alpha, model.ample_h(sample.delta))))
+print("  alpha.L sign (alpha^2 = 0 and alpha.L > 0 put alpha in the positive cone):",
+      sign(intersect(sample.alpha, model.line())))
 
 doc = ray_certificate_to_json(model, sample)
 print("re-verification from JSON:", verify_certificate(json.loads(json.dumps(doc))).ok)

@@ -327,7 +327,7 @@ def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
     if not condition.satisfied:
         sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
         return 2
-    delta = thresholds.first_delta(model, thresholds.delta_cap(model))
+    delta = thresholds.first_delta(model)
     report = {
         "command": "thresholds",
         "seed": args.seed,
@@ -552,9 +552,9 @@ def _verify_documents(documents) -> tuple[int, str] | None:
     equals the verified one up to the curve coordinates and alpha's
     E-coordinates, and its alpha is the verified one's ``orbit_alpha`` at its
     curve: then it is the verified document moved by a permutation of the
-    E_i, an isometry that fixes K, L and every h, so every invariant of
-    ``ray_checks`` and of the curve record holds for it as well.  Every other
-    entry is verified in full.
+    E_i, an isometry that fixes K and L, so every invariant of ``ray_checks``
+    and of the curve record holds for it as well.  Every other entry is
+    verified in full.
     """
     verified: dict[tuple, Callable | None] = {}
     for i, doc in enumerate(documents):

@@ -229,7 +229,6 @@ def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dic
         "s": scalar_to_json(cert.s),
         "t0": None if cert.t0 is None else scalar_to_json(cert.t0),
         "alpha": None if cert.alpha is None else divisor_to_json(cert.alpha),
-        "delta": None if cert.delta is None else str(cert.delta),
         "checks": dict(cert.checks),
         "valid": cert.valid,
         "failing": cert.failing,
@@ -256,7 +255,6 @@ def witness_to_json(witness: StrictInclusionWitness) -> dict[str, Any]:
         "construction": witness.construction.value,
         "curve_index": witness.curve_index,
         "alpha": divisor_to_json(witness.alpha),
-        "delta": None if witness.delta is None else str(witness.delta),
         "s": None if witness.s is None else scalar_to_json(witness.s),
         "t": None if witness.t is None else scalar_to_json(witness.t),
         "lambda": None if witness.lambda_ is None else scalar_to_json(witness.lambda_),
@@ -322,7 +320,6 @@ def _verify_ray(doc) -> str | None:
         s=_scalar_from_json(doc["s"], "s"),
         t0=_scalar_from_json(doc["t0"], "t0"),
         alpha=divisor_from_json(model, doc["alpha"], "alpha"),
-        delta=parse_rational(doc["delta"], "delta"),
     )
     checks["recorded_checks"] = _recorded_checks_hold(doc, RECORDED_RAY_CHECKS)
     failing = first_failing(checks)
@@ -382,12 +379,11 @@ def _verify_strict(doc) -> str | None:
             f"not a witness construction: {doc['construction']!r}", "construction"
         )
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    delta = None if doc.get("delta") is None else parse_rational(doc["delta"], "delta")
     s = t = None
     if construction is WitnessConstruction.FROM_S:
         s = _scalar_from_json(doc["s"], "s")
         t = _scalar_from_json(doc["t"], "t")
-    checks = alpha_checks(alpha, curve, delta, s, t)
+    checks = alpha_checks(alpha, curve, s, t)
     if doc.get("gamma") is None:
         checks["gamma_identity"] = False
     else:

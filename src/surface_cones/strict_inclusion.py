@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .cones import ConePosition, in_positive_cone
 from .errors import InternalConsistencyError, PreconditionError
 from .lattice import BlowupModel, DivisorClass, intersect
 from .scalar import Exact, as_fraction, compare, sign, sqrt_scalar
 from .thresholds import (
     ThresholdContext,
-    alpha_dot_h_nonneg,
-    choose_positive_delta,
-    delta_cap,
     first_failing,
     s_threshold,
 )
@@ -243,8 +241,8 @@ class WitnessConstruction(Enum):
 class StrictInclusionWitness:
     """Self-contained witness for the strict inclusion, re-checkable from its fields.
 
-    The alpha part must satisfy alpha^2 = 0, alpha.h >= 0 for the recorded
-    delta, alpha.C <= 0 and alpha.K > 0; the completed witness adds
+    The alpha part must satisfy alpha^2 = 0, alpha in the positive cone
+    (alpha.L >= 0), alpha.C <= 0 and alpha.K > 0; the completed witness adds
     gamma = C + lambda*alpha with gamma^2 < 0 and gamma.K > 0.  ``checks``
     holds the ``RECORDED_WITNESS_CHECKS`` that were evaluated.
     """
@@ -252,7 +250,6 @@ class StrictInclusionWitness:
     construction: WitnessConstruction
     curve_index: int
     alpha: DivisorClass
-    delta: Fraction | None
     s: Exact | None
     t: Exact | None
     lambda_: Exact | None
@@ -264,14 +261,13 @@ class StrictInclusionWitness:
 
 # the entries of alpha_checks and gamma_checks a witness records, in their JSON order
 RECORDED_WITNESS_CHECKS = (
-    "delta_t_nonneg", "alpha_sq_zero", "alpha_dot_h_nonneg", "alpha_dot_C_nonpos",
+    "delta_t_nonneg", "alpha_sq_zero", "alpha_in_positive_cone", "alpha_dot_C_nonpos",
     "alpha_dot_K_positive", "gamma_sq_negative", "gamma_dot_K_positive",
 )
 
 
 def alpha_checks(
-    alpha: DivisorClass, curve: DivisorClass, delta: Fraction | None,
-    s: Exact | None = None, t: Exact | None = None,
+    alpha: DivisorClass, curve: DivisorClass, s: Exact | None = None, t: Exact | None = None
 ) -> dict[str, bool]:
     """The alpha-part invariants of a witness, in the order failures are reported.
 
@@ -282,7 +278,7 @@ def alpha_checks(
     k = alpha.model.canonical()
     checks = {
         "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
-        "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
+        "alpha_in_positive_cone": in_positive_cone(alpha) is not ConePosition.OUTSIDE,
         "alpha_dot_C_nonpos": sign(intersect(alpha, curve)) <= 0,
         "alpha_dot_K_positive": sign(intersect(alpha, k)) > 0,
     }
@@ -303,8 +299,7 @@ def gamma_checks(
 
 
 def _witness(
-    construction, curve_index, alpha, delta=None, s=None, t=None, lambda_=None, gamma=None,
-    decided=(),
+    construction, curve_index, alpha, s=None, t=None, lambda_=None, gamma=None, decided=(),
 ) -> StrictInclusionWitness:
     """The witness with these fields; its lists are evaluated and their recorded entries kept.
 
@@ -316,13 +311,13 @@ def _witness(
     if all(checks.values()):
         curve = alpha.model.exceptional(curve_index)
         if gamma is None:
-            checks.update(alpha_checks(alpha, curve, delta, s, t))
+            checks.update(alpha_checks(alpha, curve, s, t))
         else:
             checks.update(gamma_checks(gamma, curve, lambda_, alpha))
     failing = first_failing(checks)
     recorded = {name: checks[name] for name in RECORDED_WITNESS_CHECKS if name in checks}
     return StrictInclusionWitness(
-        construction, curve_index, alpha, delta, s, t, lambda_, gamma, recorded,
+        construction, curve_index, alpha, s, t, lambda_, gamma, recorded,
         failing is None, failing,
     )
 
@@ -345,9 +340,8 @@ def alpha_from_s(
         )
     t = 1 + sqrt_scalar(delta_t)
     alpha = t * curve - (model.canonical() - s * model.line())
-    delta = choose_positive_delta(alpha, delta_cap(model))
     return _witness(
-        WitnessConstruction.FROM_S, curve_index, alpha, delta, s, t,
+        WitnessConstruction.FROM_S, curve_index, alpha, s, t,
         decided={"delta_t_nonneg": True},
     )
 
@@ -374,8 +368,7 @@ def uniruled_witness(model: BlowupModel) -> UniruledOutcome:
     if sign(value) <= 0:
         return UniruledOutcome(satisfied=False, value=value, witness=None)
     alpha = model.divisor(list(model.base.a_Y) + [-tilt] * (model.r - 1) + [Fraction(0)])
-    delta = choose_positive_delta(alpha, delta_cap(model))
-    witness = _witness(WitnessConstruction.UNIRULED, model.r, alpha, delta)
+    witness = _witness(WitnessConstruction.UNIRULED, model.r, alpha)
     return UniruledOutcome(satisfied=True, value=value, witness=witness)
 
 
@@ -391,6 +384,6 @@ def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
     k = witness.alpha.model.canonical()
     lam = (2 + abs(intersect(curve, k))) / intersect(witness.alpha, k)
     return _witness(
-        witness.construction, witness.curve_index, witness.alpha, witness.delta,
-        witness.s, witness.t, lam, curve + lam * witness.alpha, decided=witness.checks,
+        witness.construction, witness.curve_index, witness.alpha, witness.s, witness.t,
+        lam, curve + lam * witness.alpha, decided=witness.checks,
     )

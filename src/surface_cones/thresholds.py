@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .cones import ConePosition, in_positive_cone
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -137,51 +138,16 @@ def check_conditions(ctx: ThresholdContext, nu: int, pi: int) -> ConditionCheck:
     return ctx.r_condition(1, 2 * pi + nu - 1)
 
 
-def delta_cap(model: BlowupModel) -> Fraction:
-    """Upper bound for the uniform delta: 1/(2r), or 1/2 at r = 0."""
-    return Fraction(1, 2 * model.r) if model.r else Fraction(1, 2)
-
-
-def first_delta(model: BlowupModel, cap: Fraction) -> Fraction:
-    """Largest delta = cap/2^k with r*delta^2 < A^2; ``cap`` itself when cap <= 0.
+def first_delta(model: BlowupModel) -> Fraction:
+    """Largest delta = cap/2^k with r*delta^2 < A^2, for the cap 1/(2r), or 1/2 at r = 0.
 
     h = L - delta*sum E_i has h^2 = A^2 - r*delta^2, so this is the largest
-    cap/2^k that puts h inside the positive cone.
+    such delta that puts h inside the positive cone.
     """
-    delta = cap
-    while delta > 0 and model.r * delta * delta >= model.base.a_sq:
+    delta = Fraction(1, 2 * model.r) if model.r else Fraction(1, 2)
+    while model.r * delta * delta >= model.base.a_sq:
         delta = delta / 2
     return delta
-
-
-def choose_positive_delta(alpha: DivisorClass, cap: Fraction) -> Fraction | None:
-    """Largest delta = cap/2^k with r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0, or None.
-
-    The first candidate is ``first_delta(model, cap)``, where h is inside the
-    positive cone and a null alpha pairs nonnegatively with h exactly when it
-    is forward.  Each candidate is one pairing with ``ample_h(delta)``, which
-    raises :class:`PreconditionError` for a cap <= 0.  The choice is
-    deterministic and recorded in certificates.
-    """
-    model = alpha.model
-    delta = first_delta(model, cap)
-    for _ in range(64):
-        if sign(intersect(alpha, model.ample_h(delta))) >= 0:
-            return delta
-        delta = delta / 2
-    return None
-
-
-def alpha_dot_h_nonneg(alpha: DivisorClass, delta: Fraction | None) -> bool:
-    """alpha.h >= 0 for h = L - delta*sum E_i at a recorded delta > 0 with r*delta^2 < A^2.
-
-    False without such a delta: only then is h in the positive cone, so that
-    alpha.h >= 0 shows a null alpha forward.
-    """
-    model = alpha.model
-    if delta is None or delta <= 0 or model.r * delta * delta >= model.base.a_sq:
-        return False
-    return sign(intersect(alpha, model.ample_h(delta))) >= 0
 
 
 def first_failing(checks: dict[str, bool]) -> str | None:
@@ -190,7 +156,7 @@ def first_failing(checks: dict[str, bool]) -> str | None:
 
 
 # the entries of ray_checks a certificate records, in their JSON order
-RECORDED_RAY_CHECKS = ("alpha_sq_zero", "alpha_dot_h_nonneg", "t0_positive")
+RECORDED_RAY_CHECKS = ("alpha_sq_zero", "alpha_in_positive_cone", "t0_positive")
 
 
 def ray_checks(
@@ -202,7 +168,6 @@ def ray_checks(
     s: Exact,
     t0: Exact,
     alpha: DivisorClass,
-    delta: Fraction | None,
 ) -> dict[str, bool]:
     """Every invariant of a ray certificate, in the order failures are reported.
 
@@ -211,8 +176,8 @@ def ray_checks(
     (``ctx.r_condition(n, 2p + n - 1)``), ``s_threshold`` (s is the larger
     root of (K - sL)^2 = -1/level), ``alpha_sq_zero``, ``t0_positive``
     (t0 >= 1/n), ``alpha_identity`` (alpha = t0*C - (K - sL)),
-    ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_dot_h_nonneg``
-    (r*delta^2 < A^2 and alpha.(L - delta*sum E_i) >= 0).
+    ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_in_positive_cone``
+    (``cones.in_positive_cone``: alpha^2 >= 0 and alpha.L >= 0).
     """
     ctx = ThresholdContext.from_model(model)
     k_minus_sl = model.canonical() - s * model.line()
@@ -225,7 +190,7 @@ def ray_checks(
         "t0_positive": compare(t0, Fraction(1, n)) >= 0,
         "alpha_identity": t0 * curve.cls - k_minus_sl == alpha,
         "curve_pairing_bound": compare(curve.dot(k_minus_sl), -1) <= 0,
-        "alpha_dot_h_nonneg": alpha_dot_h_nonneg(alpha, delta),
+        "alpha_in_positive_cone": in_positive_cone(alpha) is not ConePosition.OUTSIDE,
     }
 
 
@@ -246,7 +211,6 @@ class RayContainmentCert:
     s: Exact
     t0: Exact | None
     alpha: DivisorClass | None
-    delta: Fraction | None
     checks: dict[str, bool]
     valid: bool
     failing: str | None
@@ -301,16 +265,15 @@ def ray_certificate(
         failing = condition.binding if not condition.satisfied else "C.(K - sL) <= -1"
         invalid = dict.fromkeys(RECORDED_RAY_CHECKS, False)
         return RayContainmentCert(
-            curve, n, p, level, s, None, None, None, invalid, False, failing
+            curve, n, p, level, s, None, None, invalid, False, failing
         )
     t0 = (-u + sqrt_scalar(u * u - Fraction(n, level))) / n
     alpha = t0 * curve.cls - k_minus_sl
-    delta = choose_positive_delta(alpha, delta_cap(model))
-    checks = ray_checks(model, curve, n, p, level, s, t0, alpha, delta)
+    checks = ray_checks(model, curve, n, p, level, s, t0, alpha)
     failing = first_failing(checks)
     recorded = {name: checks[name] for name in RECORDED_RAY_CHECKS}
     return RayContainmentCert(
-        curve, n, p, level, s, t0, alpha, delta, recorded, failing is None, failing
+        curve, n, p, level, s, t0, alpha, recorded, failing is None, failing
     )
 
 
@@ -353,13 +316,12 @@ def certify_list(
     """Certificate of every curve at its own level n = -C^2, one build per S_r-orbit.
 
     Equals ``ray_certificate(model, c, s_threshold(ctx, n), level=n)`` on each
-    curve.  A permutation of the E_i is an isometry fixing K, L and every
-    h = L - delta*sum E_i, so n, p, s, t0, delta, the checks and the verdict
-    are constant on an orbit (``orbit_key``), and alpha(sigma C) =
-    sigma(alpha(C)) (``orbit_alpha``; alpha = t0*C - (K - sL) is a function
-    of C's E-values).  The first curve of each orbit is built in full, in
-    list order, so a precondition error is raised at the same curve as a
-    per-curve loop would raise it.
+    curve.  A permutation of the E_i is an isometry fixing K and L, so n, p,
+    s, t0, the checks and the verdict are constant on an orbit
+    (``orbit_key``), and alpha(sigma C) = sigma(alpha(C)) (``orbit_alpha``;
+    alpha = t0*C - (K - sL) is a function of C's E-values).  The first curve
+    of each orbit is built in full, in list order, so a precondition error is
+    raised at the same curve as a per-curve loop would raise it.
     """
     ctx = ThresholdContext.from_model(model)
     m = model.base.rank
@@ -446,8 +408,7 @@ def cone_equality_check(
     with alpha.L = t0*C.L + sqrt(D_n/4), which is >= 0 when C.L >= 0.  When
     C.L < 0, u = q - 1 - s_n*C.L <= -1 forces q = 0, s_n = 0 and t0 = 1, so
     alpha.L = C.L - A.K_Y.  A null alpha is forward (or 0) exactly when
-    alpha.L >= 0, and so exactly when alpha.(L - delta*sum E_i) >= 0 at the
-    builder's delta, whose h lies inside the positive cone (r*delta^2 < A^2).
+    alpha.L >= 0, which is the certificate's ``alpha_in_positive_cone``.
 
     Lemma.  Write v = K - s_nu L, so v^2 = -1/nu.  A trapped C_i of level n_i
     gives t0_i*C_i = alpha_i + (s_nu - s_{n_i})*L + v, with t0_i > 0, alpha_i

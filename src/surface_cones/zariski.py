@@ -299,7 +299,10 @@ def list_decomposition_check(
     exactly C_i negatively, so its support is {i}, its coefficient
     C_i^2/C_i^2 = 1 and P = C_i - C_i = 0, which meets no curve negatively:
     the decomposition is trivial and nothing is reported.  Every other curve
-    is decomposed in full, so each failure keeps its text.
+    is decomposed in full, so each failure keeps its text.  In both halves a
+    decomposition that raises :class:`ZariskiError` or
+    :class:`PreconditionError` (a list over two models) is reported, not
+    raised.
     """
     reconstruction: list[str] = []
     for k in range(samples):
@@ -308,7 +311,7 @@ def list_decomposition_check(
         y = _add_weighted_curves(x, curves, [rng.randint(0, 10) for _ in curves])
         try:
             decomposition = zariski_decompose(y, curves)
-        except ZariskiError as exc:
+        except (ZariskiError, PreconditionError) as exc:
             reconstruction.append(f"sample {k}: {exc}")
             continue
         violated = decomposition.check_invariants()

@@ -85,7 +85,7 @@ def test_criterion_3_certificate_validity_sweep():
         assert cert.valid, cert.failing
         assert sign(intersect(cert.alpha, cert.alpha)) == 0
         assert compare(cert.t0, 1) >= 0
-        assert sign(intersect(cert.alpha, model.ample_h(cert.delta))) > 0
+        assert sign(intersect(cert.alpha, model.line())) > 0
         docs.append(serialize.ray_certificate_to_json(model, cert))
     for doc in docs:
         result = serialize.verify_certificate(doc)

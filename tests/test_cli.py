@@ -96,8 +96,8 @@ class TestThresholds:
         assert report["condition"]["satisfied"] is True
 
     def test_reported_delta_puts_h_in_the_positive_cone(self, capsys):
-        # a_Y = 1/10 at r = 10: 1/(2r) = 1/20 has r*delta^2 = A^2 = 1/100, so the first
-        # delta inside the cone is 1/40, where (K - s_1 L).h = A.K_Y - s_1*A^2 + r*delta
+        # a_Y = 1/10 at r = 10: 1/(2r) = 1/20 has r*delta^2 = 1/40 > A^2 = 1/100, so the
+        # first delta inside the cone is 1/40, where (K - s_1 L).h = A.K_Y - s_1*A^2 + r*delta
         path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")
         code, out, _ = run_cli(["thresholds", "--input", path], capsys)
         assert code == 0
@@ -141,19 +141,29 @@ class TestCertifyAndVerify:
 
     def test_backward_alpha_below_a_quarter_r(self, capsys, tmp_path):
         # a_Y = 1/10 at r = 10: A^2 = 1/100 <= 1/(4r), so h = L - sum E_i/20 has h^2 < 0;
-        # the curve's null alpha has alpha.L = -3/10 and no delta with r*delta^2 < A^2 takes it
+        # the curve's null alpha has alpha.L = -3/10, outside the positive cone
         path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")
         code, out, err = run_cli(["certify-ray", "--input", path], capsys)
-        assert (code, err) == (2, "1 certificate(s) invalid: alpha_dot_h_nonneg\n")
+        assert (code, err) == (2, "1 certificate(s) invalid: alpha_in_positive_cone\n")
         doc = json.loads(out)
         cert = doc["certificates"][0]
-        assert (cert["delta"], cert["valid"]) == (None, False)
-        assert cert["failing"] == "alpha_dot_h_nonneg"
-        # the document an earlier builder wrote, with delta 1/(2r) and every check true
-        cert.update(delta="1/20", valid=True, failing=None)
-        cert["checks"]["alpha_dot_h_nonneg"] = True
+        assert "delta" not in cert and not cert["valid"]
+        assert cert["failing"] == "alpha_in_positive_cone"
+        # the same document with every check true and marked valid
+        cert.update(valid=True, failing=None)
+        cert["checks"]["alpha_in_positive_cone"] = True
         code, _, err = run_cli(["verify", write_json(tmp_path, "old.json", doc)], capsys)
-        assert (code, err) == (3, "certificate 0: alpha_dot_h_nonneg violated\n")
+        assert (code, err) == (3, "certificate 0: alpha_in_positive_cone violated\n")
+
+    def test_document_with_delta_fails_recorded_checks(self, capsys, tmp_path):
+        # the older schema: a delta field, and alpha_dot_h_nonneg for alpha_in_positive_cone
+        certs_path = tmp_path / "certs.json"
+        run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
+        cert = json.loads(certs_path.read_text())["certificates"][0]
+        checks = {"alpha_sq_zero": True, "alpha_dot_h_nonneg": True, "t0_positive": True}
+        cert.update(delta="1/24", checks=checks)
+        code, _, err = run_cli(["verify", write_json(tmp_path, "old.json", cert)], capsys)
+        assert (code, err) == (3, "certificate 0: recorded_checks violated\n")
 
     def test_truncated_json_exit_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -161,7 +171,7 @@ class TestCertifyAndVerify:
         code, _, _ = run_cli(["verify", str(path)], capsys)
         assert code == 1
 
-    @pytest.mark.parametrize("field, value", [("n", 0), ("level", 0), ("delta", "1/0")])
+    @pytest.mark.parametrize("field, value", [("n", 0), ("level", 0), ("s", "1/0")])
     def test_zero_denominator_field_exit_one(self, capsys, tmp_path, field, value):
         certs_path = tmp_path / "certs.json"
         run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)

@@ -44,24 +44,24 @@ GOLDEN = {
     ("thresholds", "p2_r11"): "72b80033fd4df6e3c2d6d0e8f65759f0e1d2107300e7f0c7c9ad7d9687f9951f",
     ("thresholds", "p2_r12"): "4833653a8098a6792b611784e49ac7fef6481a06b637dad6a439eeaa4800d01c",
     ("thresholds", "p2_r17"): "90be1e1a4d22a32fe3c446fb7ce3bb3274dcd068147b5d8c58b392111390fc1e",
-    ("certify-ray", "abelian"): "7b882454ae0ef55229f878b3f5d81bc596d791c34b84343412df1dfa0859f737",
-    ("certify-ray", "enriques"): "1ce1af8acd30cea2a22b561b8740ddb2a2b27045048b3258793a330da6d39766",
-    ("certify-ray", "k3_generic"): "42fbe3d2308a06b87c3ef3071a99205a5e54ba3a15f96518dac01ca1fba81d8f",
+    ("certify-ray", "abelian"): "3bbc02f761cda56f438595733eebed305502a8e3bb8246e00ea470a5607b0bf9",
+    ("certify-ray", "enriques"): "7b7060ee43afe9813cc5209294db5e05959a3b2898b7582929677c9f79f56198",
+    ("certify-ray", "k3_generic"): "5ba0c4e87e9f63b22df3610e04c640c6ff7435e4ce9634fcf093d11436f7e3c7",
     ("certify-ray", "p2_r1"): "8cf8d43f1d650d8df034ce54458548b8e9379db52ea0be12e4fa874ffb7ea501",
-    ("certify-ray", "p2_r9"): "a53e29741f4db740b757ccfb13e29acce54241f122a719a3ec6c23643599d67f",
-    ("certify-ray", "p2_r10"): "ffc25b3e7dcc9623736f42b205af52a2ca3491be3e019c010f3233d75267fb8f",
-    ("certify-ray", "p2_r11"): "eff2a01f769ebb52f3bbad78e7683581a2e98276f256ec594f70f94ba6283abc",
-    ("certify-ray", "p2_r12"): "ac5af825933ee8346c7f6b4e32723e63c734bb48325f824cf5cbfa25303d6158",
-    ("certify-ray", "p2_r17"): "3b81e2cc5a15cdbcc2cdebe7148269030cbd3ac5311454ea06206b892f3bccee",
-    ("strict-inclusion", "abelian"): "b49452d527a35eaccf19301c2588d799a45b4a14826a557fdf0f0cc1979c491b",
-    ("strict-inclusion", "enriques"): "18fbf6a62fb15bd7f911de324caaf09cd30fa2c1f76272462eb87549423d38d3",
-    ("strict-inclusion", "k3_generic"): "c20185e974d9eeaca6313d574cfc09c1d26688e3dfe7b4280eac872213847af3",
+    ("certify-ray", "p2_r9"): "15a6d13cf657e9e8efd3628981c3b0c1baa5cf158f0908e389849785db57cc7b",
+    ("certify-ray", "p2_r10"): "a03146a37a7c505a2567dcc70db1179756c15d5c7f228451620a88dd14512d42",
+    ("certify-ray", "p2_r11"): "0a52fd2ef79d05646285483ccbc0ff2e0b07d6753d8f808f8bdf1d0e289f3912",
+    ("certify-ray", "p2_r12"): "8d2d16569c3b66b0ea0a8e4aea7333afab53115ece33ae8ce08a0586b6b7df60",
+    ("certify-ray", "p2_r17"): "b90037cc531e16a1355db0034948ca7009d1e2895cb3f8345676ae5551de84f2",
+    ("strict-inclusion", "abelian"): "013850c1e29b0eb45accde31b8b63c9f48186b45c2ae58ecad41afbb4d61a5e3",
+    ("strict-inclusion", "enriques"): "fc33da3ac547a4a88ed1fe80566c32150da8898efb8491f57ad5ed961397b02e",
+    ("strict-inclusion", "k3_generic"): "9693e160159950b466ad0fcfc9a87fe0120b11c0bf49e1938b04a0de8ea29c6e",
     ("strict-inclusion", "p2_r1"): "14c0ba9db4742f439cfcdf9d7234a12e7a83e2deb71077f32cc607e516687ddc",
     ("strict-inclusion", "p2_r9"): "6a3bae7e91d37a9e4b463a72d24e2fb825140d8372edf72d744d67a43c385faf",
     ("strict-inclusion", "p2_r10"): "c959a6374a2918cf298d630c728de452ec6e5539e677c24496354ba78107c074",
-    ("strict-inclusion", "p2_r11"): "53fb194fea615a2fcd4f83a6f271de8975b43afa41b9e6c20d2509ebd3374ec3",
-    ("strict-inclusion", "p2_r12"): "3ccc786d08aad5bc95b958db0b85e2401f97a4c6c3ab9cfe519bf52506613862",
-    ("strict-inclusion", "p2_r17"): "f683d8ca5ea07e2140b2cc283b3b756024f8d391d49d2b1c2ab9e702c2d51f0a",
+    ("strict-inclusion", "p2_r11"): "b1ca9e8cfdbb82ee1585324d4083bc581ed82576842133336eed76f574ffa446",
+    ("strict-inclusion", "p2_r12"): "bb97ed696a893efa040f715188083b5cf889a2a0cbf6c838009177e430c8b56d",
+    ("strict-inclusion", "p2_r17"): "22f6927703091244baff937d47a0c39032685714715b51d1239f4309da694a04",
     ("segre-check", "abelian"): "d34719cef5d0f4e1d3f22f337ef0d5c0585b0fdd9bd2cee46d79e09ab5c7ebd2",
     ("segre-check", "enriques"): "81dbf511585436aaab4e6ad8a487de1cfcfd62b119cd82d364972f1b4f0da0cf",
     ("segre-check", "k3_generic"): "6b6d62b916375b9b27bf80fc2735dc085baafac830326e3381ee3ba25c0f0f04",

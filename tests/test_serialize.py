@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,6 +57,8 @@ from surface_cones.thresholds import (
     s_threshold,
 )
 from surface_cones.zariski import NegativeCurveRecord, ZariskiDecomposition, zariski_decompose
+
+DATA = Path(__file__).parent / "data"
 
 
 def ray_cert_doc(r: int = 12, curve_index: int = 0):
@@ -237,8 +240,7 @@ class TestRayVerifyRejections:
         doc.update(
             t0=scalar_to_json(t0),
             alpha=serialize.divisor_to_json(t0 * cubic - k_minus_sl),
-            delta="1/20",
-            checks={"alpha_sq_zero": True, "alpha_dot_h_nonneg": True, "t0_positive": True},
+            checks=dict.fromkeys(RECORDED_RAY_CHECKS, True),
             valid=True,
             failing=None,
         )
@@ -252,16 +254,9 @@ def planted_alpha_dot_k_zero():
     model = p2_blowup(10)
     alpha = model.divisor([1] + [Fraction(-1, 3)] * 9 + [0])
     witness = StrictInclusionWitness(
-        WitnessConstruction.UNIRULED, 10, alpha, Fraction(1, 20), None, None, None, None, {},
-        True, None,
+        WitnessConstruction.UNIRULED, 10, alpha, None, None, None, None, {}, True, None
     )
     return serialize.witness_to_json(witness)
-
-
-def planted_delta_zero():
-    doc = ray_cert_doc()
-    doc["delta"] = "0"
-    return doc
 
 
 def planted_smaller_t0_root(r):
@@ -302,6 +297,15 @@ def planted_t_off_alpha():
     return doc
 
 
+def planted_witness_alpha_negated():
+    """The p2_r11 from-s witness with alpha negated: still null, but alpha.L < 0."""
+    model, _, doc = from_s_witness_doc()
+    alpha = serialize.divisor_from_json(model, doc["alpha"], "alpha")
+    assert sign(intersect(alpha, model.line())) > 0
+    doc["alpha"] = serialize.divisor_to_json(-alpha)
+    return doc
+
+
 def planted_gamma_null():
     """The p2_r11 from-s witness with gamma and lambda null: its alpha holds, but no gamma."""
     _, _, doc = from_s_witness_doc()
@@ -331,27 +335,25 @@ def planted_ray_doc(model, cls, level):
     u = intersect(cls, k_minus_sl)
     t0 = (-u + sqrt_scalar(u * u - Fraction(n, level))) / n
     cert = RayContainmentCert(
-        record, n, p, level, s, t0, t0 * cls - k_minus_sl, Fraction(1, 2 * model.r),
+        record, n, p, level, s, t0, t0 * cls - k_minus_sl,
         dict.fromkeys(RECORDED_RAY_CHECKS, True), True, None,
     )
     return serialize.ray_certificate_to_json(model, cert)
 
 
-def planted_h_on_the_null_cone():
-    """a_Y = 1/8 at r = 16, L - E_1 - E_2 with the built delta 1/64 raised to 1/32.
+def planted_backward_alpha():
+    """The certificate built on tests/data/p2_backward_alpha_r10.json, re-marked valid.
 
-    At 1/32, r*delta^2 = 1/64 = A^2, so h = L - delta*sum E_i is null, on the
-    boundary of the positive cone, while alpha.h >= 0 still holds there.
+    Its alpha is null with alpha.L = -3/10, so it lies outside the positive
+    cone, and every check before ``alpha_in_positive_cone`` holds.
     """
-    surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 8),))
-    model = BlowupModel(surface, 16)
-    e = model.exceptional
-    record = NegativeCurveRecord.from_class(model.pullback([1]) - e(1) - e(2))
-    cert = certify_list(model, [record])[0]
-    assert cert.valid and cert.delta == Fraction(1, 64)
-    assert sign(intersect(cert.alpha, model.ample_h(Fraction(1, 32)))) >= 0
+    doc = json.loads((DATA / "p2_backward_alpha_r10.json").read_text())
+    model = serialize.blowup_from_json(doc)
+    (cert,) = certify_list(model, serialize._curves_from_json(model, doc["curves"]))
+    assert cert.failing == "alpha_in_positive_cone"
+    assert intersect(cert.alpha, model.line()) == Fraction(-3, 10)
     doc = serialize.ray_certificate_to_json(model, cert)
-    doc["delta"] = "1/32"
+    doc.update(checks=dict.fromkeys(RECORDED_RAY_CHECKS, True), valid=True, failing=None)
     return doc
 
 
@@ -434,8 +436,10 @@ def planted_zariski(classes, divisor, P, coeffs):
 
 PLANTED = [
     pytest.param(planted_alpha_dot_k_zero, "alpha_dot_K_positive", id="alpha_dot_k_zero"),
-    pytest.param(planted_delta_zero, "alpha_dot_h_nonneg", id="delta_zero"),
-    pytest.param(planted_h_on_the_null_cone, "alpha_dot_h_nonneg", id="h_null"),
+    pytest.param(planted_backward_alpha, "alpha_in_positive_cone", id="backward_alpha"),
+    pytest.param(
+        planted_witness_alpha_negated, "alpha_in_positive_cone", id="witness_alpha_negated"
+    ),
     pytest.param(lambda: planted_smaller_t0_root(12), "t0_positive", id="smaller_t0_r12"),
     # t0 in [1/(2n), 1/n): a bound halved to 1/(2n) would accept it
     pytest.param(lambda: planted_smaller_t0_root(11), "t0_positive", id="smaller_t0_r11"),
@@ -501,15 +505,13 @@ def test_planted_table_covers_every_check():
     model = p2_blowup(12)
     cert = certify_list(model, standard_minus_one_records(model))[0]
     names = set(
-        ray_checks(
-            model, cert.curve, cert.n, cert.p, cert.level, cert.s, cert.t0, cert.alpha, cert.delta
-        )
+        ray_checks(model, cert.curve, cert.n, cert.p, cert.level, cert.s, cert.t0, cert.alpha)
     )
     model, _, doc = from_s_witness_doc()
     curve = model.exceptional(1)
     alpha = serialize.divisor_from_json(model, doc["alpha"], "alpha")
     s, t = scalar_from_json(doc["s"]), scalar_from_json(doc["t"])
-    names |= set(alpha_checks(alpha, curve, Fraction(doc["delta"]), s, t))
+    names |= set(alpha_checks(alpha, curve, s, t))
     names |= set(gamma_checks(curve + alpha, curve, 1, alpha))
     source = inspect.getsource(ZariskiDecomposition.check_invariants)
     names |= set(re.findall(r'return "(\w+)"', source))
@@ -626,8 +628,8 @@ def respell_alpha(docs, index, pick):
 
 
 def odd_field(docs, index, pick):
-    """Set n, s or delta to true or 1.0."""
-    docs[index][("n", "s", "delta")[pick % 3]] = (True, 1.0)[pick // 3 % 2]
+    """Set n, s or level to true or 1.0."""
+    docs[index][("n", "s", "level")[pick % 3]] = (True, 1.0)[pick // 3 % 2]
 
 
 def edit_checks(docs, index, pick):
@@ -692,7 +694,7 @@ class TestOrbitVerify:
     @example(order=IN_ORDER, edit="odd_field", index=15, pick=0)  # n = true where n is 1
     @example(order=IN_ORDER, edit="odd_field", index=15, pick=3)  # n = 1.0 where n is 1
     @example(order=IN_ORDER, edit="odd_field", index=17, pick=1)  # s = true
-    @example(order=IN_ORDER, edit="odd_field", index=17, pick=5)  # delta = 1.0
+    @example(order=IN_ORDER, edit="odd_field", index=17, pick=5)  # level = 1.0
     @example(order=IN_ORDER, edit="edit_checks", index=17, pick=0)
     @example(order=IN_ORDER, edit="edit_checks", index=0, pick=3)
     def test_single_edit_matches_reference(self, order, edit, index, pick):

@@ -49,7 +49,7 @@ def exact_feasible(model: BlowupModel, s: Fraction) -> bool:
     delta_t = s * s * a_sq - 2 * s * ak + k_sq + 1 - r
     if delta_t < 0:
         return False
-    # alpha.h >= 0 for small delta needs s*A^2 - A.K_Y > 0
+    # alpha = t*C - (K - sL) is forward only if alpha.L = s*A^2 - A.K_Y > 0
     if not s * a_sq - ak > 0:
         return False
     ds = ak**2 - a_sq * (k_sq + 1 - r)

@@ -1,6 +1,7 @@
 """Thresholds, r-conditions, ray certificates, and the cone-equality check."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -21,7 +22,7 @@ from helpers import (
     p2_surface,
     standard_minus_one_records,
 )
-from surface_cones import serialize, thresholds
+from surface_cones import cli, serialize, thresholds
 from surface_cones.cli import load_fixture
 from surface_cones.cones import ConePosition, in_positive_cone
 from surface_cones.errors import (
@@ -39,15 +40,13 @@ from surface_cones.scalar import (
     sqrt_scalar,
 )
 from surface_cones.segre import segre_bounds
+from surface_cones.strict_inclusion import alpha_from_s, solve_s_system, uniruled_witness
 from surface_cones.thresholds import (
     ConditionCheck,
     ThresholdContext,
-    alpha_dot_h_nonneg,
     certify_list,
     check_conditions,
-    choose_positive_delta,
     cone_equality_check,
-    delta_cap,
     first_delta,
     k_minus_sl_h_negative,
     ray_certificate,
@@ -237,14 +236,14 @@ class TestRayCertificate:
         with pytest.raises(PreconditionError):
             ray_certificate(model, record, Fraction(1, 2))
 
-    def test_alpha_h_strictly_positive_with_chosen_delta(self):
+    def test_alpha_on_the_boundary_of_the_positive_cone(self):
         model = p2_blowup(12)
         s = s_threshold(ThresholdContext.from_model(model), 1)
         for record in standard_minus_one_records(model)[:20]:
             cert = ray_certificate(model, record, s)
-            assert cert.valid
-            h = model.ample_h(cert.delta)
-            assert sign(intersect(cert.alpha, h)) > 0
+            assert cert.valid and cert.checks["alpha_in_positive_cone"]
+            assert in_positive_cone(cert.alpha) is ConePosition.BOUNDARY
+            assert sign(intersect(cert.alpha, model.line())) > 0
 
     def test_t0_at_least_one_over_n(self):
         surface = SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(-3,), a_Y=(1,), kind="P2")
@@ -678,15 +677,14 @@ class TestDecidedByTheLemma:
         assert certificate_outcome(model, record) is False
         assert lemma_outcome(model, record) is False
         # with a_Y = 1/10, A^2 = 1/100 < 1/(4r): h = L - sum E_i/20 has h^2 < 0 and pairs
-        # nonnegatively with this backward alpha, so the builder takes only deltas with
-        # r*delta^2 < A^2, and none of them shows alpha forward
+        # nonnegatively with this backward alpha, which alpha.L < 0 puts outside the cone
         surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
         model = BlowupModel(surface, 10)
         record = NegativeCurveRecord.from_class(model.divisor([-6] + [2] * 9 + [1]))
         alpha = record.cls - model.canonical()
         assert intersect(alpha, model.line()) == Fraction(-3, 10)
         assert sign(intersect(alpha, model.ample_h(Fraction(1, 20)))) >= 0
-        assert not alpha_dot_h_nonneg(alpha, Fraction(1, 20))
+        assert in_positive_cone(alpha) is ConePosition.OUTSIDE
         assert certificate_outcome(model, record) is False
         assert lemma_outcome(model, record) is False
 
@@ -779,6 +777,93 @@ class TestDecidedByTheLemma:
         assert compared >= 200 and untrapped >= 1
 
 
+def h_rule(alpha):
+    """The h-rule for a null alpha: alpha.h >= 0 for h = L - delta*sum E_i at ``first_delta``.
+
+    There r*delta^2 < A^2, so h lies inside the positive cone.
+    """
+    model = alpha.model
+    delta = first_delta(model)
+    assert model.r * delta * delta < model.base.a_sq
+    return sign(intersect(alpha, model.ample_h(delta))) >= 0
+
+
+def built_alphas(model, curves):
+    """The alpha of every ray certificate and strict-inclusion witness built on the input."""
+    alphas = []
+    try:
+        alphas += [cert.alpha for cert in certify_list(model, curves) if cert.alpha is not None]
+    except ThresholdError:
+        pass  # r is below the bound for the list's levels: no certificate is built
+    for interval in solve_s_system(model):
+        if interval.sample is not None:
+            witness = alpha_from_s(model, interval.sample, 1)
+            if witness.checks["delta_t_nonneg"]:
+                alphas.append(witness.alpha)
+    uniruled = uniruled_witness(model).witness if model.r >= 2 else None
+    if uniruled is not None:
+        alphas.append(uniruled.alpha)
+    return alphas
+
+
+FORWARDNESS_INPUTS = {
+    **{name: functools.partial(load_fixture, name) for name in (
+        "abelian", "enriques", "k3_generic", "p2_r1", "p2_r9", "p2_r10", "p2_r11", "p2_r12",
+        "p2_r17",
+    )},
+    "backward_alpha_r10": lambda: json.loads((DATA / "p2_backward_alpha_r10.json").read_text()),
+    # A^2 = 1/64 = 1/(4r): 1/(2r) puts h on the null cone, and first_delta halves it
+    "eighth_plane_r16": lambda: {
+        "surface": dict(load_fixture("p2_r10")["surface"], a_Y=["1/8"]),
+        "r": 16,
+        "curves": [{"coords": [1, -1, -1] + [0] * 14}],
+    },
+}
+
+
+class TestForwardnessRules:
+    """``alpha_in_positive_cone`` against alpha.h >= 0 at ``first_delta`` on null classes.
+
+    h^2 = A^2 - r*delta^2 > 0 and h.L = A^2 > 0 put h inside Pos, and L^perp is
+    negative definite, so a null alpha pairs nonnegatively with h exactly when
+    alpha.L >= 0: the two rules agree on every null class.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FORWARDNESS_INPUTS))
+    def test_built_alphas_and_their_negatives(self, name):
+        parsed = cli._parse(FORWARDNESS_INPUTS[name](), ())
+        model, curves = parsed.model, parsed.curves
+        alphas = built_alphas(model, curves)
+        verdicts = set()
+        for alpha in alphas + [-alpha for alpha in alphas]:
+            assert sign(intersect(alpha, alpha)) == 0
+            new = in_positive_cone(alpha) is not ConePosition.OUTSIDE
+            assert new == h_rule(alpha), alpha.coords
+            verdicts.add(new)
+        assert verdicts == ({True, False} if alphas else set())
+
+    def test_seeded_ray_alphas(self):
+        rng = random.Random(22)
+        compared = 0
+        drawn = [draw_curve(rng) for _ in range(6000)]
+        drawn += [draw_curve(rng, SMALL_A_BASES) for _ in range(3000)]
+        for entry in filter(None, drawn):
+            model, record = entry
+            n = int(-record.self_int)
+            s = s_threshold(ThresholdContext.from_model(model), n)
+            try:
+                cert = ray_certificate(model, record, s, level=n)
+            except (PreconditionError, MixedRadicandError):
+                continue
+            if cert.alpha is None:
+                continue
+            for alpha in (cert.alpha, -cert.alpha):
+                new = in_positive_cone(alpha) is not ConePosition.OUTSIDE
+                assert new == h_rule(alpha), (model, record.cls.coords)
+            compared += 1
+        assert compared >= 300
+
+
 class TestCurveLevel:
     """A curve whose C^2 is not an integer has no level n = -C^2 and no threshold."""
 
@@ -827,38 +912,17 @@ class TestThresholdSliceMonotonicity:
             assert sign(intersect(gamma, model.canonical() - t * line)) >= 0
 
 
-class TestDeltaChooser:
-    def test_cap_respected(self):
-        model = p2_blowup(12)
-        s = s_threshold(ThresholdContext.from_model(model), 1)
-        alpha = model.exceptional(1) - (model.canonical() - s * model.line())
-        delta = choose_positive_delta(alpha, Fraction(1, 24))
-        assert delta is not None and delta <= Fraction(1, 24)
-
-    def test_hopeless_direction_returns_none(self):
-        model = p2_blowup(2)
-        bad = -model.line()
-        assert choose_positive_delta(bad, Fraction(1, 4)) is None
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_exactly_k_halvings(self, k):
-        model = p2_blowup(2)
-        cap = Fraction(1, 4)
-        # alpha.(L - delta*(E_1 + E_2)) = cap/2^k - delta: negative until delta = cap/2^k
-        alpha = model.divisor([cap / 2**k, -1, 0])
-        assert choose_positive_delta(alpha, cap) == cap / 2**k
-
+class TestFirstDelta:
     def test_first_delta_puts_h_in_the_positive_cone(self):
         # a_Y = 1/10 at r = 10: r*delta^2 < A^2 = 1/100 first holds at delta = 1/40
         surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
         model = BlowupModel(surface, 10)
-        alpha = model.line()
-        assert choose_positive_delta(alpha, delta_cap(model)) == Fraction(1, 40)
-        assert first_delta(model, delta_cap(model)) == Fraction(1, 40)
-        assert not alpha_dot_h_nonneg(alpha, Fraction(1, 20))
-        assert alpha_dot_h_nonneg(alpha, Fraction(1, 40))
+        assert first_delta(model) == Fraction(1, 40)
+        assert in_positive_cone(model.ample_h(Fraction(1, 40))) is ConePosition.INTERIOR
+        assert in_positive_cone(model.ample_h(Fraction(1, 20))) is ConePosition.OUTSIDE
 
-    @pytest.mark.parametrize("cap", [Fraction(0), Fraction(-1, 4)])
-    def test_nonpositive_cap_rejected(self, cap):
-        with pytest.raises(PreconditionError):
-            choose_positive_delta(p2_blowup(2).line(), cap)
+    @pytest.mark.parametrize("r, delta", [(0, Fraction(1, 2)), (1, Fraction(1, 2)),
+                                          (12, Fraction(1, 24))])
+    def test_cap_where_it_fits(self, r, delta):
+        # on P2 with a_Y = 1: 1/(2r), or 1/2 at r = 0, has r*delta^2 < 1 = A^2
+        assert first_delta(p2_blowup(r)) == delta

@@ -443,7 +443,7 @@ def reference_list_check(model, curves, samples, seed):
         y = zariski._add_weighted_curves(x, curves, [rng.randint(0, 10) for _ in curves])
         try:
             decomposition = zariski_decompose(y, curves)
-        except ZariskiError as exc:
+        except (ZariskiError, PreconditionError) as exc:
             reconstruction.append(f"sample {k}: {exc}")
             continue
         violated = decomposition.check_invariants()
@@ -573,3 +573,16 @@ class TestExtremalityFromTheGram:
         report = list_decomposition_check(model, curves, samples=0, seed=0)
         assert calls == decomposed
         assert report.extremality_failures == failures
+
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_mixed_model_list_is_reported(self, samples):
+        # every decomposition over a list of two models fails its precondition; neither
+        # half of the check raises, so the list fails the same way with or without samples
+        model, curves = mixed_model_list()
+        report = list_decomposition_check(model, curves, samples=samples, seed=0)
+        text = "curve list belongs to a different model"
+        assert not report.passed
+        assert report.reconstruction_failures == tuple(
+            f"sample {k}: {text}" for k in range(samples)
+        )
+        assert report.extremality_failures == tuple(f"curve {i}: {text}" for i in range(3))
