@@ -207,15 +207,20 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
     ``nu`` and ``pi`` are read together into ``bounds``; without them, and
     for ``chi``, ``bounds`` is derived from chi, which must be an integer.
     ``curves`` defaults to the exceptional classes, one S_r-orbit: E_1 is
-    validated and moved to each other E_i.
+    validated and each other E_i is a deferred member of it.
     """
     model = serialize.blowup_from_json(doc)
     if "curves" in doc:
         curves = serialize._curves_from_json(model, doc["curves"])
+    elif model.r:
+        first = zariski.NegativeCurveRecord.from_class(model.exceptional(1))
+        zero, one, m = Fraction(0), Fraction(1), model.base.rank
+        curves = [first] + [
+            first._member((zero,) * (m + i) + (one,) + (zero,) * (model.r - 1 - i))
+            for i in range(1, model.r)
+        ]
     else:
-        exceptional = [model.exceptional(i) for i in range(1, model.r + 1)]
-        curves = [zariski.NegativeCurveRecord.from_class(e) for e in exceptional[:1]]
-        curves += [curves[0]._moved(e) for e in exceptional[1:]]
+        curves = []
     parsed = _Input(doc, model, curves)
     if "nu" in reads and ("nu" in doc or "pi" in doc):
         nu = parse_int(doc.get("nu", 1), "nu")

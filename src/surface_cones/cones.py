@@ -25,10 +25,10 @@ class ConePosition(Enum):
     OUTSIDE = "outside"
 
 
-def in_positive_cone(x: DivisorClass) -> ConePosition:
-    """Locate x relative to {y : y^2 >= 0, y.L >= 0}."""
+def in_positive_cone(x: DivisorClass, square: Exact | None = None) -> ConePosition:
+    """Locate x relative to {y : y^2 >= 0, y.L >= 0}; ``square`` is x^2 when the caller has it."""
     line = x.model.line()
-    s_sq = sign(intersect(x, x))
+    s_sq = sign(intersect(x, x) if square is None else square)
     s_l = sign(intersect(x, line))
     if s_sq > 0 and s_l > 0:
         return ConePosition.INTERIOR

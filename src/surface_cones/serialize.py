@@ -13,7 +13,13 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .errors import CertificateError, MalformedValueError, ModelValidationError
+from .errors import (
+    CertificateError,
+    MalformedValueError,
+    MixedRadicandError,
+    ModelValidationError,
+    NonRealScalarError,
+)
 from .lattice import BlowupModel, DivisorClass, SurfaceModel, parse_int, parse_rational
 from .scalar import scalar_from_json, scalar_to_json
 from .strict_inclusion import (
@@ -47,11 +53,17 @@ def _number_to_json(value: Fraction):
 
 
 def _scalar_from_json(doc, field: str):
-    """``scalar_from_json`` naming ``field`` when ``doc`` is not a serialized scalar."""
+    """``scalar_from_json`` naming ``field`` when ``doc`` is not a serialized real scalar.
+
+    A negative radicand and parts from unrelated radical towers keep their
+    scalar-layer text.
+    """
     try:
         return scalar_from_json(doc)
     except (KeyError, ValueError):
         raise MalformedValueError(f"not a serialized scalar: {doc!r}", field)
+    except (NonRealScalarError, MixedRadicandError) as exc:
+        raise MalformedValueError(str(exc), field)
 
 
 def surface_to_json(surface: SurfaceModel) -> dict[str, Any]:
@@ -118,7 +130,7 @@ def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
     """The class with coordinate list ``doc``; errors name ``field`` or its malformed coordinate.
 
     When the entries are all JSON ints or all strings, each distinct value is
-    parsed once.
+    parsed once.  Coordinates from unrelated radical towers name ``field``.
     """
     if not isinstance(doc, list):
         raise ModelValidationError("divisor must be a coordinate list", field)
@@ -129,13 +141,16 @@ def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
             coords = tuple(values[c] for c in doc)
         else:
             coords = tuple(scalar_from_json(c) for c in doc)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, NonRealScalarError, MixedRadicandError):
         for i, c in enumerate(doc):  # raises at the first malformed coordinate
             _scalar_from_json(c, f"{field}[{i}]")
         raise
     if len(coords) != model.rank:
         raise ModelValidationError(f"expected {model.rank} coordinates, got {len(coords)}", field)
-    return DivisorClass(model, coords)
+    try:
+        return DivisorClass(model, coords)
+    except MixedRadicandError as exc:
+        raise MalformedValueError(str(exc), field)
 
 
 def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:
@@ -177,12 +192,14 @@ def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
 
     Equals ``curve_from_json`` on each entry, errors included.  An entry's key
     is the ``orbit_key`` of its coordinates and the canonical JSON of its
-    other fields.  The first entry of each key is parsed by ``curve_from_json``;
-    a later one is a permutation of the E_i applied to that entry, which
-    preserves every check of the record, so it cannot fail and takes the
-    record ``_moved`` to its coordinates, read through one memo of raw JSON
-    values.  An entry without a key (not an object, coordinates not all ints
-    or all strings, fields that are not JSON) is parsed in full.
+    other fields.  The first entry of each key is parsed by ``curve_from_json``
+    and is the representative of the key's later entries.  A later one is a
+    permutation of the E_i applied to that entry, which preserves every check
+    of the record, so it cannot fail: its coordinates are read through one
+    memo of raw JSON values into a deferred member of the representative
+    (``NegativeCurveRecord._member``), which builds its class only when a
+    caller reads it.  An entry without a key (not an object, coordinates not
+    all ints or all strings, fields that are not JSON) is parsed in full.
     """
     if not isinstance(doc, list):
         raise MalformedValueError(f"must be a list of curve records, got {doc!r}", "curves")
@@ -199,8 +216,7 @@ def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
                 first[key] = record
                 values.update(zip(entry["coords"], record.cls.coords))
         else:
-            coords = tuple(map(values.__getitem__, entry["coords"]))
-            record = record._moved(DivisorClass(model, coords))
+            record = record._member(tuple(map(values.__getitem__, entry["coords"])))
         records.append(record)
     return records
 

@@ -274,11 +274,13 @@ def alpha_checks(
     The builders and ``verify`` both evaluate this list; a from-s witness
     (t given) adds ``alpha_identity``, alpha = t*C - (K - sL).  For C = E_i
     that gives alpha.C = 1 - t, so t >= 1 is part of ``alpha_dot_C_nonpos``.
+    ``alpha_in_positive_cone`` reads the alpha^2 of ``alpha_sq_zero``.
     """
     k = alpha.model.canonical()
+    alpha_sq = intersect(alpha, alpha)
     checks = {
-        "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
-        "alpha_in_positive_cone": in_positive_cone(alpha) is not ConePosition.OUTSIDE,
+        "alpha_sq_zero": sign(alpha_sq) == 0,
+        "alpha_in_positive_cone": in_positive_cone(alpha, alpha_sq) is not ConePosition.OUTSIDE,
         "alpha_dot_C_nonpos": sign(intersect(alpha, curve)) <= 0,
         "alpha_dot_K_positive": sign(intersect(alpha, k)) > 0,
     }

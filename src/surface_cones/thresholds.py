@@ -177,20 +177,22 @@ def ray_checks(
     root of (K - sL)^2 = -1/level), ``alpha_sq_zero``, ``t0_positive``
     (t0 >= 1/n), ``alpha_identity`` (alpha = t0*C - (K - sL)),
     ``curve_pairing_bound`` (C.(K - sL) <= -1) and ``alpha_in_positive_cone``
-    (``cones.in_positive_cone``: alpha^2 >= 0 and alpha.L >= 0).
+    (``cones.in_positive_cone``: alpha^2 >= 0 and alpha.L >= 0), which reads
+    the alpha^2 of ``alpha_sq_zero``.
     """
     ctx = ThresholdContext.from_model(model)
     k_minus_sl = model.canonical() - s * model.line()
+    alpha_sq = intersect(alpha, alpha)
     return {
         "curve_level": n == -curve.self_int and p == curve.genus and n <= level,
         "r_inequality": ctx.r_condition(n, 2 * p + n - 1).satisfied,
         "s_threshold": compare(ctx.k_minus_sl_sq(s), Fraction(-1, level)) == 0
         and compare(s * ctx.A_sq, ctx.AK) >= 0,
-        "alpha_sq_zero": sign(intersect(alpha, alpha)) == 0,
+        "alpha_sq_zero": sign(alpha_sq) == 0,
         "t0_positive": compare(t0, Fraction(1, n)) >= 0,
         "alpha_identity": t0 * curve.cls - k_minus_sl == alpha,
         "curve_pairing_bound": compare(curve.dot(k_minus_sl), -1) <= 0,
-        "alpha_in_positive_cone": in_positive_cone(alpha) is not ConePosition.OUTSIDE,
+        "alpha_in_positive_cone": in_positive_cone(alpha, alpha_sq) is not ConePosition.OUTSIDE,
     }
 
 
@@ -402,6 +404,14 @@ def cone_equality_check(
     curve test, on whether C is an E_i, so it is computed once per distinct
     such key, at its first curve in list order, where any raise happens.
 
+    A deferred member of an S_r-orbit (``NegativeCurveRecord._member``) takes
+    its type, its range check and its verdict from its ``representative``,
+    whose class is never built for it.  This is exact: a permutation of the
+    E_i fixes K and L, so n, p, C.L and the exceptional flag, and with them
+    every raise and the verdict, are constant on the orbit.  Each check is
+    made once per representative, in the order of first appearance, so the
+    first raise is the one a per-curve loop makes.
+
     Exactness.  For every admissible (n, p), r_condition(1, 2pi + nu - 1)
     gives s_n >= s_1 >= q = 2p + n - 1 >= 0.  So u <= -1 gives a real
     t0 = (-u + sqrt(u^2 - 1))/n >= 1/n and a null alpha = t0*C - (K - s_n L),
@@ -428,24 +438,30 @@ def cone_equality_check(
         raise ThresholdError(
             f"conditions for (nu, pi) = ({nu}, {pi}) fail", binding=condition.binding
         )
-    types = [_curve_type(record) for record in curves]
-    for record, (n, p) in zip(curves, types):
+    representatives = [record.representative for record in curves]
+    # each distinct representative by its id, in the order of first appearance
+    heads = {id(head): head for head in representatives}
+    types = {key: _curve_type(head) for key, head in heads.items()}
+    for key, head in heads.items():
+        n, p = types[key]
         if not 1 <= n <= nu:
             raise PreconditionError(
-                f"curve with self-intersection {record.self_int} outside 1 <= n <= {nu}"
+                f"curve with self-intersection {head.self_int} outside 1 <= n <= {nu}"
             )
         if not 0 <= p <= pi:
-            raise PreconditionError(f"curve with genus {record.genus} outside 0 <= p <= {pi}")
+            raise PreconditionError(f"curve with genus {head.genus} outside 0 <= p <= {pi}")
     values = tuple(s_monotonicity(ctx, nu))
     line = model.line()
     verdicts: dict[tuple, bool] = {}
-    trapped = []
-    for record, (n, p) in zip(curves, types):
-        d = record.dot(line)
-        key = (n, p, d, record.is_exceptional)
-        if key not in verdicts:
-            _require_not_contracted(record, d)
+    by_head = {}
+    for key, head in heads.items():
+        n, p = types[key]
+        d = head.dot(line)
+        verdict_key = (n, p, d, head.is_exceptional)
+        if verdict_key not in verdicts:
+            _require_not_contracted(head, d)
             u = 2 * p - 2 + n - values[n - 1] * d
-            verdicts[key] = compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK)
-        trapped.append(verdicts[key])
-    return ConeEqualityReport(condition, values, tuple(trapped))
+            verdicts[verdict_key] = compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK)
+        by_head[key] = verdicts[verdict_key]
+    trapped = tuple(by_head[id(head)] for head in representatives)
+    return ConeEqualityReport(condition, values, trapped)

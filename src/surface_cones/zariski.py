@@ -12,8 +12,10 @@ output independent of list order.
 Each record keeps its class's integer support and the nonzero entries of
 G*C; every pairing with a listed curve, here and in the ray builder, is
 ``NegativeCurveRecord.dot`` over them.  A record is validated when it is
-built, except a record moved from a validated one by a permutation of the
-E_i, which keeps that record's checked fields (``NegativeCurveRecord._moved``).
+built, except a later member of a curve list's S_r-orbit: it is the image of
+a validated record under a permutation of the E_i, keeps that record's
+checked fields and builds its class, support and G*C only when one of them
+is first read (``NegativeCurveRecord._member``).
 """
 
 from __future__ import annotations
@@ -38,9 +40,13 @@ class NegativeCurveRecord:
     ``support`` holds the ``(index, int)`` pairs of the nonzero coordinates
     of ``cls``.  The constructor computes it together with the nonzero
     entries of G*C, the Gram matrix times C, and reads C^2, C.K and the
-    exceptional test from them; :meth:`_moved` copies a validated record to
-    the image of its class under a permutation of the E_i, computing only
-    these two.  :meth:`dot` pairs any class with C over them.
+    exceptional test from them.  :meth:`dot` pairs any class with C over them.
+
+    A deferred member (:meth:`_member`) is the image of a validated record,
+    its ``representative``, under a permutation of the E_i.  It holds its
+    coordinate row and builds ``cls``, ``support`` and G*C at the first read
+    of one of them; until then it equals, hashes, prints, copies and
+    ``dataclasses.replace``s like the record built in full.
     """
 
     cls: DivisorClass
@@ -99,18 +105,39 @@ class NegativeCurveRecord:
             _form=form,
         )
 
-    def _moved(self, image: DivisorClass) -> "NegativeCurveRecord":
-        """The record of ``image``, the image of ``cls`` under a permutation of the E_i.
+    def _member(self, coords: tuple) -> "NegativeCurveRecord":
+        """The deferred record of ``coords``, the image of ``cls`` under a permutation of the E_i.
 
         The permutation fixes K and preserves the pairing, so C^2, C.K and the
         one-1-in-the-E-block pattern, hence ``self_int``, ``genus`` and
-        ``is_exceptional``, carry over unchecked; ``support`` and G*C are read
-        from ``image``, whose coordinates are integral Fractions like ``cls``'s.
+        ``is_exceptional``, carry over unchecked.  ``coords`` are integral
+        Fractions like ``cls``'s; the class, its support and G*C are built
+        from them when first read.
         """
-        support, gram_row = _support_and_row(image.model, [c.numerator for c in image.coords])
-        moved = object.__new__(NegativeCurveRecord)
-        moved.__dict__.update(vars(self), cls=image, support=support, _gram_row=gram_row)
-        return moved
+        member = object.__new__(NegativeCurveRecord)
+        member.__dict__.update(
+            self_int=self.self_int,
+            genus=self.genus,
+            is_exceptional=self.is_exceptional,
+            _rep=self.representative,
+            _coords=coords,
+        )
+        return member
+
+    @property
+    def representative(self) -> "NegativeCurveRecord":
+        """The validated record a deferred member was moved from; any other record itself."""
+        return self.__dict__.get("_rep", self)
+
+    def __getattr__(self, name: str):
+        """A deferred member's ``cls``, ``support`` or G*C, all three built at the first read."""
+        state = self.__dict__
+        if name not in ("cls", "support", "_gram_row") or "_coords" not in state:
+            raise AttributeError(name)
+        model, coords = state["_rep"].cls.model, state["_coords"]
+        support, gram_row = _support_and_row(model, [c.numerator for c in coords])
+        state.update(cls=DivisorClass(model, coords), support=support, _gram_row=gram_row)
+        return state[name]
 
     def dot(self, x: DivisorClass) -> Exact:
         """x.C = sum_j x_j (G*C)_j; equal to ``intersect(x, self.cls)``.

@@ -24,6 +24,10 @@ def write_json(tmp_path, name, doc):
 
 
 P2_SURFACE = {"chi": 1, "kY_sq": 9, "gram_Y": [[1]], "k_Y": [-3], "a_Y": [1], "class": "P2"}
+# 1 + sqrt(-2), 1 + sqrt(2) and 1 + sqrt(3) as serialized scalars
+NON_REAL = {"a": "1", "b": "1", "d": "-2"}
+ROOT_2 = {"a": "1", "b": "1", "d": "2"}
+ROOT_3 = {"a": "1", "b": "1", "d": "3"}
 
 
 class TestAnalyze:
@@ -171,7 +175,16 @@ class TestCertifyAndVerify:
         code, _, _ = run_cli(["verify", str(path)], capsys)
         assert code == 1
 
-    @pytest.mark.parametrize("field, value", [("n", 0), ("level", 0), ("s", "1/0")])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 0),
+            ("level", 0),
+            ("s", "1/0"),
+            ("s", NON_REAL),
+            ("s", {"a": ROOT_2, "b": "1", "d": "3"}),  # sqrt(2) plus a multiple of sqrt(3)
+        ],
+    )
     def test_zero_denominator_field_exit_one(self, capsys, tmp_path, field, value):
         certs_path = tmp_path / "certs.json"
         run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
@@ -246,6 +259,18 @@ class TestZariski:
         code, _, _ = run_cli(["verify", str(out_path)], capsys)
         assert code == 0
 
+
+    @pytest.mark.parametrize(
+        "divisor, error",
+        [
+            ([NON_REAL, 0], "divisor[0]: non-real scalar: radicand -2 < 0"),
+            ([ROOT_2, ROOT_3], "divisor: divisor coordinates must lie in a single radical tower"),
+        ],
+    )
+    def test_scalar_layer_errors_name_the_divisor(self, capsys, tmp_path, divisor, error):
+        doc = {"surface": P2_SURFACE, "r": 1, "divisor": divisor}
+        code, out, err = run_cli(["zariski", "--input", write_json(tmp_path, "in.json", doc)], capsys)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("coeffs", [{"0": "1/0"}, [], {"1": "1"}, {"-1": "1"}])
     def test_malformed_coeffs_exit_one(self, capsys, tmp_path, coeffs):
@@ -350,6 +375,8 @@ class TestCurveRecordInputs:
             ([_e1_record(12, genus=1)], "curves[0].genus"),
             ([_e1_record(12, is_exceptional=False)], "curves[0].is_exceptional"),
             ([{"coords": [0] + ["1/2"] * 8 + [0] * 4}], "curves[0]"),
+            ([{"coords": [NON_REAL] + [0] * 12}], "curves[0].coords[0]"),
+            ([_e1_record(12), {"coords": [0, ROOT_2, ROOT_3] + [0] * 10}], "curves[1].coords"),
         ],
     )
     def test_malformed_record_exit_one(self, capsys, tmp_path, curves, field):
@@ -487,6 +514,10 @@ class TestSlice:
             ({"classes": {"H": [1, 0, 0]}}, "classes"),
             ({"classes": "H"}, "classes"),
             ({"classes": True}, "classes"),
+            ({"classes": [[1, 0, 0], [0, NON_REAL, 0], [1, -1, -1]]}, "classes[1][1]"),
+            ({"classes": [[1, 0, 0], [0, 1, 0], [1, ROOT_2, ROOT_3]]}, "classes[2]"),
+            ({"plane_normal": [NON_REAL, 0, 0]}, "plane_normal[0]"),
+            ({"plane_normal": [ROOT_2, ROOT_3, 0]}, "plane_normal"),
         ],
     )
     def test_malformed_classes_and_labels_exit_one(self, capsys, tmp_path, changes, field):

@@ -1,9 +1,11 @@
 """Round trips and the standalone verifier, including tamper detection."""
 
+import copy
 import dataclasses
 import functools
 import inspect
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +20,7 @@ from helpers import (
     p2_surface,
     standard_minus_one_records,
 )
-from surface_cones import cli, serialize
+from surface_cones import cli, lattice, serialize
 from surface_cones import zariski
 from surface_cones.errors import (
     CertificateError,
@@ -35,6 +37,7 @@ from surface_cones.scalar import (
     sign,
     sqrt_scalar,
 )
+from surface_cones.segre import segre_bounds
 from surface_cones.strict_inclusion import (
     StrictInclusionWitness,
     WitnessConstruction,
@@ -50,6 +53,7 @@ from surface_cones.thresholds import (
     RayContainmentCert,
     ThresholdContext,
     certify_list,
+    cone_equality_check,
     orbit_alpha,
     orbit_key,
     ray_certificate,
@@ -795,7 +799,7 @@ MEMBER_EDITS = {
 
 
 class TestCurvesPerOrbit:
-    """``serialize._curves_from_json`` parses one entry per S_r-orbit and moves it to the rest."""
+    """``serialize._curves_from_json`` parses one entry per S_r-orbit and defers the rest."""
 
     @pytest.mark.parametrize(
         "name", FIXTURES + ["plane_r17_int", "plane_r17_str", "plane_r17_declared"]
@@ -811,6 +815,13 @@ class TestCurvesPerOrbit:
         parsed = cli._parse(serialize.blowup_to_json(model), ())
         built = [NegativeCurveRecord.from_class(model.exceptional(i)) for i in range(1, 18)]
         assert list(map(record_fields, parsed.curves)) == list(map(record_fields, built))
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_default_list_at_small_r(self, r):
+        model = p2_blowup(r)
+        curves = cli._parse(serialize.blowup_to_json(model), ()).curves
+        assert all(record.representative is curves[0] for record in curves)
+        assert [record.cls for record in curves] == [model.exceptional(i) for i in range(1, r + 1)]
 
     def test_p2_r17_validates_two_records(self, monkeypatch):
         calls = []
@@ -843,6 +854,117 @@ class TestCurvesPerOrbit:
             "curves[40].coords[0]: not a serialized scalar: False",
             "curves[40].coords[0]",
         )
+
+
+# the record fields a deferred member builds at the first read of one of them
+DEFERRED_FIELDS = ("cls", "support", "_gram_row")
+
+
+def read_member(index: int):
+    """Entry ``index`` of the declared r = 17 plane list, read lazily and unread, and its twin.
+
+    The twin is the same entry parsed in full by ``curve_from_json``.
+    """
+    model, entries = curve_list("plane_r17_declared")
+    records = serialize._curves_from_json(model, entries)
+    member = records[index]
+    assert member.representative is not member
+    assert not set(DEFERRED_FIELDS) & set(vars(member))
+    return member, serialize.curve_from_json(model, entries[index], f"curves[{index}]")
+
+
+def contracted_entry(rng: random.Random, model: BlowupModel) -> dict:
+    """E_i - E_j: C^2 = -2, genus 0 and C.L = 0, but no E_i, so deciding it raises."""
+    i, j = rng.sample(range(model.base.rank, model.rank), 2)
+    coords = [0] * model.rank
+    coords[i], coords[j] = 1, -1
+    return {"coords": coords}
+
+
+def decide_outcome(parse, model, entries, nu, pi, keep):
+    """``trapped`` of the records ``parse`` reads, sliced by ``keep``, or the first error."""
+    try:
+        records = parse(model, entries)[keep]
+        return "decided", cone_equality_check(model, records, nu, pi).trapped
+    except SurfaceConesError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "field", None)
+
+
+class TestDeferredMembers:
+    """A later member of an S_r-orbit builds its class, support and G*C at the first read."""
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda record: record, hash, repr, dataclasses.replace, copy.deepcopy],
+        ids=["eq", "hash", "repr", "replace", "deepcopy"],
+    )
+    @pytest.mark.parametrize("index", [5, 40])  # E_6 and one L - E_i - E_j
+    def test_unread_member_matches_its_eager_twin(self, view, index):
+        member, twin = read_member(index)
+        assert view(member) == view(twin)
+        assert serialize.curve_to_json(member) == serialize.curve_to_json(twin)
+
+    def test_copies_stay_deferred_and_replace_builds_in_full(self):
+        member, twin = read_member(40)
+        copied = copy.deepcopy(member)
+        assert not set(DEFERRED_FIELDS) & set(vars(copied))
+        assert copied.representative == member.representative
+        assert record_fields(copied) == record_fields(twin)
+        replaced = dataclasses.replace(member)
+        assert replaced.representative is replaced
+        assert record_fields(replaced) == record_fields(twin)
+
+    def test_first_read_builds_all_three(self):
+        member, twin = read_member(40)
+        assert member.support == twin.support
+        assert set(DEFERRED_FIELDS) <= set(vars(member))
+        assert member._gram_row == twin._gram_row and member.cls == twin.cls
+        with pytest.raises(AttributeError):
+            member.curve
+
+    def test_p2_r17_reads_and_decides_two_classes(self, monkeypatch):
+        # one class per orbit: the E_i and the L - E_i - E_j
+        model, entries = curve_list("p2_r17")
+        listed = {tuple(map(Fraction, entry["coords"])) for entry in entries}
+        built = []
+        original = lattice.DivisorClass.__post_init__
+
+        def counted(divisor):
+            if divisor.coords in listed:
+                built.append(divisor.coords)
+            original(divisor)
+
+        monkeypatch.setattr(lattice.DivisorClass, "__post_init__", counted)
+        bounds = segre_bounds(model.base.chi)
+        records = serialize._curves_from_json(model, entries)
+        report = cone_equality_check(model, records, bounds.nu, bounds.pi)
+        assert report.passed and len(report.trapped) == 153
+        assert len(built) == 2
+
+    def test_lazy_and_per_curve_lists_decide_alike(self):
+        """Seeded: shuffled lists, edited entries, contracted orbits and sublists of records.
+
+        A slice of the read records may drop an orbit's representative, the
+        first entry of its key; its members still take their verdict from it.
+        """
+        rng = random.Random(23)
+        kinds = set()
+        for _ in range(60):
+            model, entries = curve_list(rng.choice(["p2_r12", "plane_r17_declared", "k3_generic"]))
+            entries = json.loads(json.dumps(entries))
+            if rng.random() < 0.4:
+                entries += [contracted_entry(rng, model) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(entries)
+            entries = entries[rng.randrange(len(entries) // 2):]
+            if rng.random() < 0.2:
+                MEMBER_EDITS[rng.choice(sorted(MEMBER_EDITS))](rng.choice(entries))
+            nu, pi = rng.choice([(1, 0), (2, 0), (2, 1)])
+            start = rng.randrange(len(entries))
+            keep = slice(start, rng.randint(start, len(entries)))
+            lazy = decide_outcome(serialize._curves_from_json, model, entries, nu, pi, keep)
+            assert lazy == decide_outcome(per_curve, model, entries, nu, pi, keep)
+            kinds.add(lazy[0])
+        assert kinds >= {"decided", "PreconditionError", "ModelValidationError"}
 
 
 NESTED = {"b": {"d": 1, "c": [2, {"f": 0, "e": 1}]}, "a": None}
