@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
 from . import segre, serialize, strict_inclusion, thresholds, zariski
 from .cones import render_slice_csv, slice_export
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .lattice import BlowupModel, DivisorClass, SurfaceKind, intersect, parse_int, parse_rational
 from .scalar import scalar_to_json, sign
-from .thresholds import ThresholdContext, orbit_alpha, orbit_key
+from .thresholds import ConditionCheck, ThresholdContext
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture, e.g. ``p2_r12`` or ``k3_generic``."""
@@ -206,22 +206,10 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
 
     ``nu`` and ``pi`` are read together into ``bounds``; without them, and
     for ``chi``, ``bounds`` is derived from chi, which must be an integer.
-    ``curves`` defaults to the exceptional classes, one S_r-orbit: E_1 is
-    validated and each other E_i is a deferred member of it.
+    ``curves`` defaults to the exceptional classes E_1..E_r.
     """
     model = serialize.blowup_from_json(doc)
-    if "curves" in doc:
-        curves = serialize._curves_from_json(model, doc["curves"])
-    elif model.r:
-        first = zariski.NegativeCurveRecord.from_class(model.exceptional(1))
-        zero, one, m = Fraction(0), Fraction(1), model.base.rank
-        curves = [first] + [
-            first._member((zero,) * (m + i) + (one,) + (zero,) * (model.r - 1 - i))
-            for i in range(1, model.r)
-        ]
-    else:
-        curves = []
-    parsed = _Input(doc, model, curves)
+    parsed = _Input(doc, model, serialize._document_curves(model, doc))
     if "nu" in reads and ("nu" in doc or "pi" in doc):
         nu = parse_int(doc.get("nu", 1), "nu")
         pi = parse_int(doc.get("pi", 0), "pi")
@@ -324,13 +312,21 @@ def _interval_json(interval) -> dict[str, Any]:
     }
 
 
+def _r_condition(inp: _Input) -> ConditionCheck | None:
+    """The r-condition of the input's (nu, pi), or None once its binding inequality is written."""
+    ctx = ThresholdContext.from_model(inp.model)
+    condition = thresholds.check_conditions(ctx, inp.bounds.nu, inp.bounds.pi)
+    if condition.satisfied:
+        return condition
+    sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
+    return None
+
+
 def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
     model, bounds = inp.model, inp.bounds
-    ctx = ThresholdContext.from_model(model)
-    values = thresholds.s_monotonicity(ctx, bounds.nu)
-    condition = thresholds.check_conditions(ctx, bounds.nu, bounds.pi)
-    if not condition.satisfied:
-        sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
+    values = thresholds.s_monotonicity(ThresholdContext.from_model(model), bounds.nu)
+    condition = _r_condition(inp)
+    if condition is None:
         return 2
     delta = thresholds.first_delta(model)
     report = {
@@ -483,10 +479,8 @@ def _cmd_strict_inclusion(args: argparse.Namespace, inp: _Input) -> int:
 
 def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
     model, bounds = inp.model, inp.bounds
-    ctx = ThresholdContext.from_model(model)
-    condition = thresholds.check_conditions(ctx, bounds.nu, bounds.pi)
-    if not condition.satisfied:
-        sys.stderr.write(f"conditions unsatisfied: binding inequality {condition.binding}\n")
+    condition = _r_condition(inp)
+    if condition is None:
         return 2
     main = thresholds.cone_equality_check(model, inp.curves, bounds.nu, bounds.pi)
     labels = strict_inclusion.condition_sets(model)
@@ -539,70 +533,13 @@ def _cmd_verify(doc: dict) -> int:
         raise ModelValidationError(
             "must be a non-empty list of certificate documents", "certificates"
         )
-    failure = _verify_documents(documents)
+    failure = serialize._verify_documents(documents)
     if failure is not None:
         index, failing = failure
         sys.stderr.write(f"certificate {index}: {failing}\n")
         return 3
     sys.stdout.write(f"verified {len(documents)} certificate(s): all invariants hold\n")
     return 0
-
-
-def _verify_documents(documents) -> tuple[int, str] | None:
-    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
-
-    Gives the same result, and raises the same errors, as verifying every
-    entry in turn.  The first ray certificate of each S_r-orbit is verified in
-    full.  A later entry is accepted without re-derivation when its document
-    equals the verified one up to the curve coordinates and alpha's
-    E-coordinates, and its alpha is the verified one's ``orbit_alpha`` at its
-    curve: then it is the verified document moved by a permutation of the
-    E_i, an isometry that fixes K and L, so every invariant of ``ray_checks``
-    and of the curve record holds for it as well.  Every other entry is
-    verified in full.
-    """
-    verified: dict[tuple, Callable | None] = {}
-    for i, doc in enumerate(documents):
-        entry = _orbit_entry(doc)
-        permute = None if entry is None else verified.get(entry.key)
-        if permute is not None and permute(entry.coords) == entry.alpha:
-            continue
-        result = serialize.verify_certificate(doc)
-        if not result.ok:
-            return i, result.failing
-        if entry is not None and entry.key not in verified:
-            verified[entry.key] = orbit_alpha(entry.coords, entry.alpha, entry.m)
-    return None
-
-
-class _OrbitEntry(NamedTuple):
-    key: tuple  # canonical JSON of the fields other than curve coords and alpha, and the orbit key
-    coords: list
-    alpha: tuple  # canonical JSON of each alpha coordinate
-    m: int
-
-
-def _orbit_entry(doc) -> _OrbitEntry | None:
-    """None for anything but a ray certificate with a coordinate list, an alpha list and r."""
-    if not isinstance(doc, dict) or doc.get("kind") != serialize.RAY_KIND:
-        return None
-    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
-    if not isinstance(curve, dict) or not isinstance(alpha, list):
-        return None
-    coords = curve.get("coords")
-    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
-        return None
-    m = len(coords) - r
-    orbit = orbit_key(coords, m)
-    if orbit is None:
-        return None
-    rest = {k: v for k, v in doc.items() if k != "alpha"}
-    rest["curve"] = {k: v for k, v in curve.items() if k != "coords"}
-    try:
-        key = (serialize._canonical(rest), orbit)
-        return _OrbitEntry(key, coords, tuple(map(serialize._canonical, alpha)), m)
-    except (TypeError, ValueError):
-        return None
 
 
 # Each model command's handler and the fields it reads besides surface, r and curves;

@@ -5,6 +5,10 @@ re-checking needs no context beyond the file: the verifier rebuilds the
 model, re-derives each stored invariant from the serialized fields alone
 and names the first violation.  Documents carry a ``kind`` tag used for
 dispatch.
+
+It is the one module that recognizes S_r-orbits, on JSON by ``_curve_key``:
+it reads a curve list and verifies a certificate list once per orbit, and a
+later member's record links to its orbit's first as its ``representative``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .thresholds import (
     RECORDED_RAY_CHECKS,
     RayContainmentCert,
     first_failing,
-    orbit_key,
+    orbit_alpha,
     ray_checks,
 )
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
@@ -190,13 +194,13 @@ def curve_from_json(model: BlowupModel, doc, field: str = "curve") -> NegativeCu
 def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
     """The ``curves`` list of a document: records named ``curves[i]``, one parse per S_r-orbit.
 
-    Equals ``curve_from_json`` on each entry, errors included.  An entry's key
-    is the ``orbit_key`` of its coordinates and the canonical JSON of its
-    other fields.  The first entry of each key is parsed by ``curve_from_json``
-    and is the representative of the key's later entries.  A later one is a
-    permutation of the E_i applied to that entry, which preserves every check
-    of the record, so it cannot fail: its coordinates are read through one
-    memo of raw JSON values into a deferred member of the representative
+    Equals ``curve_from_json`` on each entry, errors included.  The first
+    entry of each ``_curve_key`` is parsed by ``curve_from_json`` and is the
+    ``representative`` of the key's later entries, which is all that later
+    steps working once per orbit read.  A later entry is a permutation of
+    the E_i applied to that entry, which preserves every check of the
+    record, so it cannot fail: its coordinates are read through one memo of
+    raw JSON values into a deferred member of the representative
     (``NegativeCurveRecord._member``), which builds its class only when a
     caller reads it.  An entry without a key (not an object, coordinates not
     all ints or all strings, fields that are not JSON) is parsed in full.
@@ -221,11 +225,35 @@ def _curves_from_json(model: BlowupModel, doc) -> list[NegativeCurveRecord]:
     return records
 
 
+def _document_curves(model: BlowupModel, doc: dict) -> list[NegativeCurveRecord]:
+    """The records of ``doc["curves"]``; without that key E_1..E_r, read as one orbit."""
+    if "curves" in doc:
+        return _curves_from_json(model, doc["curves"])
+    m, r = model.base.rank, model.r
+    rows = [[0] * (m + i) + [1] + [0] * (r - 1 - i) for i in range(r)]
+    return _curves_from_json(model, [{"coords": row} for row in rows])
+
+
+def _orbit_key(coords: list, m: int) -> tuple | None:
+    """The S_r-orbit key of a coordinate list: its base block and its sorted E-block.
+
+    Two lists share a key exactly when a permutation of the E_i maps one to
+    the other.  ``m`` is the rank of the base.  The coordinates must be all
+    ``int`` or all ``str`` (a document's serialized rationals), so that equal
+    keys mean equal values of one type; anything else, bools included, gives
+    None and never raises.
+    """
+    kinds = {type(c) for c in coords}
+    if len(kinds) != 1 or not kinds <= {int, str}:
+        return None
+    return tuple(coords[:m]), tuple(sorted(coords[m:]))
+
+
 def _curve_key(entry, m: int) -> tuple | None:
     """(orbit key of the coordinates, canonical JSON of the other fields), or None."""
     if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
         return None
-    orbit = orbit_key(entry["coords"], m)
+    orbit = _orbit_key(entry["coords"], m)
     if orbit is None:
         return None
     try:
@@ -314,6 +342,55 @@ def verify_certificate(doc) -> VerifyResult:
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     raise CertificateError(f"unknown certificate kind: {kind!r}")
+
+
+def _verify_documents(documents) -> tuple[int, str] | None:
+    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
+
+    Gives the same result, and raises the same errors, as verifying every
+    entry in turn.  The first ray certificate of each key (``_orbit_entry``)
+    is verified in full.  A later one whose alpha is the verified one's
+    ``orbit_alpha`` at its curve is that document moved by a permutation of
+    the E_i, an isometry fixing K and L, so every invariant of ``ray_checks``
+    and of the curve record holds for it too; any other is verified in full.
+    """
+    verified = {}  # key -> the orbit_alpha map of its verified entry
+    for i, doc in enumerate(documents):
+        key, coords, alpha, m = _orbit_entry(doc) or (None,) * 4
+        permute = verified.get(key)
+        if permute is not None and permute(coords) == alpha:
+            continue
+        result = verify_certificate(doc)
+        if not result.ok:
+            return i, result.failing
+        if key is not None and key not in verified:
+            verified[key] = orbit_alpha(coords, alpha, m)
+    return None
+
+
+def _orbit_entry(doc) -> tuple | None:
+    """(key, curve coordinates, canonical JSON of each alpha coordinate, m), or None.
+
+    The key is the curve's ``_curve_key`` and the canonical JSON of the other
+    fields but alpha; None unless ``doc`` is a ray certificate with r.
+    """
+    if not isinstance(doc, dict) or doc.get("kind") != RAY_KIND:
+        return None
+    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
+    if not isinstance(curve, dict) or not isinstance(alpha, list):
+        return None
+    coords = curve.get("coords")
+    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
+        return None
+    m = len(coords) - r
+    curve_key = _curve_key(curve, m)
+    if curve_key is None:
+        return None
+    try:
+        rest = _canonical({k: v for k, v in doc.items() if k not in ("curve", "alpha")})
+        return (curve_key, rest), coords, tuple(map(_canonical, alpha)), m
+    except (TypeError, ValueError):
+        return None
 
 
 def _verify_ray(doc) -> str | None:

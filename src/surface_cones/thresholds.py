@@ -23,6 +23,10 @@ list of ray-certificate invariants, shared by the builder and ``verify``.
 which its docstring proves equivalent to a valid certificate; by the lemma
 there, trapped curves put the part of the generated cone pairing
 nonnegatively with K - s_nu L inside the positive cone.
+
+Both list functions work once per ``NegativeCurveRecord.representative``,
+the first record of an S_r-orbit that ``serialize`` read; they recognize no
+orbit themselves.
 """
 
 from __future__ import annotations
@@ -279,21 +283,6 @@ def ray_certificate(
     )
 
 
-def orbit_key(coords: Sequence, m: int) -> tuple | None:
-    """The S_r-orbit key of a curve: its base block and its sorted E-block.
-
-    Two curves share a key exactly when a permutation of the E_i maps one to
-    the other.  ``m`` is the rank of the base.  The coordinates must be all
-    ``int`` (a built class) or all ``str`` (a document's serialized
-    rationals), so that equal keys mean equal values of one type; anything
-    else, bools included, gives None and never raises.
-    """
-    kinds = {type(c) for c in coords}
-    if len(kinds) != 1 or not kinds <= {int, str}:
-        return None
-    return tuple(coords[:m]), tuple(sorted(coords[m:]))
-
-
 def orbit_alpha(
     curve_coords: Sequence, alpha_coords: Sequence, m: int
 ) -> Callable[[Sequence], tuple] | None:
@@ -315,33 +304,33 @@ def orbit_alpha(
 def certify_list(
     model: BlowupModel, curves: Sequence[NegativeCurveRecord]
 ) -> list[RayContainmentCert]:
-    """Certificate of every curve at its own level n = -C^2, one build per S_r-orbit.
+    """Certificate of every curve at its own level n = -C^2, one build per ``representative``.
 
     Equals ``ray_certificate(model, c, s_threshold(ctx, n), level=n)`` on each
-    curve.  A permutation of the E_i is an isometry fixing K and L, so n, p,
-    s, t0, the checks and the verdict are constant on an orbit
-    (``orbit_key``), and alpha(sigma C) = sigma(alpha(C)) (``orbit_alpha``;
-    alpha = t0*C - (K - sL) is a function of C's E-values).  The first curve
-    of each orbit is built in full, in list order, so a precondition error is
-    raised at the same curve as a per-curve loop would raise it.
+    curve.  A member is its representative moved by a permutation of the
+    E_i, an isometry fixing K and L, so n, p, s, t0, the checks and the
+    verdict are the representative's and its alpha is ``orbit_alpha`` of the
+    representative's at the member's coordinates.  Representatives are built
+    in the order of first appearance, where a per-curve loop would raise.
     """
     ctx = ThresholdContext.from_model(model)
     m = model.base.rank
-    built: dict[tuple, tuple] = {}
+    built: dict[int, tuple] = {}  # id of a representative -> its certificate and alpha map
     certificates = []
     for curve in curves:
-        coords = [int(c) for c in curve.cls.coords]
-        key = orbit_key(coords, m)
-        if key not in built:
-            n, _ = _curve_type(curve)
-            rep = ray_certificate(model, curve, s_threshold(ctx, n), level=n)
-            permute = None if rep.alpha is None else orbit_alpha(coords, rep.alpha.coords, m)
-            built[key] = rep, permute
-            certificates.append(rep)
-            continue
-        rep, permute = built[key]
-        alpha = None if rep.alpha is None else DivisorClass(model, permute(coords))
-        certificates.append(replace(rep, curve=curve, alpha=alpha))
+        head = curve.representative
+        if id(head) not in built:
+            n, _ = _curve_type(head)
+            rep = ray_certificate(model, head, s_threshold(ctx, n), level=n)
+            permute = (
+                None if rep.alpha is None else orbit_alpha(head.cls.coords, rep.alpha.coords, m)
+            )
+            built[id(head)] = rep, permute
+        cert, permute = built[id(head)]
+        if curve is not head:
+            alpha = None if cert.alpha is None else DivisorClass(model, permute(curve.cls.coords))
+            cert = replace(cert, curve=curve, alpha=alpha)
+        certificates.append(cert)
     return certificates
 
 
@@ -400,17 +389,13 @@ def cone_equality_check(
     r-condition raises :class:`ThresholdError`.  A curve of type (n, p) is
     trapped when u = C.(K - s_n L) = 2p - 2 + n - s_n*C.L <= -1 and, if
     C.L < 0, C.L >= A.K_Y; that is when its ray certificate at level n is
-    valid.  The verdict depends on (n, p, C.L) and, through the contracted
-    curve test, on whether C is an E_i, so it is computed once per distinct
-    such key, at its first curve in list order, where any raise happens.
+    valid.
 
-    A deferred member of an S_r-orbit (``NegativeCurveRecord._member``) takes
-    its type, its range check and its verdict from its ``representative``,
-    whose class is never built for it.  This is exact: a permutation of the
-    E_i fixes K and L, so n, p, C.L and the exceptional flag, and with them
-    every raise and the verdict, are constant on the orbit.  Each check is
-    made once per representative, in the order of first appearance, so the
-    first raise is the one a per-curve loop makes.
+    Every check and the verdict are made once per ``representative``, in the
+    order of first appearance, so the first raise is the one a per-curve loop
+    makes.  This is exact: a permutation of the E_i fixes K and L, so n, p,
+    C.L and the exceptional flag, and with them every raise and the verdict,
+    are constant on an S_r-orbit.
 
     Exactness.  For every admissible (n, p), r_condition(1, 2pi + nu - 1)
     gives s_n >= s_1 >= q = 2p + n - 1 >= 0.  So u <= -1 gives a real
@@ -438,9 +423,8 @@ def cone_equality_check(
         raise ThresholdError(
             f"conditions for (nu, pi) = ({nu}, {pi}) fail", binding=condition.binding
         )
-    representatives = [record.representative for record in curves]
     # each distinct representative by its id, in the order of first appearance
-    heads = {id(head): head for head in representatives}
+    heads = {id(record.representative): record.representative for record in curves}
     types = {key: _curve_type(head) for key, head in heads.items()}
     for key, head in heads.items():
         n, p = types[key]
@@ -452,16 +436,12 @@ def cone_equality_check(
             raise PreconditionError(f"curve with genus {head.genus} outside 0 <= p <= {pi}")
     values = tuple(s_monotonicity(ctx, nu))
     line = model.line()
-    verdicts: dict[tuple, bool] = {}
-    by_head = {}
+    verdicts = {}
     for key, head in heads.items():
         n, p = types[key]
         d = head.dot(line)
-        verdict_key = (n, p, d, head.is_exceptional)
-        if verdict_key not in verdicts:
-            _require_not_contracted(head, d)
-            u = 2 * p - 2 + n - values[n - 1] * d
-            verdicts[verdict_key] = compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK)
-        by_head[key] = verdicts[verdict_key]
-    trapped = tuple(by_head[id(head)] for head in representatives)
+        _require_not_contracted(head, d)
+        u = 2 * p - 2 + n - values[n - 1] * d
+        verdicts[key] = compare(u, -1) <= 0 and (d >= 0 or d >= ctx.AK)
+    trapped = tuple(verdicts[id(record.representative)] for record in curves)
     return ConeEqualityReport(condition, values, trapped)

@@ -12,10 +12,11 @@ output independent of list order.
 Each record keeps its class's integer support and the nonzero entries of
 G*C; every pairing with a listed curve, here and in the ray builder, is
 ``NegativeCurveRecord.dot`` over them.  A record is validated when it is
-built, except a later member of a curve list's S_r-orbit: it is the image of
-a validated record under a permutation of the E_i, keeps that record's
-checked fields and builds its class, support and G*C only when one of them
-is first read (``NegativeCurveRecord._member``).
+built, except a later member of an S_r-orbit that ``serialize`` read: the
+image of its ``representative`` under a permutation of the E_i, it keeps
+that record's checked fields and builds its class, support and G*C only when
+read (``NegativeCurveRecord._member``).  Work done once per orbit is done
+once per ``representative``.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class NegativeCurveRecord:
 
     A deferred member (:meth:`_member`) is the image of a validated record,
     its ``representative``, under a permutation of the E_i.  It holds its
-    coordinate row and builds ``cls``, ``support`` and G*C at the first read
-    of one of them; until then it equals, hashes, prints, copies and
+    coordinate row, builds ``cls`` when it is first read and ``support`` and
+    G*C when either is; until then it equals, hashes, prints, copies and
     ``dataclasses.replace``s like the record built in full.
     """
 
@@ -130,13 +131,16 @@ class NegativeCurveRecord:
         return self.__dict__.get("_rep", self)
 
     def __getattr__(self, name: str):
-        """A deferred member's ``cls``, ``support`` or G*C, all three built at the first read."""
+        """A deferred member's ``cls``, or its ``support`` or G*C, which build ``cls`` too."""
         state = self.__dict__
         if name not in ("cls", "support", "_gram_row") or "_coords" not in state:
             raise AttributeError(name)
         model, coords = state["_rep"].cls.model, state["_coords"]
-        support, gram_row = _support_and_row(model, [c.numerator for c in coords])
-        state.update(cls=DivisorClass(model, coords), support=support, _gram_row=gram_row)
+        if "cls" not in state:
+            state["cls"] = DivisorClass(model, coords)
+        if name != "cls":
+            support, gram_row = _support_and_row(model, [c.numerator for c in coords])
+            state.update(support=support, _gram_row=gram_row)
         return state[name]
 
     def dot(self, x: DivisorClass) -> Exact:

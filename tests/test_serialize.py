@@ -55,7 +55,6 @@ from surface_cones.thresholds import (
     certify_list,
     cone_equality_check,
     orbit_alpha,
-    orbit_key,
     ray_certificate,
     ray_checks,
     s_threshold,
@@ -560,9 +559,9 @@ def test_orbit_key_ignores_untyped_coordinates():
     for coords in (
         ["1", 1], [True, False], ["1", 1.0, "0"], [Fraction(1)], [{"a": "1"}], [[1], [0]], [None]
     ):
-        assert orbit_key(coords, 1) is None
-    assert orbit_key(["1", "-1", "0", "-1"], 1) == (("1",), ("-1", "-1", "0"))
-    assert orbit_key([1, 0, -1], 1) == ((1,), (-1, 0))
+        assert serialize._orbit_key(coords, 1) is None
+    assert serialize._orbit_key(["1", "-1", "0", "-1"], 1) == (("1",), ("-1", "-1", "0"))
+    assert serialize._orbit_key([1, 0, -1], 1) == ((1,), (-1, 0))
 
 
 def test_orbit_alpha_needs_a_function_of_the_curve():
@@ -658,7 +657,7 @@ IN_ORDER = list(range(18))
 
 
 class TestOrbitVerify:
-    """``cli._verify_documents`` against the per-entry reference loop.
+    """``serialize._verify_documents`` against the per-entry reference loop.
 
     In list order, entry 0 is the first of the E_i orbit, 13 the first of a
     quartic orbit, and 15 (E_7) and 17 (a quartic) are later members.
@@ -668,7 +667,7 @@ class TestOrbitVerify:
         calls = []
         full = serialize.verify_certificate
         monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert cli._verify_documents(json.loads(plane_list_text())) is None
+        assert serialize._verify_documents(json.loads(plane_list_text())) is None
         assert len(calls) == 5
 
     def test_p2_r17_fixture_two_full_checks(self, monkeypatch, capsys):
@@ -677,7 +676,7 @@ class TestOrbitVerify:
         calls = []
         full = serialize.verify_certificate
         monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert cli._verify_documents(documents) is None
+        assert serialize._verify_documents(documents) is None
         assert (len(documents), len(calls)) == (153, 2)
 
     @settings(max_examples=40, deadline=None)
@@ -705,7 +704,7 @@ class TestOrbitVerify:
         listed = json.loads(plane_list_text())
         documents = [listed[i] for i in order]
         EDITS[edit](documents, index, pick)
-        assert outcome(cli._verify_documents, documents) == outcome(
+        assert outcome(serialize._verify_documents, documents) == outcome(
             reference_verify, documents
         )
 
@@ -921,6 +920,30 @@ class TestDeferredMembers:
         assert member._gram_row == twin._gram_row and member.cls == twin.cls
         with pytest.raises(AttributeError):
             member.curve
+
+    def test_reading_the_class_builds_only_the_class(self):
+        member, twin = read_member(40)
+        assert member.cls == twin.cls
+        assert "cls" in vars(member)
+        assert not {"support", "_gram_row"} & set(vars(member))
+
+    @pytest.mark.parametrize("command", ["certify-ray", "analyze", "verify"])
+    def test_p2_r17_builds_two_gram_rows(self, command, monkeypatch, tmp_path, capsys):
+        # one G*C row per orbit: the certificates read every member's class, never its row
+        certs = tmp_path / "certs.json"
+        assert cli.main(["certify-ray", "--input", "fixture:p2_r17", "--output", str(certs)]) == 0
+        rows = []
+        original = zariski._support_and_row
+        monkeypatch.setattr(
+            zariski, "_support_and_row", lambda model, ints: rows.append(ints) or original(model, ints)
+        )
+        argv = {
+            "certify-ray": ["certify-ray", "--input", "fixture:p2_r17"],
+            "analyze": ["analyze", "--input", "fixture:p2_r17", "--samples", "0"],
+            "verify": ["verify", str(certs)],
+        }[command]
+        assert cli.main(argv) == 0
+        assert len(rows) == 2
 
     def test_p2_r17_reads_and_decides_two_classes(self, monkeypatch):
         # one class per orbit: the E_i and the L - E_i - E_j
