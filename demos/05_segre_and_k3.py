@@ -1,21 +1,16 @@
-"""Speciality bookkeeping: bounds, counterexample detectors, the K3 table.
+"""The Segre Problem's bounds: counterexample detectors, the K3 table.
 
 The bound chain -1 >= C^2 >= p_a - chi >= -chi pins (nu, pi) = (chi, chi-1);
 for chi <= 0 every negative curve must be exceptional, and a genus-g pencil
-through a blown-up point refutes the speciality claim whenever
+through a blown-up point refutes the Segre Problem whenever
 chi != dim + g + 1.
 """
 
 from surface_cones import (
-    BlowupModel,
-    NegativeCurveRecord,
-    SurfaceModel,
     classify_k3_curve,
     curve_bound_check,
-    intersect,
     nagata_checks,
     NagataVariant,
-    negativity_bound_anticanonical,
     pencil_counterexample,
     segre_bounds,
 )
@@ -46,7 +41,3 @@ print("  deg 6 through ten double points, 1/sqrt(r) form:",
       nagata_checks(6, [2] * 10, NagataVariant.NAGATA))
 print("  deg 4 through four simple points, strong form:",
       nagata_checks(4, [1, 1, 1, 1], NagataVariant.STRONG))
-
-print()
-print("anticanonical negativity bound for components of squares -5, -3:",
-      negativity_bound_anticanonical([-5, -3]))

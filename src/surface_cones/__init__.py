@@ -5,7 +5,7 @@ surface Y at r general points, entirely in exact arithmetic: rationals and
 real quadratic extensions.  It produces machine-checkable certificates for
 Zariski decompositions, positive-cone membership, negative-ray trapping
 thresholds, and strict-inclusion witnesses, plus exact checkers for the
-speciality bookkeeping that motivates those cone statements.
+Segre Problem's bounds on negative curves that those cone statements assume.
 """
 
 from .errors import (
@@ -43,21 +43,16 @@ from .lattice import (
     SurfaceModel,
     arithmetic_genus,
     intersect,
-    riemann_roch_chi,
-    virtual_and_expected_dim,
 )
 from .cones import (
     ConePosition,
-    OrthogonalSlice,
     PairingReport,
     SignatureReport,
     diagonalize,
     in_positive_cone,
-    orthogonal_slice,
     pairing_nonneg_check,
     render_slice_csv,
     slice_export,
-    tangency_test,
 )
 from .zariski import (
     DecompositionReport,
@@ -82,19 +77,15 @@ from .thresholds import (
 )
 from .segre import (
     K3CurveKind,
-    LinearSystemRecord,
     NagataVariant,
     PencilVerdict,
     SegreBounds,
-    Speciality,
     classify_k3_curve,
     classify_k3_record,
     curve_bound_check,
     nagata_checks,
-    negativity_bound_anticanonical,
     pencil_counterexample,
     segre_bounds,
-    speciality,
 )
 from .strict_inclusion import (
     ConditionLabel,

@@ -211,8 +211,8 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
     model = serialize.blowup_from_json(doc)
     parsed = _Input(doc, model, serialize._document_curves(model, doc))
     if "nu" in reads and ("nu" in doc or "pi" in doc):
-        nu = parse_int(doc.get("nu", 1), "nu")
-        pi = parse_int(doc.get("pi", 0), "pi")
+        nu = parse_int(doc.get("nu", 1), "nu", 1)
+        pi = parse_int(doc.get("pi", 0), "pi", 0)
         parsed.bounds = segre.SegreBounds(nu=nu, pi=pi, exceptional_only=False)
     elif "nu" in reads or "chi" in reads:
         chi = model.base.chi
@@ -225,10 +225,11 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
         parsed.divisor = serialize.divisor_from_json(model, doc["divisor"], "divisor")
     if "pencils" in reads:
         for i, pencil in enumerate(_entries(doc, "pencils", ("g", "dim"))):
-            g = parse_rational(pencil["g"], f"pencils[{i}].g")
-            dim = parse_rational(pencil["dim"], f"pencils[{i}].dim")
-            if dim < 0:
-                raise ModelValidationError(f"must be nonnegative, got {dim}", f"pencils[{i}].dim")
+            at = f"pencils[{i}]"
+            g, dim = (parse_rational(pencil[name], f"{at}.{name}") for name in ("g", "dim"))
+            for name, value in (("g", g), ("dim", dim)):
+                if value < 0:
+                    raise ModelValidationError(f"must be nonnegative, got {value}", f"{at}.{name}")
             parsed.pencils.append((g, dim, str(pencil["g"]), str(pencil["dim"])))
     if "nagata" in reads:
         for i, entry in enumerate(_entries(doc, "nagata", ("deg", "mults"))):
@@ -324,11 +325,11 @@ def _r_condition(inp: _Input) -> ConditionCheck | None:
 
 def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
     model, bounds = inp.model, inp.bounds
-    values = thresholds.s_monotonicity(ThresholdContext.from_model(model), bounds.nu)
+    ctx = ThresholdContext.from_model(model)
+    values = thresholds.s_monotonicity(ctx, bounds.nu)
     condition = _r_condition(inp)
     if condition is None:
         return 2
-    delta = thresholds.first_delta(model)
     report = {
         "command": "thresholds",
         "seed": args.seed,
@@ -336,10 +337,8 @@ def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
         **dataclasses.asdict(bounds),
         "condition": {**_condition_json(condition), "q": str(condition.q)},
         "thresholds": [scalar_to_json(v) for v in values],
-        "delta": str(delta),
-        "k_minus_sl_dot_h": scalar_to_json(
-            thresholds.k_minus_sl_h_negative(model, values[-1], delta)
-        ),
+        # v.L < 0 for v = K - s_nu L and nef L, so v is not effective
+        "k_minus_sl_dot_l": scalar_to_json(ctx.AK - values[-1] * ctx.A_sq),
     }
     _emit_report(args, report)
     return 0
@@ -387,9 +386,7 @@ def _cmd_segre_check(args: argparse.Namespace, inp: _Input) -> int:
         curve_rows.append(row)
     pencil_rows = []
     for i, (g, dim, g_text, dim_text) in enumerate(inp.pencils):
-        outcome = segre.pencil_counterexample(
-            chi, g, dim, pg=model.base.pg, q=model.base.irregularity
-        )
+        outcome = segre.pencil_counterexample(chi, g, dim)
         pencil_rows.append(
             {
                 "index": i,

@@ -1,4 +1,4 @@
-"""Exact geometry of the positive cone: membership, pairing, tangency, slices.
+"""Exact geometry of the positive cone: membership, pairing, signature, slices.
 
 Membership is tested against the nef pullback L rather than an ample class.
 This is equivalent: if x^2 >= 0 and x.L = 0 then x lies in the orthogonal
@@ -70,46 +70,6 @@ def pairing_nonneg_check(x: DivisorClass, y: DivisorClass) -> PairingReport:
         strict_positive=strict,
         value=value,
     )
-
-
-def tangency_test(gamma: DivisorClass, alpha: DivisorClass) -> bool:
-    """Whether the line from gamma through alpha meets the cone only at alpha.
-
-    True exactly when alpha^2 = 0 and alpha.gamma = 0, for gamma of negative
-    square on the nonnegative side of L and nonzero alpha in the cone.
-    """
-    if gamma.model.rank < 3:
-        raise PreconditionError("tangency test needs lattice rank >= 3")
-    line = gamma.model.line()
-    if sign(intersect(gamma, gamma)) >= 0:
-        raise PreconditionError("gamma must have negative self-intersection")
-    if sign(intersect(gamma, line)) < 0:
-        raise PreconditionError("gamma must pair nonnegatively with L")
-    if alpha.is_zero():
-        raise PreconditionError("alpha must be nonzero")
-    if in_positive_cone(alpha) is ConePosition.OUTSIDE:
-        raise PreconditionError("alpha must lie in the positive cone")
-    return sign(intersect(alpha, alpha)) == 0 and sign(intersect(alpha, gamma)) == 0
-
-
-class OrthogonalSlice(Enum):
-    ZERO = "zero"
-    RAY = "ray"
-    FULL = "full"
-
-
-def orthogonal_slice(gamma: DivisorClass) -> OrthogonalSlice:
-    """Shape of (gamma-perp intersect positive cone): {0}, the ray of gamma, or full."""
-    if gamma.is_zero():
-        raise PreconditionError("gamma must be nonzero")
-    if sign(intersect(gamma, gamma.model.line())) < 0:
-        raise PreconditionError("gamma must pair nonnegatively with L")
-    s = sign(intersect(gamma, gamma))
-    if s > 0:
-        return OrthogonalSlice.ZERO
-    if s == 0:
-        return OrthogonalSlice.RAY
-    return OrthogonalSlice.FULL
 
 
 @dataclass(frozen=True)

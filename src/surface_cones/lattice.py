@@ -371,21 +371,3 @@ def _adjunction_genus(value: Fraction) -> Fraction:
     if value.denominator != 1 or value.numerator % 2 != 0:
         raise AdjunctionParityError(f"non-integral class for adjunction: C^2 + C.K = {value}")
     return Fraction(1 + value.numerator // 2)
-
-
-def riemann_roch_chi(lb: DivisorClass) -> Fraction:
-    """Euler characteristic chi(O) + (D^2 - D.K)/2 of a rational class."""
-    if not lb.is_rational:
-        raise PreconditionError("Riemann-Roch expects rational coordinates")
-    k = lb.model.canonical()
-    return lb.model.base.chi + as_fraction(intersect(lb, lb) - intersect(lb, k)) / 2
-
-
-def virtual_and_expected_dim(lb: DivisorClass) -> tuple[Fraction, Fraction]:
-    """(virtual, expected) dimension of the system attached to ``lb``.
-
-    Callers assert the vanishing of second cohomology for this to carry
-    geometric meaning; the assumption is recorded by consumers, not checked.
-    """
-    virtual = riemann_roch_chi(lb) - 1
-    return virtual, max(virtual, Fraction(-1))

@@ -1,12 +1,11 @@
-"""Speciality bookkeeping and exact checkers for the negative-curve lists.
+"""Exact checkers for the Segre Problem's bounds on negative curves.
 
-These operations never estimate cohomology: actual dimensions are supplied
-by the caller, and the vanishing of second cohomology is an explicit flag
-carried on the record.  What is computed exactly is arithmetic downstream
-of those inputs: expected dimensions, the bound chain
--1 >= C^2 >= p_a - chi >= -chi, the (nu, pi) = (chi, chi - 1) bounds, the
-pencil contradiction chi = dim + g + 1, degree/multiplicity inequalities,
-and the three-row classification of negative curves on blown-up K3s.
+These operations never estimate cohomology: chi, genera and dimensions are
+supplied by the caller.  What is computed exactly is arithmetic downstream
+of those inputs: the bound chain -1 >= C^2 >= p_a - chi >= -chi, the
+(nu, pi) = (chi, chi - 1) bounds, the pencil contradiction
+chi = dim + g + 1, degree/multiplicity inequalities, and the three-row
+classification of negative curves on blown-up K3s.
 """
 
 from __future__ import annotations
@@ -15,54 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ModelValidationError, PreconditionError
-from .lattice import DivisorClass, SurfaceKind, riemann_roch_chi
-
-
-@dataclass(frozen=True)
-class LinearSystemRecord:
-    """User-declared linear system: class, known dimension, geometric flags."""
-
-    cls: DivisorClass
-    known_dim: Fraction | None
-    reduced: bool
-    exceptional_support: bool
-    h2_zero_assumed: bool
-
-    def __post_init__(self):
-        if self.exceptional_support:
-            m = self.cls.model.base.rank
-            if any(c != 0 for c in self.cls.coords[:m]):
-                raise ModelValidationError(
-                    "exceptional support requires vanishing pullback coordinates",
-                    "system.cls",
-                )
-
-
-class Speciality(Enum):
-    SPECIAL = "special"
-    NON_SPECIAL = "non_special"
-    UNDETERMINED = "undetermined"
-
-
-def speciality(record: LinearSystemRecord) -> Speciality:
-    """Compare the known dimension with the expected one.
-
-    Undetermined without the h^2 = 0 assumption or a known dimension; a
-    known dimension strictly below the expected one contradicts the
-    assumption and is rejected.
-    """
-    if not record.h2_zero_assumed or record.known_dim is None:
-        return Speciality.UNDETERMINED
-    expected = max(riemann_roch_chi(record.cls) - 1, Fraction(-1))
-    if record.known_dim > expected:
-        return Speciality.SPECIAL
-    if record.known_dim == expected:
-        return Speciality.NON_SPECIAL
-    raise PreconditionError(
-        f"known dimension {record.known_dim} below expected {expected}: "
-        "inconsistent with the h^2 = 0 assumption"
-    )
+from .errors import PreconditionError
+from .lattice import SurfaceKind
 
 
 @dataclass(frozen=True)
@@ -105,38 +58,25 @@ class PencilReport:
     chi: Fraction
     expected_chi: Fraction
     chi_bound_holds: bool
-    pg_zero_failure: bool | None
 
 
 def pencil_counterexample(
-    chi: Fraction | int,
-    g: Fraction | int,
-    dim_l: Fraction | int,
-    pg: Fraction | int | None = None,
-    q: Fraction | int | None = None,
+    chi: Fraction | int, g: Fraction | int, dim_l: Fraction | int
 ) -> PencilReport:
-    """Detect the contradiction a genus-g pencil forces on the speciality claim.
+    """Detect the contradiction a genus-g pencil forces on the Segre Problem.
 
     A base-point-free pencil of genus g through a blown-up point yields a
     strict transform whose system must satisfy chi = dim + g + 1; failure of
-    that equality refutes the claim.  The corollary bound chi >= g + 1 and,
-    for pg = 0 surfaces, the criterion "g > 0 or q > 0" are reported too.
+    that equality refutes the Segre Problem's claim.  The corollary bound
+    chi >= g + 1 is reported too.
     """
     chi, g, dim_l = Fraction(chi), Fraction(g), Fraction(dim_l)
     if dim_l < 0:
         raise PreconditionError("the pencil's strict transform must be non-empty")
     expected = dim_l + g + 1
     verdict = PencilVerdict.CONSISTENT if chi == expected else PencilVerdict.SEGRE_FAILS
-    pg_zero_failure = None
-    if pg is not None and Fraction(pg) == 0:
-        q = Fraction(q) if q is not None else 1 - chi
-        pg_zero_failure = g > 0 or q > 0
     return PencilReport(
-        verdict=verdict,
-        chi=chi,
-        expected_chi=expected,
-        chi_bound_holds=chi >= g + 1,
-        pg_zero_failure=pg_zero_failure,
+        verdict=verdict, chi=chi, expected_chi=expected, chi_bound_holds=chi >= g + 1
     )
 
 
@@ -199,13 +139,3 @@ def nagata_checks(
     if variant is NagataVariant.NAGATA:
         return deg**2 * len(mults) >= sum(mults) ** 2
     return deg**2 >= sum(m**2 for m in mults)
-
-
-def negativity_bound_anticanonical(component_self_ints: list[Fraction] | list[int]) -> Fraction:
-    """Lower bound for C^2 when the anticanonical class is pseudoeffective.
-
-    Inputs are the self-intersections of the components of its effective
-    part; the bound is min(-2, those values).
-    """
-    values = [Fraction(v) for v in component_self_ints]
-    return min([Fraction(-2)] + values)

@@ -4,8 +4,8 @@ Two constructions are provided for a fixed exceptional curve C = E_i.
 
 From a parameter s: alpha = t*C - (K - sL) with t = 1 + sqrt(D_t(s)),
 D_t(s) = s^2*A^2 - 2s*A.K_Y + K_Y^2 + 1 - r.  The parameter must satisfy
-three exact inequalities (real t, positive pairing with small ample
-perturbations of L, and alpha.K > 0); their solution set in s is computed
+three exact inequalities (real t, alpha in the positive cone, that is
+alpha.L >= 0, and alpha.K > 0); their solution set in s is computed
 here by case analysis and squaring, with every endpoint an exact scalar
 and a certified rational point inside each component.
 

@@ -142,18 +142,6 @@ def check_conditions(ctx: ThresholdContext, nu: int, pi: int) -> ConditionCheck:
     return ctx.r_condition(1, 2 * pi + nu - 1)
 
 
-def first_delta(model: BlowupModel) -> Fraction:
-    """Largest delta = cap/2^k with r*delta^2 < A^2, for the cap 1/(2r), or 1/2 at r = 0.
-
-    h = L - delta*sum E_i has h^2 = A^2 - r*delta^2, so this is the largest
-    such delta that puts h inside the positive cone.
-    """
-    delta = Fraction(1, 2 * model.r) if model.r else Fraction(1, 2)
-    while model.r * delta * delta >= model.base.a_sq:
-        delta = delta / 2
-    return delta
-
-
 def first_failing(checks: dict[str, bool]) -> str | None:
     """Name of the first false entry of an ordered check list, or None."""
     return next((name for name, ok in checks.items() if not ok), None)

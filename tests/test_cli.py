@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surface_cones import cli
+from surface_cones.scalar import scalar_from_json, scalar_to_json, sign, sqrt_scalar
+from surface_cones.thresholds import ThresholdContext
 
 
 def run_cli(args, capsys):
@@ -78,12 +80,25 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize("command", ["analyze", "thresholds"])
-@pytest.mark.parametrize("field, value", [("nu", "abc"), ("nu", True), ("pi", 1.5)])
+@pytest.mark.parametrize(
+    "field, value", [("nu", "abc"), ("nu", True), ("pi", 1.5), ("nu", 0), ("pi", -1)]
+)
 def test_malformed_bounds_exit_one(capsys, tmp_path, command, field, value):
     doc = dict(cli.load_fixture("p2_r12"), **{field: value})
     code, _, err = run_cli([command, "--input", write_json(tmp_path, "in.json", doc)], capsys)
     assert code == 1
     assert f"{field}:" in err
+
+
+# every bundled fixture and test input on which ``thresholds`` exits 0
+THRESHOLDS_INPUTS = {
+    **{name: f"fixture:{name}" for name in (
+        "abelian", "enriques", "k3_generic", "p2_r10", "p2_r11", "p2_r12", "p2_r17",
+    )},
+    **{name: str(Path(__file__).parent / "data" / f"{name}.json") for name in (
+        "k3_minus_two_curve_r37", "p2_backward_alpha_r10",
+    )},
+}
 
 
 class TestThresholds:
@@ -99,16 +114,24 @@ class TestThresholds:
         assert report["thresholds"] == [{"a": "-3", "b": "1", "d": "11"}]
         assert report["condition"]["satisfied"] is True
 
-    def test_reported_delta_puts_h_in_the_positive_cone(self, capsys):
-        # a_Y = 1/10 at r = 10: 1/(2r) = 1/20 has r*delta^2 = 1/40 > A^2 = 1/100, so the
-        # first delta inside the cone is 1/40, where (K - s_1 L).h = A.K_Y - s_1*A^2 + r*delta
+    @pytest.mark.parametrize("name", sorted(THRESHOLDS_INPUTS))
+    def test_k_minus_sl_dot_l_is_minus_root_of_d_nu(self, capsys, name):
+        # v = K - s_nu L has v.L = A.K_Y - s_nu*A^2 = -sqrt(D_nu/4) < 0, and L is nef
+        code, out, _ = run_cli(["thresholds", "--input", THRESHOLDS_INPUTS[name]], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert "delta" not in report and "k_minus_sl_dot_h" not in report
+        model = cli._parse(report["input"], ()).model
+        expected = -sqrt_scalar(ThresholdContext.from_model(model).delta_quarter(report["nu"]))
+        assert report["k_minus_sl_dot_l"] == scalar_to_json(expected)
+        assert sign(scalar_from_json(report["k_minus_sl_dot_l"])) < 0
+
+    def test_k_minus_sl_dot_l_on_the_backward_alpha_input(self, capsys):
+        # a_Y = 1/10 at r = 10: A.K_Y = -3/10 and s_1 = 0
         path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")
         code, out, _ = run_cli(["thresholds", "--input", path], capsys)
         assert code == 0
-        report = json.loads(out)
-        delta, a_sq = Fraction(report["delta"]), Fraction(1, 100)
-        assert 10 * delta**2 < a_sq
-        assert (report["delta"], report["k_minus_sl_dot_h"]) == ("1/40", "-1/20")
+        assert json.loads(out)["k_minus_sl_dot_l"] == "-3/10"
 
     def test_malformed_gram_exit_one(self, capsys, tmp_path):
         doc = {"surface": dict(P2_SURFACE, gram_Y=[[1, 0], [2, -1]], k_Y=[-3, 1], a_Y=[1, 0]),
@@ -325,6 +348,7 @@ class TestSegreCheck:
             ({"nagata": [{"deg": 3, "mults": [1], "variant": "bogus"}]}, "nagata[0].variant"),
             ({"nagata": {"deg": 3}}, "nagata"),
             ({"pencils": [{"g": 1, "dim": -1}]}, "pencils[0].dim"),
+            ({"pencils": [{"g": -1, "dim": 0}]}, "pencils[0].g"),
             ({"nagata": [{"deg": 0, "mults": [1]}]}, "nagata[0].deg"),
             ({"nagata": [{"deg": 3, "mults": []}]}, "nagata[0].mults"),
             ({"nagata": [{"deg": 3, "mults": [1, "-1/2"]}]}, "nagata[0].mults[1]"),

@@ -1,6 +1,5 @@
-"""Positive-cone geometry: membership, pairing, tangency, slices, signature."""
+"""Positive-cone geometry: membership, pairing, slices, signature."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,17 +9,14 @@ from hypothesis import given, strategies as st
 from helpers import abelian_surface, k3_surface, p2_blowup, p2_surface
 from surface_cones.cones import (
     ConePosition,
-    OrthogonalSlice,
     diagonalize,
     in_positive_cone,
-    orthogonal_slice,
     pairing_nonneg_check,
     render_slice_csv,
     slice_export,
-    tangency_test,
 )
 from surface_cones.errors import PreconditionError
-from surface_cones.lattice import BlowupModel, intersect
+from surface_cones.lattice import BlowupModel
 from surface_cones.scalar import make_scalar, sign
 
 
@@ -96,68 +92,6 @@ class TestPairing:
             assert report.ok and report.nonnegative
             if report.strict_positive:
                 assert sign(report.value) > 0
-
-
-class TestTangency:
-    def test_spec_false_instance(self):
-        x = p2_blowup(2)
-        assert tangency_test(x.exceptional(1), x.pullback([1]) - x.exceptional(1)) is False
-
-    def test_true_instance_from_brute_force(self):
-        # search small integer classes on Bl_3 P^2 for a valid (gamma, alpha) pair
-        model = p2_blowup(3)
-        line = model.line()
-        hit = None
-        rng = range(-3, 4)
-        for gc in itertools.product(rng, repeat=4):
-            gamma = model.divisor(gc)
-            if sign(intersect(gamma, gamma)) >= 0 or sign(intersect(gamma, line)) < 0:
-                continue
-            for ac in itertools.product(range(-2, 3), repeat=4):
-                alpha = model.divisor(ac)
-                if alpha.is_zero() or in_positive_cone(alpha) is ConePosition.OUTSIDE:
-                    continue
-                if sign(intersect(alpha, alpha)) == 0 and sign(intersect(alpha, gamma)) == 0:
-                    hit = (gamma, alpha)
-                    break
-            if hit:
-                break
-        assert hit is not None
-        gamma, alpha = hit
-        assert tangency_test(gamma, alpha) is True
-
-    def test_interior_alpha_false(self):
-        x = p2_blowup(2)
-        assert tangency_test(x.exceptional(1), x.line()) is False
-
-    def test_zero_alpha_rejected(self):
-        x = p2_blowup(2)
-        with pytest.raises(PreconditionError):
-            tangency_test(x.exceptional(1), x.zero())
-
-    def test_rank_two_rejected(self):
-        x = p2_blowup(1)
-        with pytest.raises(PreconditionError):
-            tangency_test(x.exceptional(1), x.pullback([1]) - x.exceptional(1))
-
-
-class TestOrthogonalSlice:
-    def test_positive_square_gives_zero(self):
-        assert orthogonal_slice(p2_blowup(1).line()) is OrthogonalSlice.ZERO
-
-    def test_null_gives_ray(self):
-        x = p2_blowup(1)
-        boundary = x.pullback([1]) - x.exceptional(1)
-        assert orthogonal_slice(boundary) is OrthogonalSlice.RAY
-        assert in_positive_cone(boundary) is ConePosition.BOUNDARY
-
-    def test_negative_square_gives_full(self):
-        x = p2_blowup(2)
-        assert orthogonal_slice(x.pullback([1]) - x.exceptional(1) - x.exceptional(2)) is OrthogonalSlice.FULL
-
-    def test_zero_rejected(self):
-        with pytest.raises(PreconditionError):
-            orthogonal_slice(p2_blowup(1).zero())
 
 
 class TestSignature:

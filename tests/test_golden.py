@@ -35,15 +35,15 @@ GOLDEN = {
     ("analyze", "p2_r11"): "8f317ecf36ce0615c479a7e28badeda17f806ac8a6d3526b3f13cfd5f55817c1",
     ("analyze", "p2_r12"): "b19c000e8d12a25dd167e468ce99e5746d846dfb263b5931b01cf35bb8a7de0d",
     ("analyze", "p2_r17"): "0213468e966f0cc52a4f84ad8b878f3a127c8d3e71b493c3a271442de03bfdcb",
-    ("thresholds", "abelian"): "4eba5fbd161961b7f6427f5e0085cfad79128e8dc97ea10aa86dbfd2c2519b73",
-    ("thresholds", "enriques"): "c27812ef628c222469cdbcad444f841b7fa5cbe107aebeece654b6d638213551",
-    ("thresholds", "k3_generic"): "1900e42751cdf9f0b73458f70cbb7fe9d56f471aa160a954c13a83a32e508292",
+    ("thresholds", "abelian"): "9b396c8c2c1ea3193632c390eecd1733d8d6d95594affe81309905b42dafb345",
+    ("thresholds", "enriques"): "54565e032b1e2c57c760d7b6961ae2bc54f232eb6ad607d9043c8dd5a9eee5e5",
+    ("thresholds", "k3_generic"): "81ecde966cdf50dfce66df505ad3c32a04b0618b324f4f018bf5352a3e29846f",
     ("thresholds", "p2_r1"): "8cf8d43f1d650d8df034ce54458548b8e9379db52ea0be12e4fa874ffb7ea501",
     ("thresholds", "p2_r9"): "eca79cab7d470ddd46cdfda157cd047a9a18910d1de2ea45c78bc9bd1e192463",
-    ("thresholds", "p2_r10"): "c6b606b5a0c1749af79dd1f2a4492e30102ef30d0d276cfec01f008b5ae05923",
-    ("thresholds", "p2_r11"): "72b80033fd4df6e3c2d6d0e8f65759f0e1d2107300e7f0c7c9ad7d9687f9951f",
-    ("thresholds", "p2_r12"): "4833653a8098a6792b611784e49ac7fef6481a06b637dad6a439eeaa4800d01c",
-    ("thresholds", "p2_r17"): "90be1e1a4d22a32fe3c446fb7ce3bb3274dcd068147b5d8c58b392111390fc1e",
+    ("thresholds", "p2_r10"): "420cd537ac6dbdd990719d5eeab97aaaa1f4c2595ae14a1b9815fb85f9dcfbcd",
+    ("thresholds", "p2_r11"): "c40a24cc2df8b8dc2ef15ebc040f6ff327f06b16e237e562a8448ca376782762",
+    ("thresholds", "p2_r12"): "e9d4a5c9ee24889b04326dba5cc6aa740095e2923ebc38e80ce6783f1a2cf50a",
+    ("thresholds", "p2_r17"): "214f9814eb2750cc97aacd15348e3e7887a5ab9a24353a2cccfb64d32c08ecbb",
     ("certify-ray", "abelian"): "3bbc02f761cda56f438595733eebed305502a8e3bb8246e00ea470a5607b0bf9",
     ("certify-ray", "enriques"): "7b7060ee43afe9813cc5209294db5e05959a3b2898b7582929677c9f79f56198",
     ("certify-ray", "k3_generic"): "5ba0c4e87e9f63b22df3610e04c640c6ff7435e4ce9634fcf093d11436f7e3c7",
@@ -85,8 +85,8 @@ GOLDEN = {
 GOLDEN_TEXT = {
     ("analyze", "k3_generic"): "69cb94e813d3b908969f0e83a76b8a9d00da1a9117eef6eec993db452360777a",
     ("analyze", "p2_r12"): "865b27fb3146fd273ced8549a0460347ecca90839a2748e769f7747f138cdd82",
-    ("thresholds", "k3_generic"): "42650cf543f82a64eaeb982ce3d93243a36cd4ce6f40f0cc5f26eb1f2f68ea76",
-    ("thresholds", "p2_r12"): "8496996487f8ac80060e00b398619af7428c9340ce3bad5561285c82639d1999",
+    ("thresholds", "k3_generic"): "d75dd177ea587581e7c1abb6836703219f81923e486e56afd8812c9927b76b6f",
+    ("thresholds", "p2_r12"): "ee050c7ab87a672dcc8c77af45733cf8ce30c36eaa09ff64156cc707f6f3ea27",
     ("segre-check", "k3_generic"): "9e156945a90a51e8d41d499e765b52bd6c77ad0e63558510125753f13eb807ee",
     ("segre-check", "p2_r12"): "de0d8fe423b4b930d3f8bcf3f7bf3a9323800d4b5f6264428fade5085adbfa06",
 }

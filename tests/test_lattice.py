@@ -27,8 +27,6 @@ from surface_cones.lattice import (
     SurfaceModel,
     arithmetic_genus,
     intersect,
-    riemann_roch_chi,
-    virtual_and_expected_dim,
 )
 from surface_cones.scalar import make_scalar, sqrt_scalar
 from surface_cones.serialize import blowup_from_json, blowup_to_json
@@ -208,20 +206,11 @@ class TestAdjunctionAndRiemannRoch:
         with pytest.raises(AdjunctionParityError):
             arithmetic_genus(x.divisor([Fraction(1, 2), 0]))
 
-    def test_riemann_roch_of_zero_class(self):
-        assert riemann_roch_chi(p2_blowup(3).zero()) == 1
-        assert riemann_roch_chi(BlowupModel(k3_surface(), 2).zero()) == 2
-
-    def test_riemann_roch_exceptional(self):
-        assert riemann_roch_chi(p2_blowup(5).exceptional(1)) == 1
-
     def test_enriques_elliptic_strict_transform(self):
         x = BlowupModel(enriques_surface(), 1)
         c = x.pullback([1, 0]) - x.exceptional(1)
         assert intersect(c, c) == -1
         assert intersect(c, x.canonical()) == 1
-        assert riemann_roch_chi(c) == 0
-        assert virtual_and_expected_dim(c) == (Fraction(-1), Fraction(-1))
 
     @given(st.lists(small_ints, min_size=5, max_size=5))
     def test_adjunction_parity_for_integer_classes(self, coords):
@@ -229,14 +218,6 @@ class TestAdjunctionAndRiemannRoch:
         c = model.divisor(coords)
         value = intersect(c, c) + intersect(c, model.canonical())
         assert value.denominator == 1 and value.numerator % 2 == 0
-
-    def test_virtual_expected_clamping(self):
-        x = p2_blowup(2)
-        v, e = virtual_and_expected_dim(x.zero())  # chi = 1 -> v = 0
-        assert (v, e) == (0, 0)
-        k = x.canonical()
-        v2, e2 = virtual_and_expected_dim(-2 * k)
-        assert e2 == max(v2, -1)
 
 
 class TestBuilders:

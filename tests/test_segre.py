@@ -1,73 +1,25 @@
-"""Speciality bookkeeping, bound chains, counterexample detectors, K3 kinds."""
+"""Segre Problem bounds: bound chains, counterexample detectors, K3 kinds."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import abelian_surface, enriques_surface, k3_surface, p2_blowup
+from helpers import abelian_surface, k3_surface, p2_blowup
 from surface_cones.errors import PreconditionError
-from surface_cones.lattice import BlowupModel, intersect, riemann_roch_chi
+from surface_cones.lattice import BlowupModel, intersect
 from surface_cones.segre import (
     K3CurveKind,
-    LinearSystemRecord,
     NagataVariant,
     PencilVerdict,
-    Speciality,
     classify_k3_curve,
     classify_k3_record,
     curve_bound_check,
     nagata_checks,
-    negativity_bound_anticanonical,
     pencil_counterexample,
     segre_bounds,
-    speciality,
 )
 from surface_cones.zariski import NegativeCurveRecord
-
-
-class TestSpeciality:
-    def test_dimension_matching_expected(self):
-        x = p2_blowup(1)
-        record = LinearSystemRecord(
-            cls=x.exceptional(1), known_dim=Fraction(0), reduced=True,
-            exceptional_support=True, h2_zero_assumed=True,
-        )
-        assert speciality(record) is Speciality.NON_SPECIAL
-
-    def test_enriques_pencil_transform_special(self):
-        x = BlowupModel(enriques_surface(), 1)
-        c = x.pullback([1, 0]) - x.exceptional(1)
-        assert riemann_roch_chi(c) == 0  # expected dimension -1
-        record = LinearSystemRecord(
-            cls=c, known_dim=Fraction(0), reduced=True,
-            exceptional_support=False, h2_zero_assumed=True,
-        )
-        assert speciality(record) is Speciality.SPECIAL
-
-    def test_unknown_dimension_undetermined(self):
-        x = p2_blowup(1)
-        record = LinearSystemRecord(
-            cls=x.exceptional(1), known_dim=None, reduced=True,
-            exceptional_support=True, h2_zero_assumed=True,
-        )
-        assert speciality(record) is Speciality.UNDETERMINED
-
-    def test_no_h2_assumption_undetermined(self):
-        x = p2_blowup(1)
-        record = LinearSystemRecord(
-            cls=x.exceptional(1), known_dim=Fraction(0), reduced=True,
-            exceptional_support=True, h2_zero_assumed=False,
-        )
-        assert speciality(record) is Speciality.UNDETERMINED
-
-    def test_exceptional_support_flag_validated(self):
-        x = p2_blowup(1)
-        with pytest.raises(Exception):
-            LinearSystemRecord(
-                cls=x.line(), known_dim=None, reduced=True,
-                exceptional_support=True, h2_zero_assumed=True,
-            )
 
 
 class TestSegreBounds:
@@ -122,12 +74,6 @@ class TestPencilCounterexample:
     def test_nonsimple_abelian_fails(self):
         report = pencil_counterexample(0, 1, 0)
         assert report.verdict is PencilVerdict.SEGRE_FAILS
-
-    def test_pg_zero_criterion(self):
-        report = pencil_counterexample(1, 1, 0, pg=0, q=0)
-        assert report.pg_zero_failure is True
-        report = pencil_counterexample(1, 0, 0, pg=0, q=0)
-        assert report.pg_zero_failure is False
 
     def test_nonspecial_genus_zero_always_consistent(self):
         for chi in range(1, 7):
@@ -202,17 +148,6 @@ class TestNagata:
             Fraction(deg * scale), [Fraction(m * scale) for m in mults], variant
         )
         assert base == scaled
-
-
-class TestNegativityBound:
-    def test_empty_components(self):
-        assert negativity_bound_anticanonical([]) == -2
-
-    def test_min_with_components(self):
-        assert negativity_bound_anticanonical([-5, -3]) == -5
-
-    def test_mild_components_clamped(self):
-        assert negativity_bound_anticanonical([-1]) == -2
 
 
 def test_abelian_surface_bounds_status():

@@ -47,7 +47,6 @@ from surface_cones.thresholds import (
     certify_list,
     check_conditions,
     cone_equality_check,
-    first_delta,
     k_minus_sl_h_negative,
     ray_certificate,
     s_monotonicity,
@@ -778,12 +777,13 @@ class TestDecidedByTheLemma:
 
 
 def h_rule(alpha):
-    """The h-rule for a null alpha: alpha.h >= 0 for h = L - delta*sum E_i at ``first_delta``.
+    """The h-rule for a null alpha: alpha.h >= 0 for h = L - delta*sum E_i.
 
-    There r*delta^2 < A^2, so h lies inside the positive cone.
+    delta = A^2/(A^2 + r) has r*delta^2 = A^2 * r*A^2/(A^2 + r)^2 < A^2, so h
+    lies inside the positive cone.
     """
     model = alpha.model
-    delta = first_delta(model)
+    delta = model.base.a_sq / (model.base.a_sq + model.r)
     assert model.r * delta * delta < model.base.a_sq
     return sign(intersect(alpha, model.ample_h(delta))) >= 0
 
@@ -812,7 +812,7 @@ FORWARDNESS_INPUTS = {
         "p2_r17",
     )},
     "backward_alpha_r10": lambda: json.loads((DATA / "p2_backward_alpha_r10.json").read_text()),
-    # A^2 = 1/64 = 1/(4r): 1/(2r) puts h on the null cone, and first_delta halves it
+    # A^2 = 1/64 = 1/(4r): delta = 1/(2r) would put h on the null cone
     "eighth_plane_r16": lambda: {
         "surface": dict(load_fixture("p2_r10")["surface"], a_Y=["1/8"]),
         "r": 16,
@@ -822,7 +822,7 @@ FORWARDNESS_INPUTS = {
 
 
 class TestForwardnessRules:
-    """``alpha_in_positive_cone`` against alpha.h >= 0 at ``first_delta`` on null classes.
+    """``alpha_in_positive_cone`` against the h-rule of ``h_rule`` on null classes.
 
     h^2 = A^2 - r*delta^2 > 0 and h.L = A^2 > 0 put h inside Pos, and L^perp is
     negative definite, so a null alpha pairs nonnegatively with h exactly when
@@ -910,19 +910,3 @@ class TestThresholdSliceMonotonicity:
             if sign(intersect(gamma, line)) < 0:
                 gamma = -gamma
             assert sign(intersect(gamma, model.canonical() - t * line)) >= 0
-
-
-class TestFirstDelta:
-    def test_first_delta_puts_h_in_the_positive_cone(self):
-        # a_Y = 1/10 at r = 10: r*delta^2 < A^2 = 1/100 first holds at delta = 1/40
-        surface = dataclasses.replace(p2_surface(), a_Y=(Fraction(1, 10),))
-        model = BlowupModel(surface, 10)
-        assert first_delta(model) == Fraction(1, 40)
-        assert in_positive_cone(model.ample_h(Fraction(1, 40))) is ConePosition.INTERIOR
-        assert in_positive_cone(model.ample_h(Fraction(1, 20))) is ConePosition.OUTSIDE
-
-    @pytest.mark.parametrize("r, delta", [(0, Fraction(1, 2)), (1, Fraction(1, 2)),
-                                          (12, Fraction(1, 24))])
-    def test_cap_where_it_fits(self, r, delta):
-        # on P2 with a_Y = 1: 1/(2r), or 1/2 at r = 0, has r*delta^2 < 1 = A^2
-        assert first_delta(p2_blowup(r)) == delta
