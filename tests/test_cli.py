@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surface_cones import cli
+from surface_cones.lattice import intersect
 from surface_cones.scalar import scalar_from_json, scalar_to_json, sign, sqrt_scalar
 from surface_cones.thresholds import ThresholdContext
 
@@ -90,6 +91,16 @@ def test_malformed_bounds_exit_one(capsys, tmp_path, command, field, value):
     assert f"{field}:" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "thresholds"])
+@pytest.mark.parametrize("field, value, minimum", [("nu", 0, 1), ("pi", -1, 0)])
+def test_bound_below_minimum_names_the_field(capsys, tmp_path, command, field, value, minimum):
+    doc = dict(cli.load_fixture("p2_r12"), **{field: value})
+    path = write_json(tmp_path, "in.json", doc)
+    code, out, err = run_cli([command, "--input", path, "--samples", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field}: must be at least {minimum}, got {value}\n"
+
+
 # every bundled fixture and test input on which ``thresholds`` exits 0
 THRESHOLDS_INPUTS = {
     **{name: f"fixture:{name}" for name in (
@@ -125,6 +136,26 @@ class TestThresholds:
         expected = -sqrt_scalar(ThresholdContext.from_model(model).delta_quarter(report["nu"]))
         assert report["k_minus_sl_dot_l"] == scalar_to_json(expected)
         assert sign(scalar_from_json(report["k_minus_sl_dot_l"])) < 0
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLDS_INPUTS))
+    def test_k_minus_sl_dot_l_is_the_pairing_of_v_with_l(self, capsys, name):
+        # the reported value is the intersection number (K - s_nu L).L on the blow-up
+        code, out, _ = run_cli(["thresholds", "--input", THRESHOLDS_INPUTS[name]], capsys)
+        assert code == 0
+        report = json.loads(out)
+        model = cli._parse(report["input"], ()).model
+        s = scalar_from_json(report["thresholds"][-1])
+        v = model.canonical() - s * model.line()
+        assert report["k_minus_sl_dot_l"] == scalar_to_json(intersect(v, model.line()))
+
+    def test_text_format_reports_v_dot_l(self, capsys):
+        code, out, _ = run_cli(
+            ["thresholds", "--input", "fixture:p2_r12", "--format", "text"], capsys
+        )
+        assert code == 0
+        # -sqrt(11) at r = 12
+        assert "k_minus_sl_dot_l:\n  a: 0\n  b: -1\n  d: 11" in out
+        assert "delta" not in out and "k_minus_sl_dot_h" not in out
 
     def test_k_minus_sl_dot_l_on_the_backward_alpha_input(self, capsys):
         # a_Y = 1/10 at r = 10: A.K_Y = -3/10 and s_1 = 0
@@ -361,6 +392,15 @@ class TestSegreCheck:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
+
+    def test_genus_zero_pencil_accepted(self, capsys, tmp_path):
+        doc = {"surface": dict(P2_SURFACE), "r": 1, "pencils": [{"g": 0, "dim": 0}]}
+        code, out, _ = run_cli(
+            ["segre-check", "--input", write_json(tmp_path, "in.json", doc)], capsys
+        )
+        assert code == 0
+        row = json.loads(out)["pencils"][0]
+        assert (row["g"], row["dim"]) == ("0", "0")
 
     @pytest.mark.parametrize("command", ["segre-check", "analyze", "thresholds"])
     def test_non_integer_chi_exit_one(self, capsys, tmp_path, command):
