@@ -65,7 +65,10 @@ def _load_input(input_path: str | None) -> dict:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise ModelValidationError(f"cannot write output: {exc}", "--output")
     else:
         sys.stdout.write(text)
 
@@ -81,13 +84,15 @@ def _indented_json(value) -> str:
     """``json.dumps(value, indent=2)``, character for character, written by one recursion.
 
     Strings go through the C ``encode_basestring_ascii``, and a list of only
-    strings or only ints is written with one join.  The types are those
+    strings or only ints is written with one join.  A dict object met again
+    at the indent of its first text, as orbit members share sub-objects, is
+    copied from it; ``value`` must not change meanwhile.  The types are those
     ``json`` writes without a ``default``: dicts with string keys, lists,
     tuples, strings, ints, floats, booleans and None; any other raises
     TypeError.  Unlike ``json.dumps`` it does not check for cycles.
     """
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, {})
     return "".join(out)
 
 
@@ -112,8 +117,12 @@ _ATOMS = {
 }
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the text of ``value`` to ``out``; ``newline`` is the line break and indent before it."""
+def _write_json(value, newline: str, out: list[str], written: dict) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is the line break and indent before it.
+
+    ``written`` maps the id of each dict written to its ``newline`` and span
+    of ``out``; ``value`` keeps those dicts alive, so no id is reused.
+    """
     atom = _ATOMS.get(type(value))
     if atom is not None:
         out.append(atom(value))
@@ -121,6 +130,12 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("{}")
             return
+        span = written.get(id(value))
+        if span is not None and span[0] == newline:
+            out.append("".join(out[span[1]:span[2]]))
+            written[id(value)] = newline, len(out) - 1, len(out)
+            return
+        start = len(out)
         inner = newline + "  "
         prefix = "{" + inner
         for key, item in value.items():
@@ -131,9 +146,10 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                 out.append(prefix + _quote(key) + ": " + atom(item))
             else:
                 out.append(prefix + _quote(key) + ": ")
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, written)
             prefix = "," + inner
         out.append(newline + "}")
+        written[id(value)] = newline, start, len(out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -152,7 +168,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                     out.append(prefix + atom(item))
                 else:
                     out.append(prefix)
-                    _write_json(item, inner, out)
+                    _write_json(item, inner, out, written)
                 prefix = separator
             out.append(newline + "]")
     elif isinstance(value, str):
@@ -228,6 +244,8 @@ def _parse(doc: dict, reads: tuple[str, ...]) -> _Input:
             at = f"pencils[{i}]"
             g, dim = (parse_rational(pencil[name], f"{at}.{name}") for name in ("g", "dim"))
             for name, value in (("g", g), ("dim", dim)):
+                if value.denominator != 1:
+                    raise ModelValidationError(f"must be an integer, got {value}", f"{at}.{name}")
                 if value < 0:
                     raise ModelValidationError(f"must be nonnegative, got {value}", f"{at}.{name}")
             parsed.pencils.append((g, dim, str(pencil["g"]), str(pencil["dim"])))
@@ -345,17 +363,17 @@ def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
 
 
 def _cmd_certify_ray(args: argparse.Namespace, inp: _Input) -> int:
-    certs = thresholds.certify_list(inp.model, inp.curves)
+    documents = serialize._ray_certificates_to_json(inp.model, inp.curves)
     report = {
         "kind": "certificate_list",
         "command": "certify-ray",
         "seed": args.seed,
-        "certificates": [serialize.ray_certificate_to_json(inp.model, c) for c in certs],
+        "certificates": documents,
     }
     _emit_report(args, report)
-    invalid = [c for c in certs if not c.valid]
+    invalid = [doc for doc in documents if not doc["valid"]]
     if invalid:
-        sys.stderr.write(f"{len(invalid)} certificate(s) invalid: {invalid[0].failing}\n")
+        sys.stderr.write(f"{len(invalid)} certificate(s) invalid: {invalid[0]['failing']}\n")
         return 2
     return 0
 

@@ -7,8 +7,9 @@ and names the first violation.  Documents carry a ``kind`` tag used for
 dispatch.
 
 It is the one module that recognizes S_r-orbits, on JSON by ``_curve_key``:
-it reads a curve list and verifies a certificate list once per orbit, and a
-later member's record links to its orbit's first as its ``representative``.
+it reads a curve list, and writes and verifies a certificate list, once per
+orbit, and a later member's record links to its orbit's first as its
+``representative``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .strict_inclusion import (
 from .thresholds import (
     RECORDED_RAY_CHECKS,
     RayContainmentCert,
+    certify_list,
     first_failing,
     orbit_alpha,
     ray_checks,
@@ -277,6 +279,41 @@ def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dic
         "valid": cert.valid,
         "failing": cert.failing,
     }
+
+
+def _ray_certificates_to_json(
+    model: BlowupModel, curves: list[NegativeCurveRecord]
+) -> list[dict[str, Any]]:
+    """``ray_certificate_to_json`` of each certificate of ``certify_list(model, curves)``.
+
+    ``certify_list`` runs on the distinct representatives in the order of
+    first appearance, so it raises as on the whole list, and each of their
+    certificates is serialized once.  A later member's document is its
+    representative's with ``curve.coords`` its own deferred row, whose
+    integral Fractions print as ``scalar_to_json`` writes them, and ``alpha``
+    the ``orbit_alpha`` of the serialized curve and alpha at that row, the
+    rule ``_verify_documents`` reads back; the two share every other
+    sub-object.  The row is the member's ``_coords``, as ``_curves_from_json``
+    gave it to ``NegativeCurveRecord._member``; that pairing is the only code
+    outside ``zariski`` that knows a deferred member's layout.
+    """
+    heads = {id(curve.representative): curve.representative for curve in curves}
+    m = model.base.rank
+    written = {}  # id of a representative -> its document and the orbit_alpha map of it
+    for key, cert in zip(heads, certify_list(model, list(heads.values()))):
+        doc = ray_certificate_to_json(model, cert)
+        alpha = doc["alpha"]
+        written[key] = doc, None if alpha is None else orbit_alpha(doc["curve"]["coords"], alpha, m)
+    documents = []
+    for curve in curves:
+        head = curve.representative
+        doc, permute = written[id(head)]
+        if curve is not head:
+            coords = [str(c) for c in curve._coords]
+            alpha = None if doc["alpha"] is None else list(permute(coords))
+            doc = {**doc, "curve": {**doc["curve"], "coords": coords}, "alpha": alpha}
+        documents.append(doc)
+    return documents
 
 
 def zariski_to_json(decomposition: ZariskiDecomposition) -> dict[str, Any]:

@@ -309,13 +309,12 @@ def certify_list(
         head = curve.representative
         if id(head) not in built:
             n, _ = _curve_type(head)
-            rep = ray_certificate(model, head, s_threshold(ctx, n), level=n)
-            permute = (
-                None if rep.alpha is None else orbit_alpha(head.cls.coords, rep.alpha.coords, m)
-            )
-            built[id(head)] = rep, permute
+            built[id(head)] = ray_certificate(model, head, s_threshold(ctx, n), level=n), None
         cert, permute = built[id(head)]
         if curve is not head:
+            if permute is None and cert.alpha is not None:  # the alpha map, at the first member
+                permute = orbit_alpha(head.cls.coords, cert.alpha.coords, m)
+                built[id(head)] = cert, permute
             alpha = None if cert.alpha is None else DivisorClass(model, permute(curve.cls.coords))
             cert = replace(cert, curve=curve, alpha=alpha)
         certificates.append(cert)

@@ -112,8 +112,9 @@ class NegativeCurveRecord:
         The permutation fixes K and preserves the pairing, so C^2, C.K and the
         one-1-in-the-E-block pattern, hence ``self_int``, ``genus`` and
         ``is_exceptional``, carry over unchecked.  ``coords`` are integral
-        Fractions like ``cls``'s; the class, its support and G*C are built
-        from them when first read.
+        Fractions like ``cls``'s, kept as ``_coords``, which
+        ``serialize._ray_certificates_to_json`` writes; the class, its support
+        and G*C are built from them when first read.
         """
         member = object.__new__(NegativeCurveRecord)
         member.__dict__.update(

@@ -383,6 +383,8 @@ class TestSegreCheck:
             ({"nagata": [{"deg": 0, "mults": [1]}]}, "nagata[0].deg"),
             ({"nagata": [{"deg": 3, "mults": []}]}, "nagata[0].mults"),
             ({"nagata": [{"deg": 3, "mults": [1, "-1/2"]}]}, "nagata[0].mults[1]"),
+            ({"pencils": [{"g": "1/2", "dim": 0}]}, "pencils[0].g"),
+            ({"pencils": [{"g": 0, "dim": "3/2"}]}, "pencils[0].dim"),
         ],
     )
     def test_malformed_entries_exit_one(self, capsys, tmp_path, changes, field):
@@ -724,6 +726,17 @@ class TestInputHandling:
         code, _, _ = run_cli(["analyze", "--input", "/nonexistent/x.json"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", ["certify-ray", "analyze"])
+    def test_unwritable_output_exit_one(self, capsys, tmp_path, command, target):
+        output = tmp_path / "missing" / "x.json" if target == "missing_directory" else tmp_path
+        code, out, err = run_cli(
+            [command, "--input", "fixture:p2_r12", "--samples", "0", "--output", str(output)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --output: ")
+
 
 JSON_ATOMS = (
     st.none()
@@ -744,6 +757,18 @@ JSON_TREES = st.recursive(
     max_leaves=30,
 )
 
+# trees built from a few dict objects, each of which may appear many times at any depth
+SHARED_TREES = st.lists(
+    st.dictionaries(st.text(max_size=3), JSON_TREES, min_size=1, max_size=3), min_size=1, max_size=3
+).flatmap(
+    lambda pool: st.recursive(
+        st.sampled_from(pool),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4),
+        max_leaves=12,
+    )
+)
+
 
 class TestIndentedJson:
     """The report writer against ``json.dumps(value, indent=2)``, its oracle."""
@@ -754,6 +779,22 @@ class TestIndentedJson:
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**100, True, None])
     @example(["1", "-1/2", {"a": "1", "b": "1", "d": "2"}, 3, [1, 2], []])
     def test_equals_json_dumps(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    def test_shared_dicts_equal_json_dumps(self):
+        shared = {"a": ["1", "2"], "b": {"c": None}}
+        cases = [
+            [shared, shared],  # twice at one indent
+            {"x": shared, "y": [shared, {"z": shared}]},  # at three indents
+            [shared, {"v": shared}, shared],  # a list item and a dict value
+            {"outer": shared, "inner": shared["b"], "again": [shared["b"]]},  # its own child
+        ]
+        for value in cases:
+            assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SHARED_TREES)
+    def test_trees_of_shared_subtrees_equal_json_dumps(self, value):
         assert cli._indented_json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [{1: 2}, {None: 1}, [Fraction(1, 2)], {"a": {1, 2}}, b"x"])

@@ -99,14 +99,14 @@ GOLDEN_INPUTS = {
         "plane_normal": [2, -1],
     }),
     "segre-check entries": ("segre-check", "enriques", {
-        "pencils": [{"g": 1, "dim": 0}, {"g": "2/4", "dim": "1"}, {"g": 0, "dim": 1}],
+        "pencils": [{"g": 1, "dim": 0}, {"g": "2", "dim": "1"}, {"g": 0, "dim": 1}],
         "nagata": [{"deg": 3, "mults": [1, 1]}, {"deg": "7/2", "mults": [2, "1/2", 1],
                                                  "variant": "strong"}],
     }),
 }
 
 GOLDEN_INPUT_DIGESTS = {
-    "segre-check entries": "b50283ec6088d895c443134d9a41a241ae76e181a2e0d299033a0bce8967707d",
+    "segre-check entries": "a991a62d9ec25195ec13c84c8bd3e6615f23356e64c027c8d552002c58dfbfa4",
     "slice classes": "f1c6bb57836b99723170f228da5d9a16f9708a1aac514ab5458fdddb0a8c9773",
 }
 

@@ -990,6 +990,87 @@ class TestDeferredMembers:
         assert kinds >= {"decided", "PreconditionError", "ModelValidationError"}
 
 
+def certify_ray_input(name: str) -> dict:
+    """The input document of a fixture, a tests/data file or a plane list at r = 17."""
+    if name in FIXTURES:
+        return cli.load_fixture(name)
+    if name in ("p2_backward_alpha_r10", "k3_minus_two_curve_r37"):
+        return json.loads((DATA / f"{name}.json").read_text())
+    doc = serialize.blowup_to_json(p2_blowup(17))
+    entries = plane_curve_entries(17, int)  # 17 E_i, then 136 L - E_i - E_j
+    if name == "interleaved":
+        # L - E_i - E_j and E_i alternate, then the other lines follow
+        doc["curves"] = [e for pair in zip(entries[17:], entries[:17]) for e in pair] + entries[34:]
+    elif name == "mixed_spelling":
+        # an int first coordinate among strings gives the entry no orbit key
+        entries[40]["coords"] = [1] + [str(c) for c in entries[40]["coords"][1:]]
+        doc["curves"] = entries
+    return doc  # "default": no curves key, so E_1..E_17
+
+
+def per_curve_certificates(model, curves):
+    """The certificate documents as written before orbits: one ``certify_list`` entry each."""
+    return [serialize.ray_certificate_to_json(model, c) for c in certify_list(model, curves)]
+
+
+class TestCertifyRayPerOrbit:
+    """``certify-ray`` writes each orbit member from its representative's document."""
+
+    def run(self, doc, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["certify-ray", "--input", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "name",
+        FIXTURES
+        + ["default", "interleaved", "mixed_spelling"]
+        + ["p2_backward_alpha_r10", "k3_minus_two_curve_r37"],
+    )
+    def test_report_equals_the_per_curve_report(self, name, tmp_path, capsys, monkeypatch):
+        doc = certify_ray_input(name)
+        outcome = self.run(doc, tmp_path, capsys)
+        monkeypatch.setattr(serialize, "_ray_certificates_to_json", per_curve_certificates)
+        assert outcome == self.run(doc, tmp_path, capsys)
+        code, out, err = outcome
+        if code == 0:
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2) + "\n"
+            assert serialize._verify_documents(report["certificates"]) is None
+        expected = {
+            "p2_backward_alpha_r10": (2, "1 certificate(s) invalid: alpha_in_positive_cone\n"),
+            "k3_minus_two_curve_r37": (1, "error: mixed radicands: "),
+            "p2_r1": (2, "infeasible: r too small for n = 1"),
+            "p2_r9": (2, "45 certificate(s) invalid: r >= "),
+        }.get(name, (0, ""))
+        assert code == expected[0] and err.startswith(expected[1])
+
+    def test_a_sublist_without_its_representatives(self):
+        model, entries = curve_list("plane_r17_declared")
+        curves = serialize._curves_from_json(model, entries)[5:]
+        documents = serialize._ray_certificates_to_json(model, curves)
+        assert documents == per_curve_certificates(model, curves)
+        assert cli._indented_json(documents) == json.dumps(documents, indent=2)
+
+    def test_members_build_no_class(self, monkeypatch):
+        # the 151 later members of p2_r17's two orbits cost no class: neither curve nor alpha
+        model, entries = curve_list("p2_r17")
+        curves = serialize._curves_from_json(model, entries)
+        heads = [curve for curve in curves if curve.representative is curve]
+        built = []
+        original = lattice.DivisorClass.__post_init__
+        monkeypatch.setattr(
+            lattice.DivisorClass, "__post_init__", lambda d: built.append(d) or original(d)
+        )
+        certify_list(model, heads)
+        per_head = len(built)
+        assert len(serialize._ray_certificates_to_json(model, curves)) == 153
+        assert len(built) == 2 * per_head
+        assert not any("cls" in vars(curve) for curve in curves if curve.representative is not curve)
+
+
 NESTED = {"b": {"d": 1, "c": [2, {"f": 0, "e": 1}]}, "a": None}
 
 
