@@ -542,7 +542,7 @@ def _cmd_slice(args: argparse.Namespace, inp: _Input) -> int:
     return 0
 
 
-def _cmd_verify(doc: dict) -> int:
+def _cmd_verify(args: argparse.Namespace, doc: dict) -> int:
     documents = doc["certificates"] if "certificates" in doc else [doc]
     if not isinstance(documents, list) or not documents:
         raise ModelValidationError(
@@ -553,7 +553,7 @@ def _cmd_verify(doc: dict) -> int:
         index, failing = failure
         sys.stderr.write(f"certificate {index}: {failing}\n")
         return 3
-    sys.stdout.write(f"verified {len(documents)} certificate(s): all invariants hold\n")
+    _emit(args, f"verified {len(documents)} certificate(s): all invariants hold\n")
     return 0
 
 
@@ -575,7 +575,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         doc = _load_input(getattr(args, "certificate", None) or args.input)
         if args.command == "verify":
-            return _cmd_verify(doc)
+            return _cmd_verify(args, doc)
         handler, reads = _HANDLERS[args.command]
         return handler(args, _parse(doc, reads))
     except (ThresholdError, ZariskiError) as exc:

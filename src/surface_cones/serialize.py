@@ -9,14 +9,16 @@ dispatch.
 It is the one module that recognizes S_r-orbits, on JSON by ``_curve_key``:
 it reads a curve list, and writes and verifies a certificate list, once per
 orbit, and a later member's record links to its orbit's first as its
-``representative``.
+``representative``.  It is also the one module that turns a
+representative's ray certificate into a member's: the writer and the
+verifier share the member-alpha rule ``_orbit_alpha``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .errors import (
     CertificateError,
@@ -39,7 +41,6 @@ from .thresholds import (
     RayContainmentCert,
     certify_list,
     first_failing,
-    orbit_alpha,
     ray_checks,
 )
 from .zariski import NegativeCurveRecord, ZariskiDecomposition
@@ -264,6 +265,24 @@ def _curve_key(entry, m: int) -> tuple | None:
         return None
 
 
+def _orbit_alpha(
+    curve_coords: Sequence, alpha_coords: Sequence, m: int
+) -> Callable[[Sequence], tuple] | None:
+    """The map from a member sigma(C) of C's orbit to the coordinates of sigma(alpha).
+
+    Swapping positions where C has equal values fixes C, so each E-coordinate
+    of alpha must be a function of C's value there; the member's E-coordinate
+    is that function at the member's value, and the base block is kept.  None
+    when alpha is not such a function (compared with ``!=``).
+    """
+    value_at: dict = {}
+    for c, a in zip(curve_coords[m:], alpha_coords[m:]):
+        if value_at.setdefault(c, a) != a:
+            return None
+    base = tuple(alpha_coords[:m])
+    return lambda member_coords: base + tuple(value_at[c] for c in member_coords[m:])
+
+
 def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dict[str, Any]:
     return {
         "kind": RAY_KIND,
@@ -286,24 +305,28 @@ def _ray_certificates_to_json(
 ) -> list[dict[str, Any]]:
     """``ray_certificate_to_json`` of each certificate of ``certify_list(model, curves)``.
 
-    ``certify_list`` runs on the distinct representatives in the order of
-    first appearance, so it raises as on the whole list, and each of their
-    certificates is serialized once.  A later member's document is its
-    representative's with ``curve.coords`` its own deferred row, whose
-    integral Fractions print as ``scalar_to_json`` writes them, and ``alpha``
-    the ``orbit_alpha`` of the serialized curve and alpha at that row, the
-    rule ``_verify_documents`` reads back; the two share every other
-    sub-object.  The row is the member's ``_coords``, as ``_curves_from_json``
-    gave it to ``NegativeCurveRecord._member``; that pairing is the only code
-    outside ``zariski`` that knows a deferred member's layout.
+    A member is its representative moved by a permutation of the E_i, an
+    isometry fixing K and L, so n, p, C.L, s, t0, the checks, the verdict and
+    every raise carry over.  So ``certify_list`` runs on the distinct
+    representatives alone, in the order of first appearance, where it raises
+    as on the whole list, and each of their certificates is serialized once.
+    A later member's document is its representative's with ``curve.coords``
+    its own deferred row, whose integral Fractions print as ``scalar_to_json``
+    writes them, and ``alpha`` the ``_orbit_alpha`` of the serialized curve
+    and alpha at that row, the rule ``_verify_documents`` reads back; the two
+    share every other sub-object.  The row is the member's ``_coords``, as
+    ``_curves_from_json`` gave it to ``NegativeCurveRecord._member``; that
+    pairing is the only code outside ``zariski`` that knows a deferred
+    member's layout.
     """
     heads = {id(curve.representative): curve.representative for curve in curves}
     m = model.base.rank
-    written = {}  # id of a representative -> its document and the orbit_alpha map of it
+    written = {}  # id of a representative -> its document and the _orbit_alpha map of it
     for key, cert in zip(heads, certify_list(model, list(heads.values()))):
         doc = ray_certificate_to_json(model, cert)
         alpha = doc["alpha"]
-        written[key] = doc, None if alpha is None else orbit_alpha(doc["curve"]["coords"], alpha, m)
+        permute = None if alpha is None else _orbit_alpha(doc["curve"]["coords"], alpha, m)
+        written[key] = doc, permute
     documents = []
     for curve in curves:
         head = curve.representative
@@ -387,11 +410,11 @@ def _verify_documents(documents) -> tuple[int, str] | None:
     Gives the same result, and raises the same errors, as verifying every
     entry in turn.  The first ray certificate of each key (``_orbit_entry``)
     is verified in full.  A later one whose alpha is the verified one's
-    ``orbit_alpha`` at its curve is that document moved by a permutation of
+    ``_orbit_alpha`` at its curve is that document moved by a permutation of
     the E_i, an isometry fixing K and L, so every invariant of ``ray_checks``
     and of the curve record holds for it too; any other is verified in full.
     """
-    verified = {}  # key -> the orbit_alpha map of its verified entry
+    verified = {}  # key -> the _orbit_alpha map of its verified entry
     for i, doc in enumerate(documents):
         key, coords, alpha, m = _orbit_entry(doc) or (None,) * 4
         permute = verified.get(key)
@@ -401,7 +424,7 @@ def _verify_documents(documents) -> tuple[int, str] | None:
         if not result.ok:
             return i, result.failing
         if key is not None and key not in verified:
-            verified[key] = orbit_alpha(coords, alpha, m)
+            verified[key] = _orbit_alpha(coords, alpha, m)
     return None
 
 

@@ -24,16 +24,17 @@ which its docstring proves equivalent to a valid certificate; by the lemma
 there, trapped curves put the part of the generated cone pairing
 nonnegatively with K - s_nu L inside the positive cone.
 
-Both list functions work once per ``NegativeCurveRecord.representative``,
-the first record of an S_r-orbit that ``serialize`` read; they recognize no
-orbit themselves.
+``certify_list`` builds every listed curve in turn.  Only
+``cone_equality_check`` works once per S_r-orbit that ``serialize`` read,
+following each record's link to its orbit's first record; neither
+recognizes an orbit itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cones import ConePosition, in_positive_cone
 from .errors import (
@@ -271,53 +272,15 @@ def ray_certificate(
     )
 
 
-def orbit_alpha(
-    curve_coords: Sequence, alpha_coords: Sequence, m: int
-) -> Callable[[Sequence], tuple] | None:
-    """The map from a member sigma(C) of C's orbit to the coordinates of sigma(alpha).
-
-    Swapping positions where C has equal values fixes C, so each E-coordinate
-    of alpha must be a function of C's value there; the member's E-coordinate
-    is that function at the member's value, and the base block is kept.  None
-    when alpha is not such a function (compared with ``!=``).
-    """
-    value_at: dict = {}
-    for c, a in zip(curve_coords[m:], alpha_coords[m:]):
-        if value_at.setdefault(c, a) != a:
-            return None
-    base = tuple(alpha_coords[:m])
-    return lambda member_coords: base + tuple(value_at[c] for c in member_coords[m:])
-
-
 def certify_list(
     model: BlowupModel, curves: Sequence[NegativeCurveRecord]
 ) -> list[RayContainmentCert]:
-    """Certificate of every curve at its own level n = -C^2, one build per ``representative``.
-
-    Equals ``ray_certificate(model, c, s_threshold(ctx, n), level=n)`` on each
-    curve.  A member is its representative moved by a permutation of the
-    E_i, an isometry fixing K and L, so n, p, s, t0, the checks and the
-    verdict are the representative's and its alpha is ``orbit_alpha`` of the
-    representative's at the member's coordinates.  Representatives are built
-    in the order of first appearance, where a per-curve loop would raise.
-    """
+    """Certificate of every curve at its own level n = -C^2, built curve by curve in order."""
     ctx = ThresholdContext.from_model(model)
-    m = model.base.rank
-    built: dict[int, tuple] = {}  # id of a representative -> its certificate and alpha map
     certificates = []
     for curve in curves:
-        head = curve.representative
-        if id(head) not in built:
-            n, _ = _curve_type(head)
-            built[id(head)] = ray_certificate(model, head, s_threshold(ctx, n), level=n), None
-        cert, permute = built[id(head)]
-        if curve is not head:
-            if permute is None and cert.alpha is not None:  # the alpha map, at the first member
-                permute = orbit_alpha(head.cls.coords, cert.alpha.coords, m)
-                built[id(head)] = cert, permute
-            alpha = None if cert.alpha is None else DivisorClass(model, permute(curve.cls.coords))
-            cert = replace(cert, curve=curve, alpha=alpha)
-        certificates.append(cert)
+        n, _ = _curve_type(curve)
+        certificates.append(ray_certificate(model, curve, s_threshold(ctx, n), level=n))
     return certificates
 
 

@@ -14,9 +14,9 @@ G*C; every pairing with a listed curve, here and in the ray builder, is
 ``NegativeCurveRecord.dot`` over them.  A record is validated when it is
 built, except a later member of an S_r-orbit that ``serialize`` read: the
 image of its ``representative`` under a permutation of the E_i, it keeps
-that record's checked fields and builds its class, support and G*C only when
-read (``NegativeCurveRecord._member``).  Work done once per orbit is done
-once per ``representative``.
+that record's checked fields and builds its class, support and G*C in one
+step, at the first read of any of them (``NegativeCurveRecord._member``).
+Work done once per orbit is done once per ``representative``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class NegativeCurveRecord:
 
     A deferred member (:meth:`_member`) is the image of a validated record,
     its ``representative``, under a permutation of the E_i.  It holds its
-    coordinate row, builds ``cls`` when it is first read and ``support`` and
-    G*C when either is; until then it equals, hashes, prints, copies and
+    coordinate row and builds ``cls``, ``support`` and G*C together when any
+    of them is first read; until then it equals, hashes, prints, copies and
     ``dataclasses.replace``s like the record built in full.
     """
 
@@ -114,7 +114,7 @@ class NegativeCurveRecord:
         ``is_exceptional``, carry over unchecked.  ``coords`` are integral
         Fractions like ``cls``'s, kept as ``_coords``, which
         ``serialize._ray_certificates_to_json`` writes; the class, its support
-        and G*C are built from them when first read.
+        and G*C are built from them together, when any of them is first read.
         """
         member = object.__new__(NegativeCurveRecord)
         member.__dict__.update(
@@ -132,16 +132,13 @@ class NegativeCurveRecord:
         return self.__dict__.get("_rep", self)
 
     def __getattr__(self, name: str):
-        """A deferred member's ``cls``, or its ``support`` or G*C, which build ``cls`` too."""
+        """A deferred member's ``cls``, ``support`` or G*C: the first read builds all three."""
         state = self.__dict__
         if name not in ("cls", "support", "_gram_row") or "_coords" not in state:
             raise AttributeError(name)
         model, coords = state["_rep"].cls.model, state["_coords"]
-        if "cls" not in state:
-            state["cls"] = DivisorClass(model, coords)
-        if name != "cls":
-            support, gram_row = _support_and_row(model, [c.numerator for c in coords])
-            state.update(support=support, _gram_row=gram_row)
+        support, gram_row = _support_and_row(model, [c.numerator for c in coords])
+        state.update(cls=DivisorClass(model, coords), support=support, _gram_row=gram_row)
         return state[name]
 
     def dot(self, x: DivisorClass) -> Exact:

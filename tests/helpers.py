@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -161,3 +162,11 @@ def brute_force_zariski(divisor: DivisorClass, curves) -> tuple[DivisorClass, di
     for p, coeffs in candidates[1:]:
         assert p == first_p and coeffs == first_coeffs, "oracle found conflicting decompositions"
     return first_p, first_coeffs
+
+
+def assert_same_certificates(got, expected):
+    """Two lists of ray certificates agree entry by entry and field by field."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in dataclasses.fields(a):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name

@@ -197,6 +197,33 @@ class TestCertifyAndVerify:
         assert code == 3
         assert "alpha_sq_zero violated" in err
 
+    def test_verify_writes_its_verdict_to_output(self, capsys, tmp_path):
+        certs_path, verdict = tmp_path / "certs.json", tmp_path / "verdict.txt"
+        run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
+        code, out, err = run_cli(["verify", str(certs_path), "--output", str(verdict)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert verdict.read_text() == "verified 78 certificate(s): all invariants hold\n"
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_verify_to_an_unwritable_output_exits_one(self, capsys, tmp_path, target):
+        certs_path = tmp_path / "certs.json"
+        run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
+        output = tmp_path / "missing" / "v.txt" if target == "missing_directory" else tmp_path
+        code, out, err = run_cli(["verify", str(certs_path), "--output", str(output)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --output: ")
+
+    def test_a_failed_verify_writes_no_output(self, capsys, tmp_path):
+        # the exit-3 diagnostic still goes to stderr, and the --output file is never created
+        certs_path, verdict = tmp_path / "certs.json", tmp_path / "verdict.txt"
+        run_cli(["certify-ray", "--input", "fixture:p2_r11", "--output", str(certs_path)], capsys)
+        doc = json.loads(certs_path.read_text())
+        doc["certificates"][0]["alpha"][0] = "17"
+        tampered = write_json(tmp_path, "tampered.json", doc)
+        code, out, err = run_cli(["verify", tampered, "--output", str(verdict)], capsys)
+        assert (code, out, err) == (3, "", "certificate 0: alpha_sq_zero violated\n")
+        assert not verdict.exists()
+
     def test_backward_alpha_below_a_quarter_r(self, capsys, tmp_path):
         # a_Y = 1/10 at r = 10: A^2 = 1/100 <= 1/(4r), so h = L - sum E_i/20 has h^2 < 0;
         # the curve's null alpha has alpha.L = -3/10, outside the positive cone

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     abelian_surface,
+    assert_same_certificates,
     levels_one_and_two,
     p2_blowup,
     p2_surface,
@@ -54,7 +55,6 @@ from surface_cones.thresholds import (
     ThresholdContext,
     certify_list,
     cone_equality_check,
-    orbit_alpha,
     ray_certificate,
     ray_checks,
     s_threshold,
@@ -566,9 +566,9 @@ def test_orbit_key_ignores_untyped_coordinates():
 
 def test_orbit_alpha_needs_a_function_of_the_curve():
     curve, alpha = ["1", "0", "-1", "-1"], ["a", "b", "c", "c"]
-    assert orbit_alpha(curve, alpha, 1)(["1", "-1", "0", "-1"]) == ("a", "c", "b", "c")
-    assert orbit_alpha(curve, alpha, 1)(curve) == tuple(alpha)
-    assert orbit_alpha(curve, ["a", "b", "c", "d"], 1) is None
+    assert serialize._orbit_alpha(curve, alpha, 1)(["1", "-1", "0", "-1"]) == ("a", "c", "b", "c")
+    assert serialize._orbit_alpha(curve, alpha, 1)(curve) == tuple(alpha)
+    assert serialize._orbit_alpha(curve, ["a", "b", "c", "d"], 1) is None
 
 
 def _e_positions(doc):
@@ -913,23 +913,19 @@ class TestDeferredMembers:
         assert replaced.representative is replaced
         assert record_fields(replaced) == record_fields(twin)
 
-    def test_first_read_builds_all_three(self):
+    @pytest.mark.parametrize("first", DEFERRED_FIELDS)
+    def test_first_read_builds_all_three(self, first):
         member, twin = read_member(40)
-        assert member.support == twin.support
+        assert getattr(member, first) == getattr(twin, first)
         assert set(DEFERRED_FIELDS) <= set(vars(member))
-        assert member._gram_row == twin._gram_row and member.cls == twin.cls
+        assert record_fields(member) == record_fields(twin)
         with pytest.raises(AttributeError):
             member.curve
 
-    def test_reading_the_class_builds_only_the_class(self):
-        member, twin = read_member(40)
-        assert member.cls == twin.cls
-        assert "cls" in vars(member)
-        assert not {"support", "_gram_row"} & set(vars(member))
-
     @pytest.mark.parametrize("command", ["certify-ray", "analyze", "verify"])
     def test_p2_r17_builds_two_gram_rows(self, command, monkeypatch, tmp_path, capsys):
-        # one G*C row per orbit: the certificates read every member's class, never its row
+        # one G*C row per orbit: certify-ray, analyze and ray verify read no member's
+        # class, support or row, and build them only for each orbit's representative
         certs = tmp_path / "certs.json"
         assert cli.main(["certify-ray", "--input", "fixture:p2_r17", "--output", str(certs)]) == 0
         rows = []
@@ -1009,8 +1005,23 @@ def certify_ray_input(name: str) -> dict:
 
 
 def per_curve_certificates(model, curves):
-    """The certificate documents as written before orbits: one ``certify_list`` entry each."""
+    """The certificate documents as written before orbits: ``certify_list`` builds every curve."""
     return [serialize.ray_certificate_to_json(model, c) for c in certify_list(model, curves)]
+
+
+@pytest.mark.parametrize("name", ["p2_r17", "interleaved"])
+def test_certify_list_builds_each_member_like_its_eager_twin(name):
+    doc = certify_ray_input(name)
+    model = serialize.blowup_from_json(doc)
+    curves = serialize._curves_from_json(model, doc["curves"])
+    twins = [
+        serialize.curve_from_json(model, entry, f"curves[{i}]")
+        for i, entry in enumerate(doc["curves"])
+    ]
+    members = [curve for curve in curves if curve.representative is not curve]
+    assert len(members) == 151
+    assert not any(set(DEFERRED_FIELDS) & set(vars(member)) for member in members)
+    assert_same_certificates(certify_list(model, curves), certify_list(model, twins))
 
 
 class TestCertifyRayPerOrbit:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     abelian_surface,
+    assert_same_certificates,
     dense_intersect,
     half_gram,
     k3_surface,
@@ -289,13 +290,6 @@ def per_curve_certificates(model, curves):
         ray_certificate(model, c, s_threshold(ctx, int(-c.self_int)), level=int(-c.self_int))
         for c in curves
     ]
-
-
-def assert_same_certificates(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        for field in dataclasses.fields(a):
-            assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
 def permute_e(divisor, perm):
