@@ -1,42 +1,39 @@
 """Two exact routes to the strict-inclusion witness, both opening at r = 11.
 
-The parametric route solves a one-variable system of quadratic inequalities
-for s with exact endpoints and certifies a rational point inside; the tilted
-pullback route needs only the sign of A.K_Y + sqrt(A^2 (r-1)).  On the plane
-both first succeed at r = 11, recovering the classical bound r > 10.
+The parametric route builds alpha = E_1 - (K - s_1 L) at the level-1
+threshold s_1, where t = 1 and alpha.K = s_1*sqrt(D_1/4), so it holds
+exactly when s_1 > 0; the tilted pullback route needs only the sign of
+A.K_Y + sqrt(A^2 (r-1)).  On the plane both first succeed at r = 11,
+recovering the classical bound r > 10.
 """
 
 from surface_cones import (
     BlowupModel,
     SurfaceModel,
     alpha_from_s,
-    condition_sets,
     gamma_witness,
     intersect,
-    solve_s_system,
     to_float,
     uniruled_witness,
+    witness_parameter,
 )
 
 plane = SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(-3,), a_Y=(1,), kind="P2")
 
 for r in (9, 10, 11, 12):
     model = BlowupModel(plane, r)
-    labels = sorted(label.value for label in condition_sets(model))
+    s = witness_parameter(model)
+    witness = alpha_from_s(model, s, 1)
     outcome = uniruled_witness(model)
-    print(f"r = {r:>2}: condition sets {labels or '{}'},"
+    verdict = "valid" if witness.valid else f"fails {witness.failing}"
+    print(f"r = {r:>2}: s_1 = {s} ~ {to_float(s):.4f}, witness {verdict};"
           f" tilt criterion value = {outcome.value} (satisfied: {outcome.satisfied})")
 
 model = BlowupModel(plane, 11)
-intervals = solve_s_system(model)
-interval = intervals[0]
-print(f"\nfeasible s on Bl_11: [{interval.lower}, {interval.upper})"
-      f"  ~ [{to_float(interval.lower):.4f}, {to_float(interval.upper):.4f})"
-      f"  certified rational point {interval.sample}")
-
-witness = gamma_witness(alpha_from_s(model, interval.sample, 1))
+s = witness_parameter(model)
+witness = gamma_witness(alpha_from_s(model, s, 1))
 k = model.canonical()
-print(f"parametric witness at s = {interval.sample}: t = {witness.t}")
+print(f"\nparametric witness at s = s_1 = {s}: t = {witness.t}, lambda = {witness.lambda_}")
 print(f"  alpha^2 = {intersect(witness.alpha, witness.alpha)},"
       f" alpha.K = {intersect(witness.alpha, k)}")
 print(f"  gamma^2 = {intersect(witness.gamma, witness.gamma)},"

@@ -88,16 +88,13 @@ from .segre import (
     segre_bounds,
 )
 from .strict_inclusion import (
-    ConditionLabel,
-    FeasibleInterval,
     StrictInclusionWitness,
     UniruledOutcome,
     WitnessConstruction,
     alpha_from_s,
-    condition_sets,
     gamma_witness,
-    solve_s_system,
     uniruled_witness,
+    witness_parameter,
 )
 from .serialize import (
     blowup_from_json,

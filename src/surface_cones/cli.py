@@ -31,7 +31,7 @@ from .errors import (
     ZariskiError,
 )
 from .lattice import BlowupModel, DivisorClass, SurfaceKind, intersect, parse_int, parse_rational
-from .scalar import scalar_to_json, sign
+from .scalar import scalar_to_json
 from .thresholds import ConditionCheck, ThresholdContext
 
 def fixture_path(name: str) -> Path:
@@ -321,16 +321,6 @@ def _condition_json(condition) -> dict[str, Any]:
     }
 
 
-def _interval_json(interval) -> dict[str, Any]:
-    return {
-        "lower": scalar_to_json(interval.lower),
-        "lower_strict": interval.lower_strict,
-        "upper": None if interval.upper is None else scalar_to_json(interval.upper),
-        "upper_strict": interval.upper_strict,
-        "sample": None if interval.sample is None else str(interval.sample),
-    }
-
-
 def _r_condition(inp: _Input) -> ConditionCheck | None:
     """The r-condition of the input's (nu, pi), or None once its binding inequality is written."""
     ctx = ThresholdContext.from_model(inp.model)
@@ -455,39 +445,18 @@ def _cmd_segre_check(args: argparse.Namespace, inp: _Input) -> int:
 
 def _cmd_strict_inclusion(args: argparse.Namespace, inp: _Input) -> int:
     model = inp.model
-    labels = strict_inclusion.condition_sets(model)
-    intervals = strict_inclusion.solve_s_system(model) if labels else []
-    witness = None
-    route = None
-    for interval in intervals:
-        if interval.sample is None:
-            continue
-        candidate = strict_inclusion.alpha_from_s(model, interval.sample, 1)
-        if candidate.valid:
-            witness = strict_inclusion.gamma_witness(candidate)
-            route = "from_s"
-            break
-    uniruled_value = None
-    if witness is None and model.r >= 2:
-        outcome = strict_inclusion.uniruled_witness(model)
-        uniruled_value = outcome.value
-        if outcome.satisfied and outcome.witness is not None and outcome.witness.valid:
-            witness = strict_inclusion.gamma_witness(outcome.witness)
-            route = "uniruled"
-    if witness is None or not witness.valid:
-        message = "conditions not satisfied: no witness available"
-        if not labels:
-            message += " (none of the four condition systems holds)"
-        if uniruled_value is not None:
-            message += f"; uniruled criterion value sign {sign(uniruled_value)}"
-        sys.stderr.write(message + "\n")
+    if model.r < 1:
+        sys.stderr.write("conditions not satisfied: the witness curve E_1 needs r >= 1\n")
         return 2
-    report = serialize.witness_to_json(witness)
+    witness = strict_inclusion.alpha_from_s(model, strict_inclusion.witness_parameter(model), 1)
+    if not witness.valid:
+        sys.stderr.write(
+            f"conditions not satisfied: the witness at s = {witness.s} fails {witness.failing}\n"
+        )
+        return 2
+    report = serialize.witness_to_json(strict_inclusion.gamma_witness(witness))
     report["command"] = "strict-inclusion"
     report["seed"] = args.seed
-    report["route"] = route
-    report["condition_sets"] = sorted(label.value for label in labels)
-    report["intervals"] = [_interval_json(i) for i in intervals]
     _emit_report(args, report)
     return 0
 
@@ -498,15 +467,9 @@ def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
     if condition is None:
         return 2
     main = thresholds.cone_equality_check(model, inp.curves, bounds.nu, bounds.pi)
-    labels = strict_inclusion.condition_sets(model)
-    intervals = strict_inclusion.solve_s_system(model) if labels else []
+    # the witness parameter only: strict-inclusion builds and checks the witness
     strict_report: dict[str, Any] = {
-        "condition_sets": sorted(label.value for label in labels),
-        # the interval block without its strictness flags
-        "intervals": [
-            {k: v for k, v in _interval_json(i).items() if not k.endswith("_strict")}
-            for i in intervals
-        ],
+        "s": scalar_to_json(strict_inclusion.witness_parameter(model)),
     }
     if model.r >= 2:
         outcome = strict_inclusion.uniruled_witness(model)

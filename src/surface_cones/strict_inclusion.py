@@ -3,18 +3,24 @@
 Two constructions are provided for a fixed exceptional curve C = E_i.
 
 From a parameter s: alpha = t*C - (K - sL) with t = 1 + sqrt(D_t(s)),
-D_t(s) = s^2*A^2 - 2s*A.K_Y + K_Y^2 + 1 - r.  The parameter must satisfy
-three exact inequalities (real t, alpha in the positive cone, that is
-alpha.L >= 0, and alpha.K > 0); their solution set in s is computed
-here by case analysis and squaring, with every endpoint an exact scalar
-and a certified rational point inside each component.
+D_t(s) = (K - sL)^2 + 1.  ``witness_parameter`` gives s in closed form for C = E_1:
+
+- r > first_bound(1): s = s_1, so (K - s_1 L)^2 = -1, D_t = 0 and t = 1.
+  Then alpha^2 = 0, alpha.E_1 = 0, alpha.L = sqrt(D_1/4) > 0 and
+  alpha.K = s_1*sqrt(D_1/4): the witness holds exactly when s_1 > 0.
+- r <= first_bound(1): by the Hodge index theorem, (A.K_Y)^2 >= A^2*K_Y^2,
+  first_bound(1) <= 1, so r <= 1 and K_Y = c*A numerically, c = A.K_Y/A^2.
+  Every s > c gives alpha = A + sqrt(A^2)*E_1 up to a positive factor;
+  s = c + 1 is taken.
 
 From non-uniruledness (or just A.K_Y + sqrt(A^2*(r-1)) > 0): alpha is the
 pullback of A tilted equally into the first r-1 exceptional directions.
+It adds no witness to the first: r >= 2 > first_bound(1), and
+s_1*A^2 = A.K_Y + sqrt(A^2*(r - first_bound(1))) >= A.K_Y + sqrt(A^2*(r-1)).
 
-Either alpha is completed to gamma = C + lambda*alpha with
-lambda = (2 + |C.K|)/(alpha.K), giving gamma in the generated cone with
-gamma^2 < 0 and gamma.K >= 2, the strict-inclusion witness.
+Either alpha is completed to gamma = C + lambda*alpha with the integer
+lambda = floor((2 + |C.K|)/alpha.K) + 1, giving gamma in the generated cone
+with gamma^2 < 0 and gamma.K > 2, the strict-inclusion witness.
 """
 
 from __future__ import annotations
@@ -25,122 +31,18 @@ from enum import Enum
 from fractions import Fraction
 
 from .cones import ConePosition, in_positive_cone
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import PreconditionError
 from .lattice import BlowupModel, DivisorClass, intersect
-from .scalar import Exact, as_fraction, compare, sign, sqrt_scalar
-from .thresholds import (
-    ThresholdContext,
-    first_failing,
-    s_threshold,
-)
+from .scalar import Exact, compare, sign, sqrt_scalar
+from .thresholds import ThresholdContext, first_failing, s_threshold
 
 
-class ConditionLabel(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-
-
-def condition_sets(model: BlowupModel) -> set[ConditionLabel]:
-    """Which of the four sufficient condition systems the model satisfies."""
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    k_sq = model.base.kY_sq
-    r = model.r
-    bound = ThresholdContext.from_model(model).first_bound(1)
-    out: set[ConditionLabel] = set()
-    if r <= bound and ak > 0 and a_sq < ak**2:
-        out.add(ConditionLabel.A)
-    if r > bound and r <= k_sq + 1 and ak > 0:
-        out.add(ConditionLabel.B)
-    if r > 0 and k_sq < 0:
-        out.add(ConditionLabel.C)
-    if r > k_sq + 1 and k_sq >= 0:
-        out.add(ConditionLabel.D)
-    return out
-
-
-# -- exact interval machinery --------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """One component of the feasible set, endpoints exact, None = unbounded.
-
-    ``sample`` is a rational point strictly inside (None only for a
-    degenerate irrational single point), certified by re-checking the
-    defining inequalities at that point.
-    """
-
-    lower: Exact | None
-    lower_strict: bool
-    upper: Exact | None
-    upper_strict: bool
-    sample: Fraction | None
-
-
-_Interval = tuple  # (lower, lower_strict, upper, upper_strict) with None = unbounded
-_ALL: list[_Interval] = [(None, True, None, True)]
-
-
-def _intersect_two(first: _Interval, second: _Interval) -> _Interval | None:
-    lo1, ls1, hi1, hs1 = first
-    lo2, ls2, hi2, hs2 = second
-    if lo1 is None:
-        lo, ls = lo2, ls2
-    elif lo2 is None:
-        lo, ls = lo1, ls1
-    else:
-        c = compare(lo1, lo2)
-        lo, ls = (lo1, ls1) if c > 0 else (lo2, ls2) if c < 0 else (lo1, ls1 or ls2)
-    if hi1 is None:
-        hi, hs = hi2, hs2
-    elif hi2 is None:
-        hi, hs = hi1, hs1
-    else:
-        c = compare(hi1, hi2)
-        hi, hs = (hi1, hs1) if c < 0 else (hi2, hs2) if c > 0 else (hi1, hs1 or hs2)
-    if lo is not None and hi is not None:
-        c = compare(lo, hi)
-        if c > 0 or (c == 0 and (ls or hs)):
-            return None
-    return (lo, ls, hi, hs)
-
-
-def _intersect_sets(first: list[_Interval], second: list[_Interval]) -> list[_Interval]:
-    out = []
-    for f in first:
-        for g in second:
-            meet = _intersect_two(f, g)
-            if meet is not None:
-                out.append(meet)
-    return out
-
-
-def _quadratic_gt_zero(c2: Fraction, c1: Fraction, c0: Fraction) -> list[_Interval]:
-    """Exact solution set of c2*s^2 + c1*s + c0 > 0."""
-    if c2 == 0:
-        if c1 == 0:
-            return _ALL if c0 > 0 else []
-        root = -c0 / c1
-        return [(root, True, None, True)] if c1 > 0 else [(None, True, root, True)]
-    disc = c1**2 - 4 * c2 * c0
-    if c2 > 0:
-        if disc < 0:
-            return _ALL
-        if disc == 0:
-            x0 = -c1 / (2 * c2)
-            return [(None, True, x0, True), (x0, True, None, True)]
-        root = sqrt_scalar(disc)
-        return [
-            (None, True, (-c1 - root) / (2 * c2), True),
-            ((-c1 + root) / (2 * c2), True, None, True),
-        ]
-    if disc <= 0:
-        return []
-    root = sqrt_scalar(disc)
-    return [((-c1 + root) / (2 * c2), True, (-c1 - root) / (2 * c2), True)]
+def witness_parameter(model: BlowupModel) -> Exact:
+    """s of the from-s witness at E_1: s_1 if r > first_bound(1), else A.K_Y/A^2 + 1."""
+    ctx = ThresholdContext.from_model(model)
+    if ctx.r > ctx.first_bound(1):
+        return s_threshold(ctx, 1)
+    return ctx.AK / ctx.A_sq + 1
 
 
 def _floor(x: Exact) -> int:
@@ -155,81 +57,6 @@ def _floor(x: Exact) -> int:
     root = math.isqrt(_floor(b * b * x.radicand))
     n = _floor(x.rational_part) + (root if sign(b) > 0 else -root - 1)
     return n + 1 if compare(n + 1, x) <= 0 else n
-
-
-def _rational_strictly_between(lower: Exact, upper: Exact | None) -> Fraction:
-    """The least j/2^k above ``lower``, for the smallest k >= 1 that stays below ``upper``."""
-    denom = 1
-    for _ in range(128):
-        denom *= 2
-        candidate = Fraction(_floor(lower * denom) + 1, denom)
-        if upper is None or compare(candidate, upper) < 0:
-            return candidate
-    raise InternalConsistencyError("failed to certify a rational interior point")
-
-
-def _feasibility_inequalities(model: BlowupModel, s: Fraction) -> bool:
-    """Exact check of the three defining inequalities at a rational s."""
-    ctx = ThresholdContext.from_model(model)
-    delta_t = ctx.k_minus_sl_sq(s) + 1
-    if delta_t < 0:
-        return False
-    if ctx.r <= ctx.first_bound(1):
-        if not s > ctx.AK / ctx.A_sq:
-            return False
-    elif compare(Fraction(s), s_threshold(ctx, 1)) < 0:
-        return False
-    lhs = ctx.r - ctx.kY_sq - 1 + s * ctx.AK
-    return lhs > 0 and lhs**2 > delta_t
-
-
-def solve_s_system(model: BlowupModel) -> list[FeasibleInterval]:
-    """Exact feasible set for the witness parameter s.
-
-    The inequality alpha.K > 0, i.e. r - K_Y^2 - 1 + s*A.K_Y > sqrt(D_t(s)),
-    is squared into ((A.K_Y)^2 - A^2)s^2 + 2A.K_Y(r - K_Y^2)s +
-    (r - K_Y^2 - 1)(r - K_Y^2) > 0 after the side condition that the left
-    side is positive; the branch on r supplies the domain where D_t >= 0.
-    An empty list means no parameter exists, matching the failure of all
-    four condition systems.
-    """
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    k_sq = model.base.kY_sq
-    r = model.r
-    ctx = ThresholdContext.from_model(model)
-    if r <= ctx.first_bound(1):
-        branch: list[_Interval] = [(ak / a_sq, True, None, True)]
-    else:
-        branch = [(s_threshold(ctx, 1), False, None, True)]
-    r0 = Fraction(r) - k_sq - 1
-    if ak > 0:
-        side: list[_Interval] = [(-r0 / ak, True, None, True)]
-    elif ak < 0:
-        side = [(None, True, -r0 / ak, True)]
-    else:
-        side = _ALL if r0 > 0 else []
-    squared = _quadratic_gt_zero(
-        ak**2 - a_sq, 2 * ak * (Fraction(r) - k_sq), (Fraction(r) - k_sq - 1) * (Fraction(r) - k_sq)
-    )
-    solution = _intersect_sets(_intersect_sets(branch, side), squared)
-    out: list[FeasibleInterval] = []
-    for lo, ls, hi, hs in solution:
-        if lo is None:
-            raise InternalConsistencyError("feasible set unbounded below")
-        if hi is not None and compare(lo, hi) == 0:
-            sample = as_fraction(lo) if isinstance(lo, Fraction) else None
-        else:
-            sample = _rational_strictly_between(lo, hi)
-            if not _feasibility_inequalities(model, sample):
-                raise InternalConsistencyError(
-                    f"certified point {sample} fails the defining inequalities"
-                )
-        out.append(FeasibleInterval(lo, ls, hi, hs, sample))
-    return out
-
-
-# -- witnesses -------------------------------------------------------------
 
 
 class WitnessConstruction(Enum):
@@ -377,14 +204,15 @@ def uniruled_witness(model: BlowupModel) -> UniruledOutcome:
 def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
     """Complete an alpha witness: gamma = C + lambda*alpha leaves the positive cone.
 
-    lambda = (2 + |C.K|)/(alpha.K), with alpha.K > 0 on a valid witness, is the
-    smallest clean choice making gamma.K >= 2 exactly; any larger value works as well.
+    lambda = floor((2 + |C.K|)/(alpha.K)) + 1, with alpha.K > 0 on a valid
+    witness, is the least integer with lambda*alpha.K > 2 + |C.K|, so gamma.K > 2;
+    an integer keeps gamma free of surds that alpha lacks.
     """
     if not witness.valid:
         raise PreconditionError(f"alpha witness invalid: {witness.failing}")
     curve = witness.alpha.model.exceptional(witness.curve_index)
     k = witness.alpha.model.canonical()
-    lam = (2 + abs(intersect(curve, k))) / intersect(witness.alpha, k)
+    lam = Fraction(_floor((2 + abs(intersect(curve, k))) / intersect(witness.alpha, k)) + 1)
     return _witness(
         witness.construction, witness.curve_index, witness.alpha, witness.s, witness.t,
         lam, curve + lam * witness.alpha, decided=witness.checks,

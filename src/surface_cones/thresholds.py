@@ -16,7 +16,7 @@ and the ray of C lies in the positive cone plus the ray of K - sL.
 
 ``ThresholdContext.r_condition`` is the single statement of the inequality
 on r that these constructions need; ``check_conditions``, the ray
-certificates and the strict-inclusion solver all read it (or its
+certificates and the strict-inclusion witness parameter all read it (or its
 ``first_bound`` and ``k_minus_sl_sq``) from there.  ``ray_checks`` is the one
 list of ray-certificate invariants, shared by the builder and ``verify``.
 ``cone_equality_check`` decides each listed curve by C.(K - s_n L) <= -1,

@@ -21,12 +21,7 @@ from surface_cones.segre import (
     pencil_counterexample,
     segre_bounds,
 )
-from surface_cones.strict_inclusion import (
-    ConditionLabel,
-    condition_sets,
-    solve_s_system,
-    uniruled_witness,
-)
+from surface_cones.strict_inclusion import alpha_from_s, uniruled_witness, witness_parameter
 from surface_cones.thresholds import (
     ThresholdContext,
     certify_list,
@@ -68,10 +63,13 @@ def test_criterion_2_r_greater_ten_double_recovery():
     assert eleven.value == make_scalar(-3, 1, 10)
     alpha_dot_k = intersect(eleven.witness.alpha, p2_blowup(11).canonical())
     assert alpha_dot_k == make_scalar(-3, 1, 10)
-    assert condition_sets(p2_blowup(10)) == set()
-    assert condition_sets(p2_blowup(11)) == {ConditionLabel.D}
-    assert solve_s_system(p2_blowup(10)) == [] and solve_s_system(p2_blowup(11)) != []
-    print("ACCEPTANCE 2 [PASS] r>10 recovered twice: uniruled 0 at r=10, -3+sqrt(10) at r=11; {D} first at r=11")
+    assert witness_parameter(p2_blowup(10)) == 0
+    ten = alpha_from_s(p2_blowup(10), Fraction(0), 1)
+    assert not ten.valid and ten.failing == "alpha_dot_K_positive"
+    assert witness_parameter(p2_blowup(11)) == make_scalar(-3, 1, 10)
+    assert alpha_from_s(p2_blowup(11), make_scalar(-3, 1, 10), 1).valid
+    print("ACCEPTANCE 2 [PASS] r>10 recovered twice: uniruled 0 at r=10, -3+sqrt(10) at r=11;"
+          " s_1 = 0 fails alpha.K > 0 at r=10, s_1 = sqrt(10)-3 holds at r=11")
 
 
 def test_criterion_3_certificate_validity_sweep():

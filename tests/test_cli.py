@@ -31,6 +31,8 @@ P2_SURFACE = {"chi": 1, "kY_sq": 9, "gram_Y": [[1]], "k_Y": [-3], "a_Y": [1], "c
 NON_REAL = {"a": "1", "b": "1", "d": "-2"}
 ROOT_2 = {"a": "1", "b": "1", "d": "2"}
 ROOT_3 = {"a": "1", "b": "1", "d": "3"}
+# K_Y = (2/3)*A with A.K_Y = 24 > 0: first_bound(1) = 1, so r = 1 is case A of strict-inclusion
+POSITIVE_AK_SURFACE = {"chi": 1, "kY_sq": 16, "gram_Y": [[4]], "k_Y": [2], "a_Y": [3]}
 
 
 class TestAnalyze:
@@ -47,7 +49,9 @@ class TestAnalyze:
         assert report["thresholds"] == [{"a": "-3", "b": "1", "d": "11"}]
         assert report["main_theorem"]["passed"] is True
         assert report["main_theorem"]["certificates"] == 78
-        assert report["strict_inclusion"]["condition_sets"] == ["D"]
+        # the witness parameter is s_1 = sqrt(11) - 3, the first threshold
+        assert list(report["strict_inclusion"]) == ["s", "uniruled_value", "uniruled_satisfied"]
+        assert report["strict_inclusion"]["s"] == report["thresholds"][0]
         assert report["strict_inclusion"]["uniruled_satisfied"] is True
 
     def test_conditions_fail_exit_two(self, capsys):
@@ -568,9 +572,34 @@ class TestStrictInclusion:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["kind"] == "strict_inclusion"
-        assert doc["route"] == "from_s"
+        assert doc["construction"] == "from_s" and "route" not in doc
+        assert doc["s"] == {"a": "-3", "b": "1", "d": "10"} and doc["t"] == "1"
+        assert doc["lambda"] == "6"
         code, _, _ = run_cli(["verify", str(out_path)], capsys)
         assert code == 0
+
+    def test_case_a_witness_at_c_plus_one(self, capsys, tmp_path):
+        # s = A.K_Y/A^2 + 1 = 2/3 + 1
+        path = write_json(tmp_path, "in.json", {"surface": POSITIVE_AK_SURFACE, "r": 1})
+        out_path = tmp_path / "witness.json"
+        code, _, _ = run_cli(
+            ["strict-inclusion", "--input", path, "--output", str(out_path)], capsys
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text())["s"] == "5/3"
+        code, _, _ = run_cli(["verify", str(out_path)], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "surface",
+        [P2_SURFACE, POSITIVE_AK_SURFACE],
+        ids=["plane", "positive_a_dot_k"],
+    )
+    def test_no_exceptional_curve_exit_two(self, capsys, tmp_path, surface):
+        path = write_json(tmp_path, "in.json", {"surface": surface, "r": 0})
+        code, out, err = run_cli(["strict-inclusion", "--input", path], capsys)
+        assert code == 2 and out == ""
+        assert "r >= 1" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -589,7 +618,8 @@ class TestStrictInclusion:
     def test_no_witness_exit_two(self, capsys):
         code, _, err = run_cli(["strict-inclusion", "--input", "fixture:p2_r10"], capsys)
         assert code == 2
-        assert "conditions not satisfied" in err
+        # s_1 = 0 gives alpha.K = 0
+        assert err == "conditions not satisfied: the witness at s = 0 fails alpha_dot_K_positive\n"
 
 
 class TestSlice:

@@ -1,8 +1,10 @@
 """Golden CLI outputs: exit code, stdout and stderr pinned by sha256 on every fixture.
 
 ``verify`` is pinned on the ``certify-ray`` output of every fixture (the
-empty output of an infeasible fixture included), and on one copy of the
-p2_r17 list whose last certificate has two alpha E-values swapped.
+empty output of an infeasible fixture included), on one copy of the
+p2_r17 list whose last certificate has two alpha E-values swapped, and on
+the ``strict-inclusion`` witness of every fixture that has one (its s is
+irrational on p2_r11, p2_r12, enriques and abelian).
 ``zariski`` is pinned on fixture curve lists with chosen divisors, ``verify``
 on each of its outputs and on one moved by L, and ``list_decomposition_check``
 by the sha256 of its report's ``repr``.  ``slice`` is pinned on every fixture
@@ -26,15 +28,15 @@ from surface_cones import cli, zariski
 EXTRA_ARGS = {"analyze": ["--samples", "50"]}
 
 GOLDEN = {
-    ("analyze", "abelian"): "80e570aa19956f82f6596eab09d2fb99664e708aea38707dca59f18f9a24b01d",
-    ("analyze", "enriques"): "2182d903efbe8bdac441118092ef4a1d2f448c96b332b88f6aa99e2279efb1e7",
-    ("analyze", "k3_generic"): "d2f1dc5ef23c835e337485dabe201ae064037da28cb278619bf6604cc009230f",
+    ("analyze", "abelian"): "be60a5828e82291a33c0c1c6c22416e792867c33d1d061d863996ebc499cc35b",
+    ("analyze", "enriques"): "019d77c31b985a0f7999f255979f0c6682ccde81ef44fc9900597ebe6126ba07",
+    ("analyze", "k3_generic"): "75cd828e398fa745f43833e835efb004caccfe6407249e612b4d05589e229196",
     ("analyze", "p2_r1"): "eca79cab7d470ddd46cdfda157cd047a9a18910d1de2ea45c78bc9bd1e192463",
     ("analyze", "p2_r9"): "eca79cab7d470ddd46cdfda157cd047a9a18910d1de2ea45c78bc9bd1e192463",
-    ("analyze", "p2_r10"): "8732022b2bc79700875ba7aa2a30492f7143c386bb4e0386f46f8a1d3816d582",
-    ("analyze", "p2_r11"): "8f317ecf36ce0615c479a7e28badeda17f806ac8a6d3526b3f13cfd5f55817c1",
-    ("analyze", "p2_r12"): "b19c000e8d12a25dd167e468ce99e5746d846dfb263b5931b01cf35bb8a7de0d",
-    ("analyze", "p2_r17"): "0213468e966f0cc52a4f84ad8b878f3a127c8d3e71b493c3a271442de03bfdcb",
+    ("analyze", "p2_r10"): "5251677718cff33b7ba7199d1e69d8e3a4ab445ea31cf58205259de465ecae93",
+    ("analyze", "p2_r11"): "1b770bea4bf657a3cd1a7e3ef2f8ce87c2f5b7c0ec723a399abc95fd0e8a2785",
+    ("analyze", "p2_r12"): "27286bf3e9b60cbffc913c71e18cb88259f59cc3805de8c12f551f00e1a13ab2",
+    ("analyze", "p2_r17"): "e4d99d6858674bb0937933ada30729ed3c6ba4a51190263dfa9491c9aaf5eb53",
     ("thresholds", "abelian"): "9b396c8c2c1ea3193632c390eecd1733d8d6d95594affe81309905b42dafb345",
     ("thresholds", "enriques"): "54565e032b1e2c57c760d7b6961ae2bc54f232eb6ad607d9043c8dd5a9eee5e5",
     ("thresholds", "k3_generic"): "81ecde966cdf50dfce66df505ad3c32a04b0618b324f4f018bf5352a3e29846f",
@@ -53,15 +55,15 @@ GOLDEN = {
     ("certify-ray", "p2_r11"): "0a52fd2ef79d05646285483ccbc0ff2e0b07d6753d8f808f8bdf1d0e289f3912",
     ("certify-ray", "p2_r12"): "8d2d16569c3b66b0ea0a8e4aea7333afab53115ece33ae8ce08a0586b6b7df60",
     ("certify-ray", "p2_r17"): "b90037cc531e16a1355db0034948ca7009d1e2895cb3f8345676ae5551de84f2",
-    ("strict-inclusion", "abelian"): "013850c1e29b0eb45accde31b8b63c9f48186b45c2ae58ecad41afbb4d61a5e3",
-    ("strict-inclusion", "enriques"): "fc33da3ac547a4a88ed1fe80566c32150da8898efb8491f57ad5ed961397b02e",
-    ("strict-inclusion", "k3_generic"): "9693e160159950b466ad0fcfc9a87fe0120b11c0bf49e1938b04a0de8ea29c6e",
-    ("strict-inclusion", "p2_r1"): "14c0ba9db4742f439cfcdf9d7234a12e7a83e2deb71077f32cc607e516687ddc",
-    ("strict-inclusion", "p2_r9"): "6a3bae7e91d37a9e4b463a72d24e2fb825140d8372edf72d744d67a43c385faf",
-    ("strict-inclusion", "p2_r10"): "c959a6374a2918cf298d630c728de452ec6e5539e677c24496354ba78107c074",
-    ("strict-inclusion", "p2_r11"): "b1ca9e8cfdbb82ee1585324d4083bc581ed82576842133336eed76f574ffa446",
-    ("strict-inclusion", "p2_r12"): "bb97ed696a893efa040f715188083b5cf889a2a0cbf6c838009177e430c8b56d",
-    ("strict-inclusion", "p2_r17"): "22f6927703091244baff937d47a0c39032685714715b51d1239f4309da694a04",
+    ("strict-inclusion", "abelian"): "063e68b6d47faf8bcd22913704ecd10abac75b6673afd7473011017fd14fa4de",
+    ("strict-inclusion", "enriques"): "0f9b09708560090e9c44e7b5a1b900dae01b3cb793c55914b7fc420bed9bde37",
+    ("strict-inclusion", "k3_generic"): "1cbe69ce7959fd6d75c5ab221824aeab35c912d8b210759734090bb461b5975b",
+    ("strict-inclusion", "p2_r1"): "249ea379c467416d2c3460f7ae51e8bd2ac4fb926f542476d8edc50b34a7ae11",
+    ("strict-inclusion", "p2_r9"): "d3e3b4a14f5cce33f171052c5e765e7c56c8a036d56413cfe69ca7161b925788",
+    ("strict-inclusion", "p2_r10"): "cf06980f3bf17850a820704f2b1e18b232e3f46925b5e43a2e3e2f11011fe7ba",
+    ("strict-inclusion", "p2_r11"): "f82813d240215d6d6e61ed2b15c3aea03ed1bb6e062fd0d7e04804fbd32f1e80",
+    ("strict-inclusion", "p2_r12"): "8cb87530caab2d7d585564bcb9b4f90e7fed1a41072f79ed3a5dd5b08a6d432f",
+    ("strict-inclusion", "p2_r17"): "ab7b41f9433df22badcc83cd002e4f69f83d8dd9f88a0f3e823162ac92f19cb5",
     ("segre-check", "abelian"): "d34719cef5d0f4e1d3f22f337ef0d5c0585b0fdd9bd2cee46d79e09ab5c7ebd2",
     ("segre-check", "enriques"): "81dbf511585436aaab4e6ad8a487de1cfcfd62b119cd82d364972f1b4f0da0cf",
     ("segre-check", "k3_generic"): "6b6d62b916375b9b27bf80fc2735dc085baafac830326e3381ee3ba25c0f0f04",
@@ -83,8 +85,8 @@ GOLDEN = {
 }
 
 GOLDEN_TEXT = {
-    ("analyze", "k3_generic"): "69cb94e813d3b908969f0e83a76b8a9d00da1a9117eef6eec993db452360777a",
-    ("analyze", "p2_r12"): "865b27fb3146fd273ced8549a0460347ecca90839a2748e769f7747f138cdd82",
+    ("analyze", "k3_generic"): "ea4230f548acd4f8eb6bf72bf150f8f9358bd75badd0f41a1b398623c3ea9cda",
+    ("analyze", "p2_r12"): "f17e40c114c493aa449ec8d33d3fac4dec5a4308dd146537ea26bb404cdbcbe0",
     ("thresholds", "k3_generic"): "d75dd177ea587581e7c1abb6836703219f81923e486e56afd8812c9927b76b6f",
     ("thresholds", "p2_r12"): "ee050c7ab87a672dcc8c77af45733cf8ce30c36eaa09ff64156cc707f6f3ea27",
     ("segre-check", "k3_generic"): "9e156945a90a51e8d41d499e765b52bd6c77ad0e63558510125753f13eb807ee",
@@ -122,6 +124,12 @@ GOLDEN_VERIFY = {
     "p2_r12": "cc212eb63776b5b05310e2199097e902759ed967966b4030eecf4978b7c953e8",
     "p2_r17": "77651830326e1b6453048cd046c1b7acb891ccf07dedb5502fa3b1e75b105b44",
     "p2_r17 tampered": "6667af369ba746f6dc8e5140580ed6f4507cdd9f056c33a6e84e37d9acebc269",
+}
+
+# verify on the strict-inclusion witness of each fixture where one exists
+GOLDEN_STRICT_VERIFY = {
+    fixture: "03d5f16735c957f00d5479d03c6c7ca0423feee14d5cabe3bc27a89e81d9e284"
+    for fixture in ("abelian", "enriques", "k3_generic", "p2_r11", "p2_r12", "p2_r17")
 }
 
 
@@ -174,6 +182,15 @@ def test_golden_verify(capsys, tmp_path, case):
     code = cli.main(["verify", str(path)])
     assert _digest(code, capsys.readouterr()) == GOLDEN_VERIFY[case]
 
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_STRICT_VERIFY))
+def test_golden_strict_verify(capsys, tmp_path, fixture):
+    assert cli.main(["strict-inclusion", "--input", f"fixture:{fixture}"]) == 0
+    path = tmp_path / "witness.json"
+    path.write_text(capsys.readouterr().out)
+    code = cli.main(["verify", str(path)])
+    assert _digest(code, capsys.readouterr()) == GOLDEN_STRICT_VERIFY[fixture]
 
 # zariski inputs: a bundled fixture's surface and curve list with a divisor
 ZARISKI_DIVISORS = {

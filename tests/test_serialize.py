@@ -46,8 +46,8 @@ from surface_cones.strict_inclusion import (
     alpha_from_s,
     gamma_checks,
     gamma_witness,
-    solve_s_system,
     uniruled_witness,
+    witness_parameter,
 )
 from surface_cones.thresholds import (
     RECORDED_RAY_CHECKS,
@@ -278,15 +278,21 @@ def planted_smaller_t0_root(r):
     return doc
 
 
-def from_s_witness_doc():
+# on p2_r11, between s_1 = sqrt(10) - 3 and (3 - sqrt(5))/4: the witness holds with D_t > 0,
+# so t > 1 and alpha.E_1 = 1 - t < 0, where the witness at s_1 has D_t = 0 and alpha.E_1 = 0
+INTERIOR_S = Fraction(3, 16)
+
+
+def from_s_witness_doc(s=None):
+    """The p2_r11 from-s witness at s, by default the witness parameter s_1 = sqrt(10) - 3."""
     model = p2_blowup(11)
-    s = solve_s_system(model)[0].sample
+    s = witness_parameter(model) if s is None else s
     return model, s, serialize.witness_to_json(gamma_witness(alpha_from_s(model, s, 1)))
 
 
 def planted_t_below_one():
     """The p2_r11 from-s witness with t = 1 - sqrt(D_t) and its alpha: still null, alpha.C > 0."""
-    model, s, doc = from_s_witness_doc()
+    model, s, doc = from_s_witness_doc(INTERIOR_S)
     t = 1 - sqrt_scalar(ThresholdContext.from_model(model).k_minus_sl_sq(s) + 1)
     alpha = t * model.exceptional(1) - (model.canonical() - s * model.line())
     doc.update(t=scalar_to_json(t), alpha=serialize.divisor_to_json(alpha))
@@ -416,9 +422,9 @@ def planted_witness_checks_false():
     return doc
 
 
-def planted_gamma(lambda_of):
-    """The p2_r11 from-s witness with gamma = C + lambda*alpha for lambda = lambda_of(alpha)."""
-    model, _, doc = from_s_witness_doc()
+def planted_gamma(lambda_of, s=None):
+    """The p2_r11 from-s witness at s with gamma = C + lambda*alpha, lambda = lambda_of(alpha)."""
+    model, _, doc = from_s_witness_doc(s)
     alpha = serialize.divisor_from_json(model, doc["alpha"], "alpha")
     lam = lambda_of(alpha)
     gamma = model.exceptional(1) + lam * alpha
@@ -459,7 +465,9 @@ PLANTED = [
     pytest.param(planted_witness_checks_false, "recorded_checks", id="witness_checks_false"),
     # lambda = 1/(2*alpha.C) gives gamma^2 = C^2 + 2*lambda*(alpha.C) = 0
     pytest.param(
-        lambda: planted_gamma(lambda a: 1 / (2 * intersect(a, a.model.exceptional(1)))),
+        lambda: planted_gamma(
+            lambda a: 1 / (2 * intersect(a, a.model.exceptional(1))), INTERIOR_S
+        ),
         "gamma_sq_negative", id="gamma_null_square",
     ),
     # lambda = 1/alpha.K gives gamma.K = C.K + 1 = 0
@@ -1128,7 +1136,7 @@ class TestStrictWitnessVerification:
 
     def test_from_s_witness_verifies(self):
         model = p2_blowup(11)
-        witness = gamma_witness(alpha_from_s(model, solve_s_system(model)[0].sample, 1))
+        witness = gamma_witness(alpha_from_s(model, witness_parameter(model), 1))
         doc = serialize.witness_to_json(witness)
         assert serialize.verify_certificate(doc).ok
 

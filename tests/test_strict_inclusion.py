@@ -1,145 +1,101 @@
-"""Condition systems, exact s-intervals with grid oracle, and both witness routes."""
+"""The witness parameter, its three exact facts, both witness routes and their completion."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import abelian_surface, p2_blowup, p2_surface
 from surface_cones.cones import ConePosition, in_positive_cone
-from surface_cones.errors import PreconditionError
+from surface_cones.errors import PreconditionError, SurfaceConesError
 from surface_cones.lattice import BlowupModel, SurfaceModel, intersect
-from surface_cones.scalar import as_fraction, compare, make_scalar, sign, sqrt_scalar
+from surface_cones.scalar import compare, make_scalar, sign, sqrt_scalar
 from surface_cones.strict_inclusion import (
-    ConditionLabel,
-    _rational_strictly_between,
+    _floor,
     alpha_from_s,
-    condition_sets,
     gamma_witness,
-    solve_s_system,
     uniruled_witness,
+    witness_parameter,
 )
+from surface_cones.thresholds import ThresholdContext, s_threshold
 
 
-def a_condition_surface() -> SurfaceModel:
-    # A.K_Y = 6 > 0, A^2 = 4 < 36 = (A.K_Y)^2, bound = 9 + 1 - 9 = 1 >= r
-    return SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(3,), a_Y=(2,))
+@st.composite
+def small_bases(draw, r=st.integers(1, 40)) -> BlowupModel:
+    """A rank-1 or rank-2 base with small integer data, blown up at r points."""
+    if draw(st.booleans()):
+        gram = [[draw(st.integers(1, 6))]]
+        k_Y = [draw(st.integers(-4, 4))]
+        a_Y = [draw(st.integers(1, 4))]
+    else:
+        p, q, m = draw(st.integers(-3, 4)), draw(st.integers(-3, 3)), draw(st.integers(-4, 3))
+        gram = [[p, q], [q, m]]
+        k_Y = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        a_Y = draw(st.lists(st.integers(-2, 3), min_size=2, max_size=2))
+    k_sq = sum(k_Y[i] * gram[i][j] * k_Y[j] for i in range(len(k_Y)) for j in range(len(k_Y)))
+    try:
+        surface = SurfaceModel(chi=1, kY_sq=k_sq, gram_Y=gram, k_Y=k_Y, a_Y=a_Y)
+    except SurfaceConesError:
+        assume(False)
+    return BlowupModel(surface, draw(r))
 
 
-def grid_membership(intervals, s: Fraction) -> bool:
-    for interval in intervals:
-        lower_ok = (
-            compare(s, interval.lower) > 0
-            or (compare(s, interval.lower) == 0 and not interval.lower_strict)
-        )
-        upper_ok = interval.upper is None or (
-            compare(s, interval.upper) < 0
-            or (compare(s, interval.upper) == 0 and not interval.upper_strict)
-        )
-        if lower_ok and upper_ok:
-            return True
-    return False
+def s1_witness(model):
+    """The witness at s_1 with its context and sqrt(D_1/4), on a model with r > first_bound(1)."""
+    ctx = ThresholdContext.from_model(model)
+    assume(ctx.r > ctx.first_bound(1))
+    return ctx, alpha_from_s(model, witness_parameter(model), 1), sqrt_scalar(ctx.delta_quarter(1))
 
 
-def exact_feasible(model: BlowupModel, s: Fraction) -> bool:
-    """Independent oracle: the three witness inequalities, from scratch."""
-    a_sq = model.base.a_sq
-    ak = model.base.a_dot_k
-    k_sq = model.base.kY_sq
-    r = model.r
-    delta_t = s * s * a_sq - 2 * s * ak + k_sq + 1 - r
-    if delta_t < 0:
-        return False
-    # alpha = t*C - (K - sL) is forward only if alpha.L = s*A^2 - A.K_Y > 0
-    if not s * a_sq - ak > 0:
-        return False
-    ds = ak**2 - a_sq * (k_sq + 1 - r)
-    if ds > 0:
-        # only the branch at or above the larger root of D_t(s) = 0 is valid
-        if compare(Fraction(s), (ak + sqrt_scalar(ds)) / a_sq) < 0:
-            return False
-    lhs = r - k_sq - 1 + s * ak
-    return lhs > 0 and lhs * lhs > delta_t
+class TestWitnessParameter:
+    @settings(max_examples=200, deadline=None)
+    @given(small_bases())
+    def test_s1_witness_exact_facts(self, model):
+        ctx, witness, root = s1_witness(model)
+        s = witness.s
+        assert s == s_threshold(ctx, 1) and witness.t == 1
+        assert intersect(witness.alpha, witness.alpha) == 0
+        assert intersect(witness.alpha, model.exceptional(1)) == 0
+        assert intersect(witness.alpha, model.line()) == root and sign(root) > 0
+        assert intersect(witness.alpha, model.canonical()) == s * root
+        assert witness.valid == (sign(s) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_bases(r=st.integers(2, 40)))
+    def test_uniruled_implies_s1_witness_valid(self, model):
+        outcome = uniruled_witness(model)
+        assume(outcome.satisfied)
+        _, witness, _ = s1_witness(model)
+        assert witness.valid
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_bases(r=st.just(1)))
+    def test_case_a_witness_is_the_tilted_pullback(self, model):
+        # r <= first_bound(1) forces r = 1 and K_Y = c*A, so (A.K_Y)^2 = A^2*K_Y^2
+        ctx = ThresholdContext.from_model(model)
+        assume(ctx.r <= ctx.first_bound(1))
+        assert ctx.AK**2 == ctx.A_sq * ctx.kY_sq
+        s = witness_parameter(model)
+        assert s == ctx.AK / ctx.A_sq + 1
+        witness = alpha_from_s(model, s, 1)
+        tilted = model.pullback(model.base.a_Y) + sqrt_scalar(ctx.A_sq) * model.exceptional(1)
+        factor = intersect(witness.alpha, model.line()) / ctx.A_sq
+        assert sign(factor) > 0 and witness.alpha == factor * tilted
+        assert witness.valid == (compare(ctx.AK, sqrt_scalar(ctx.A_sq)) > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_bases())
+    def test_valid_witness_completes_with_an_integer_lambda(self, model):
+        witness = alpha_from_s(model, witness_parameter(model), 1)
+        assume(witness.valid)
+        completed = gamma_witness(witness)
+        assert completed.valid and completed.lambda_.denominator == 1
+        assert compare(intersect(completed.gamma, model.canonical()), 2) > 0
 
 
-class TestConditionSets:
-    def test_plane_eleven_is_d(self):
-        assert condition_sets(p2_blowup(11)) == {ConditionLabel.D}
-
-    def test_plane_ten_empty(self):
-        assert condition_sets(p2_blowup(10)) == set()
-
-    def test_abelian_two_points(self):
-        assert condition_sets(BlowupModel(abelian_surface(), 2)) == {ConditionLabel.D}
-
-    def test_negative_canonical_square_is_c(self):
-        surface = SurfaceModel(chi=1, kY_sq=-6, gram_Y=((2, 1), (1, -1)), k_Y=(1, 4), a_Y=(1, 0))
-        assert ConditionLabel.C in condition_sets(BlowupModel(surface, 1))
-
-    def test_a_condition_model(self):
-        assert condition_sets(BlowupModel(a_condition_surface(), 1)) == {ConditionLabel.A}
-
-    def test_b_condition_model(self):
-        # bound = K^2 + 1 - (A.K)^2/A^2 = 9 + 1 - 9/4; r in (7.75, 10]
-        surface = SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(3,), a_Y=(1,))
-        labels = condition_sets(BlowupModel(surface, 9))
-        assert ConditionLabel.B in labels
-
-
-class TestSolveSSystem:
-    def test_plane_eleven_nonempty(self):
-        intervals = solve_s_system(p2_blowup(11))
-        assert len(intervals) == 1
-        interval = intervals[0]
-        assert interval.lower == make_scalar(-3, 1, 10)
-        assert not interval.lower_strict
-        assert interval.upper == (3 - sqrt_scalar(5)) / 4
-        assert interval.sample is not None
-
-    def test_plane_ten_empty(self):
-        assert solve_s_system(p2_blowup(10)) == []
-
-    def test_a_condition_unbounded_interval(self):
-        intervals = solve_s_system(BlowupModel(a_condition_surface(), 1))
-        assert len(intervals) == 1
-        assert intervals[0].upper is None
-        assert intervals[0].lower == Fraction(3, 2)
-
-    def test_grid_oracle_plane_eleven(self):
-        model = p2_blowup(11)
-        intervals = solve_s_system(model)
-        for k in range(1, 2001):
-            s = Fraction(k, 100)
-            assert exact_feasible(model, s) == grid_membership(intervals, s)
-
-    def test_grid_oracle_bracketing_ranges(self):
-        for model in (
-            p2_blowup(11),
-            p2_blowup(13),
-            BlowupModel(abelian_surface(), 2),
-            BlowupModel(abelian_surface(), 4),
-            BlowupModel(a_condition_surface(), 1),
-        ):
-            intervals = solve_s_system(model)
-            if not intervals:
-                continue
-            lows = [interval.lower for interval in intervals]
-            highs = [interval.upper for interval in intervals if interval.upper is not None]
-            lo = min(int(float(v)) for v in lows) - 1
-            hi = max([int(float(v)) for v in highs], default=int(float(lows[0])) + 3) + 1
-            for k in range(lo * 100, hi * 100 + 1):
-                s = Fraction(k, 100)
-                assert exact_feasible(model, s) == grid_membership(intervals, s), (model.r, s)
-
-    def test_samples_are_certified_feasible(self):
-        for model in (p2_blowup(11), p2_blowup(12), BlowupModel(abelian_surface(), 2)):
-            for interval in solve_s_system(model):
-                assert interval.sample is not None
-                assert exact_feasible(model, interval.sample)
-
-
-class TestRationalStrictlyBetween:
+class TestFloor:
     @pytest.mark.parametrize(
-        "lower",
+        "x",
         [
             Fraction(10**400),
             Fraction(-(10**400), 3),
@@ -147,44 +103,39 @@ class TestRationalStrictlyBetween:
             make_scalar(1, -(10**400), 3),
         ],
     )
-    def test_huge_lower_bound_is_exact(self, lower):
-        point = _rational_strictly_between(lower, None)
-        assert compare(point, lower) > 0
-        assert compare(point - Fraction(1, 2), lower) <= 0
-
-    def test_least_half_integer_above_a_surd(self):
-        assert _rational_strictly_between(make_scalar(-3, 1, 10), None) == Fraction(1, 2)
-        assert _rational_strictly_between(make_scalar(0, -1, 2), None) == Fraction(-1)
+    def test_huge_lower_bound_is_exact(self, x):
+        n = _floor(x)
+        assert compare(n, x) <= 0 < compare(n + 1, x)
 
 
 class TestAlphaFromS:
-    def test_valid_at_certified_sample(self):
+    def test_valid_at_witness_parameter(self):
         model = p2_blowup(11)
-        interval = solve_s_system(model)[0]
-        witness = alpha_from_s(model, interval.sample, 1)
+        witness = alpha_from_s(model, witness_parameter(model), 1)
         assert witness.valid
         assert sign(intersect(witness.alpha, witness.alpha)) == 0
         assert sign(intersect(witness.alpha, model.canonical())) > 0
 
     def test_abelian_pipeline(self):
         model = BlowupModel(abelian_surface(), 2)
-        interval = solve_s_system(model)[0]
-        witness = alpha_from_s(model, interval.sample, 1)
+        witness = alpha_from_s(model, witness_parameter(model), 1)
         assert witness.valid
         completed = gamma_witness(witness)
         assert completed.valid
-        assert intersect(completed.gamma, model.canonical()) == 2
+        # alpha.K = 1, so lambda = floor(3/1) + 1 = 4 and gamma.K = -1 + 4
+        assert completed.lambda_ == 4
+        assert intersect(completed.gamma, model.canonical()) == 3
 
     def test_irrational_s_supported(self):
         model = p2_blowup(11)
-        interval = solve_s_system(model)[0]
-        # lower endpoint is closed here: s = sqrt(10) - 3 itself is feasible
-        witness = alpha_from_s(model, interval.lower, 1)
-        assert witness.valid
+        s = witness_parameter(model)
+        assert s == make_scalar(-3, 1, 10)
+        witness = alpha_from_s(model, s, 1)
+        assert witness.valid and witness.t == 1
 
     def test_t_at_least_one_makes_alpha_dot_c_nonpositive(self):
         model = p2_blowup(11)
-        witness = alpha_from_s(model, solve_s_system(model)[0].sample, 2)
+        witness = alpha_from_s(model, witness_parameter(model), 2)
         assert witness.valid
         assert compare(witness.t, 1) >= 0
         assert sign(intersect(witness.alpha, model.exceptional(2))) <= 0
@@ -257,13 +208,15 @@ class TestGammaWitness:
         completed = gamma_witness(uniruled_witness(model).witness)
         assert completed.valid
         k = model.canonical()
-        assert intersect(completed.gamma, k) == 2
+        # alpha.K = sqrt(10) - 3, so lambda = floor(3/(sqrt(10) - 3)) + 1 = 19
+        assert completed.lambda_ == 19
+        assert intersect(completed.gamma, k) == make_scalar(-58, 19, 10)
         assert intersect(completed.gamma, completed.gamma) == -1
         assert in_positive_cone(completed.gamma) is ConePosition.OUTSIDE
 
     def test_gamma_in_generated_cone_outside_positive(self):
         model = BlowupModel(abelian_surface(), 2)
-        witness = gamma_witness(alpha_from_s(model, solve_s_system(model)[0].sample, 1))
+        witness = gamma_witness(alpha_from_s(model, witness_parameter(model), 1))
         assert sign(intersect(witness.gamma, witness.gamma)) < 0
         assert in_positive_cone(witness.alpha) is not ConePosition.OUTSIDE
 
@@ -277,9 +230,8 @@ class TestGammaWitness:
 class TestDoubleRecovery:
     def test_both_routes_first_succeed_at_eleven(self):
         for r in range(2, 11):
-            assert not uniruled_witness(p2_blowup(r)).satisfied
-            assert condition_sets(p2_blowup(r)) == set()
-            assert solve_s_system(p2_blowup(r)) == []
+            model = p2_blowup(r)
+            assert not uniruled_witness(model).satisfied
+            assert not alpha_from_s(model, witness_parameter(model), 1).valid
         assert uniruled_witness(p2_blowup(11)).satisfied
-        assert condition_sets(p2_blowup(11)) == {ConditionLabel.D}
-        assert solve_s_system(p2_blowup(11)) != []
+        assert alpha_from_s(p2_blowup(11), witness_parameter(p2_blowup(11)), 1).valid

@@ -41,7 +41,7 @@ from surface_cones.scalar import (
     sqrt_scalar,
 )
 from surface_cones.segre import segre_bounds
-from surface_cones.strict_inclusion import alpha_from_s, solve_s_system, uniruled_witness
+from surface_cones.strict_inclusion import alpha_from_s, uniruled_witness, witness_parameter
 from surface_cones.thresholds import (
     ConditionCheck,
     ThresholdContext,
@@ -789,11 +789,8 @@ def built_alphas(model, curves):
         alphas += [cert.alpha for cert in certify_list(model, curves) if cert.alpha is not None]
     except ThresholdError:
         pass  # r is below the bound for the list's levels: no certificate is built
-    for interval in solve_s_system(model):
-        if interval.sample is not None:
-            witness = alpha_from_s(model, interval.sample, 1)
-            if witness.checks["delta_t_nonneg"]:
-                alphas.append(witness.alpha)
+    # D_t(s) is 0 at s_1 and A^2 at A.K_Y/A^2 + 1, so this alpha is always null
+    alphas.append(alpha_from_s(model, witness_parameter(model), 1).alpha)
     uniruled = uniruled_witness(model).witness if model.r >= 2 else None
     if uniruled is not None:
         alphas.append(uniruled.alpha)
