@@ -89,11 +89,9 @@ from .segre import (
 )
 from .strict_inclusion import (
     StrictInclusionWitness,
-    UniruledOutcome,
-    WitnessConstruction,
     alpha_from_s,
     gamma_witness,
-    uniruled_witness,
+    uniruled_value,
     witness_parameter,
 )
 from .serialize import (

@@ -26,12 +26,13 @@ from .errors import (
     CertificateError,
     MalformedValueError,
     ModelValidationError,
+    PreconditionError,
     SurfaceConesError,
     ThresholdError,
     ZariskiError,
 )
 from .lattice import BlowupModel, DivisorClass, SurfaceKind, intersect, parse_int, parse_rational
-from .scalar import scalar_to_json
+from .scalar import scalar_to_json, sign
 from .thresholds import ConditionCheck, ThresholdContext
 
 def fixture_path(name: str) -> Path:
@@ -353,6 +354,9 @@ def _cmd_thresholds(args: argparse.Namespace, inp: _Input) -> int:
 
 
 def _cmd_certify_ray(args: argparse.Namespace, inp: _Input) -> int:
+    if not inp.curves:
+        # verify rejects an empty certificate list, so none is written
+        raise ModelValidationError("no curve to certify: list one, or give r >= 1", "curves")
     documents = serialize._ray_certificates_to_json(inp.model, inp.curves)
     report = {
         "kind": "certificate_list",
@@ -369,7 +373,11 @@ def _cmd_certify_ray(args: argparse.Namespace, inp: _Input) -> int:
 
 
 def _cmd_zariski(args: argparse.Namespace, inp: _Input) -> int:
-    decomposition = zariski.ne_decompose(inp.divisor, inp.curves)
+    try:
+        decomposition = zariski.ne_decompose(inp.divisor, inp.curves)
+    except PreconditionError as exc:
+        # its preconditions concern the divisor alone: the parsed curves share its model
+        raise ModelValidationError(str(exc), "divisor") from exc
     report = serialize.zariski_to_json(decomposition)
     report["command"] = "zariski"
     report["seed"] = args.seed
@@ -472,9 +480,9 @@ def _cmd_analyze(args: argparse.Namespace, inp: _Input) -> int:
         "s": scalar_to_json(strict_inclusion.witness_parameter(model)),
     }
     if model.r >= 2:
-        outcome = strict_inclusion.uniruled_witness(model)
-        strict_report["uniruled_value"] = scalar_to_json(outcome.value)
-        strict_report["uniruled_satisfied"] = outcome.satisfied
+        value = strict_inclusion.uniruled_value(model)
+        strict_report["uniruled_value"] = scalar_to_json(value)
+        strict_report["uniruled_satisfied"] = sign(value) > 0
     report = {
         "command": "analyze",
         "seed": args.seed,

@@ -32,7 +32,6 @@ from .scalar import scalar_from_json, scalar_to_json
 from .strict_inclusion import (
     RECORDED_WITNESS_CHECKS,
     StrictInclusionWitness,
-    WitnessConstruction,
     alpha_checks,
     gamma_checks,
 )
@@ -356,10 +355,11 @@ def witness_to_json(witness: StrictInclusionWitness) -> dict[str, Any]:
     return {
         "kind": STRICT_KIND,
         **blowup_to_json(model),
-        "construction": witness.construction.value,
+        # alpha = t*C - (K - sL), the one construction; verify rejects any other
+        "construction": "from_s",
         "curve_index": witness.curve_index,
         "alpha": divisor_to_json(witness.alpha),
-        "s": None if witness.s is None else scalar_to_json(witness.s),
+        "s": scalar_to_json(witness.s),
         "t": None if witness.t is None else scalar_to_json(witness.t),
         "lambda": None if witness.lambda_ is None else scalar_to_json(witness.lambda_),
         "gamma": None if witness.gamma is None else divisor_to_json(witness.gamma),
@@ -400,6 +400,9 @@ def verify_certificate(doc) -> VerifyResult:
         if kind == STRICT_KIND:
             return VerifyResult(kind, _verify_strict(doc))
     except (KeyError, TypeError, ValueError) as exc:
+        key = exc.args[0] if isinstance(exc, KeyError) and exc.args else None
+        if isinstance(key, str) and key not in doc:
+            raise CertificateError(f"{key}: missing required field") from exc
         raise CertificateError(f"malformed certificate: {exc}") from exc
     raise CertificateError(f"unknown certificate kind: {kind!r}")
 
@@ -517,7 +520,7 @@ def _coeffs_from_json(doc, count: int) -> dict[int, Fraction]:
 
 
 def _verify_strict(doc) -> str | None:
-    """The builders' ``alpha_checks`` and ``gamma_checks`` on the document's fields.
+    """The builder's ``alpha_checks`` and ``gamma_checks`` on the document's fields.
 
     Without ``gamma`` it fails ``gamma_identity`` after the alpha list; ``recorded_checks`` is last.
     """
@@ -525,17 +528,13 @@ def _verify_strict(doc) -> str | None:
     if not doc.get("valid", False):
         return "certificate marked invalid"
     curve = model.exceptional(parse_int(doc["curve_index"], "curve_index", 1, model.r))
-    try:
-        construction = WitnessConstruction(doc["construction"])
-    except ValueError:
+    if doc["construction"] != "from_s":
         raise ModelValidationError(
             f"not a witness construction: {doc['construction']!r}", "construction"
         )
     alpha = divisor_from_json(model, doc["alpha"], "alpha")
-    s = t = None
-    if construction is WitnessConstruction.FROM_S:
-        s = _scalar_from_json(doc["s"], "s")
-        t = _scalar_from_json(doc["t"], "t")
+    s = _scalar_from_json(doc["s"], "s")
+    t = _scalar_from_json(doc["t"], "t")
     checks = alpha_checks(alpha, curve, s, t)
     if doc.get("gamma") is None:
         checks["gamma_identity"] = False
@@ -543,8 +542,6 @@ def _verify_strict(doc) -> str | None:
         lam = _scalar_from_json(doc["lambda"], "lambda")
         gamma = divisor_from_json(model, doc["gamma"], "gamma")
         checks.update(gamma_checks(gamma, curve, lam, alpha))
-    # only a from-s witness has D_t, so only it records delta_t_nonneg, the first name
-    recorded = RECORDED_WITNESS_CHECKS if t is not None else RECORDED_WITNESS_CHECKS[1:]
-    checks["recorded_checks"] = _recorded_checks_hold(doc, recorded)
+    checks["recorded_checks"] = _recorded_checks_hold(doc, RECORDED_WITNESS_CHECKS)
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None

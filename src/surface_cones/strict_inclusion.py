@@ -1,9 +1,8 @@
 """Witnesses that the K-nonnegative positive cone is strictly smaller than the Mori cone.
 
-Two constructions are provided for a fixed exceptional curve C = E_i.
-
-From a parameter s: alpha = t*C - (K - sL) with t = 1 + sqrt(D_t(s)),
-D_t(s) = (K - sL)^2 + 1.  ``witness_parameter`` gives s in closed form for C = E_1:
+The witness is built from a parameter s for the exceptional curve C = E_i:
+alpha = t*C - (K - sL) with t = 1 + sqrt(D_t(s)), D_t(s) = (K - sL)^2 + 1.
+``witness_parameter`` gives s in closed form for C = E_1:
 
 - r > first_bound(1): s = s_1, so (K - s_1 L)^2 = -1, D_t = 0 and t = 1.
   Then alpha^2 = 0, alpha.E_1 = 0, alpha.L = sqrt(D_1/4) > 0 and
@@ -13,21 +12,17 @@ D_t(s) = (K - sL)^2 + 1.  ``witness_parameter`` gives s in closed form for C = E
   Every s > c gives alpha = A + sqrt(A^2)*E_1 up to a positive factor;
   s = c + 1 is taken.
 
-From non-uniruledness (or just A.K_Y + sqrt(A^2*(r-1)) > 0): alpha is the
-pullback of A tilted equally into the first r-1 exceptional directions.
-It adds no witness to the first: r >= 2 > first_bound(1), and
-s_1*A^2 = A.K_Y + sqrt(A^2*(r - first_bound(1))) >= A.K_Y + sqrt(A^2*(r-1)).
-
-Either alpha is completed to gamma = C + lambda*alpha with the integer
+alpha is completed to gamma = C + lambda*alpha with the integer
 lambda = floor((2 + |C.K|)/alpha.K) + 1, giving gamma in the generated cone
 with gamma^2 < 0 and gamma.K > 2, the strict-inclusion witness.
+``uniruled_value`` gives the tilted-pullback criterion in closed form; it
+decides no witness that s_1 does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .cones import ConePosition, in_positive_cone
@@ -59,11 +54,6 @@ def _floor(x: Exact) -> int:
     return n + 1 if compare(n + 1, x) <= 0 else n
 
 
-class WitnessConstruction(Enum):
-    FROM_S = "from_s"
-    UNIRULED = "uniruled"
-
-
 @dataclass(frozen=True)
 class StrictInclusionWitness:
     """Self-contained witness for the strict inclusion, re-checkable from its fields.
@@ -74,10 +64,9 @@ class StrictInclusionWitness:
     holds the ``RECORDED_WITNESS_CHECKS`` that were evaluated.
     """
 
-    construction: WitnessConstruction
     curve_index: int
     alpha: DivisorClass
-    s: Exact | None
+    s: Exact
     t: Exact | None
     lambda_: Exact | None
     gamma: DivisorClass | None
@@ -93,27 +82,23 @@ RECORDED_WITNESS_CHECKS = (
 )
 
 
-def alpha_checks(
-    alpha: DivisorClass, curve: DivisorClass, s: Exact | None = None, t: Exact | None = None
-) -> dict[str, bool]:
+def alpha_checks(alpha: DivisorClass, curve: DivisorClass, s: Exact, t: Exact) -> dict[str, bool]:
     """The alpha-part invariants of a witness, in the order failures are reported.
 
-    The builders and ``verify`` both evaluate this list; a from-s witness
-    (t given) adds ``alpha_identity``, alpha = t*C - (K - sL).  For C = E_i
-    that gives alpha.C = 1 - t, so t >= 1 is part of ``alpha_dot_C_nonpos``.
+    The builder and ``verify`` both evaluate this list; ``alpha_identity`` is
+    alpha = t*C - (K - sL).  For C = E_i that gives alpha.C = 1 - t, so
+    t >= 1 is part of ``alpha_dot_C_nonpos``.
     ``alpha_in_positive_cone`` reads the alpha^2 of ``alpha_sq_zero``.
     """
     k = alpha.model.canonical()
     alpha_sq = intersect(alpha, alpha)
-    checks = {
+    return {
         "alpha_sq_zero": sign(alpha_sq) == 0,
         "alpha_in_positive_cone": in_positive_cone(alpha, alpha_sq) is not ConePosition.OUTSIDE,
         "alpha_dot_C_nonpos": sign(intersect(alpha, curve)) <= 0,
         "alpha_dot_K_positive": sign(intersect(alpha, k)) > 0,
+        "alpha_identity": t * curve - (k - s * alpha.model.line()) == alpha,
     }
-    if t is not None:
-        checks["alpha_identity"] = t * curve - (k - s * alpha.model.line()) == alpha
-    return checks
 
 
 def gamma_checks(
@@ -128,11 +113,11 @@ def gamma_checks(
 
 
 def _witness(
-    construction, curve_index, alpha, s=None, t=None, lambda_=None, gamma=None, decided=(),
+    curve_index, alpha, s, t=None, lambda_=None, gamma=None, decided=()
 ) -> StrictInclusionWitness:
     """The witness with these fields; its lists are evaluated and their recorded entries kept.
 
-    ``decided`` holds entries settled before: the from-s builder's
+    ``decided`` holds entries settled before: the builder's
     ``delta_t_nonneg``, or the alpha stage's when gamma is added.  If they
     all hold, the alpha list is evaluated, or the gamma list when gamma is given.
     """
@@ -146,8 +131,7 @@ def _witness(
     failing = first_failing(checks)
     recorded = {name: checks[name] for name in RECORDED_WITNESS_CHECKS if name in checks}
     return StrictInclusionWitness(
-        construction, curve_index, alpha, s, t, lambda_, gamma, recorded,
-        failing is None, failing,
+        curve_index, alpha, s, t, lambda_, gamma, recorded, failing is None, failing
     )
 
 
@@ -163,42 +147,25 @@ def alpha_from_s(
     curve = model.exceptional(curve_index)
     delta_t = ThresholdContext.from_model(model).k_minus_sl_sq(s) + 1
     if sign(delta_t) < 0:
-        return _witness(
-            WitnessConstruction.FROM_S, curve_index, model.zero(), s=s,
-            decided={"delta_t_nonneg": False},
-        )
+        return _witness(curve_index, model.zero(), s, decided={"delta_t_nonneg": False})
     t = 1 + sqrt_scalar(delta_t)
     alpha = t * curve - (model.canonical() - s * model.line())
-    return _witness(
-        WitnessConstruction.FROM_S, curve_index, alpha, s, t,
-        decided={"delta_t_nonneg": True},
-    )
+    return _witness(curve_index, alpha, s, t, decided={"delta_t_nonneg": True})
 
 
-@dataclass(frozen=True)
-class UniruledOutcome:
-    """Result of the tilted-pullback construction.
+def uniruled_value(model: BlowupModel) -> Exact:
+    """A.K_Y + sqrt(A^2*(r-1)), whose sign decides the tilted-pullback witness.
 
-    ``value`` is A.K_Y + sqrt(A^2*(r-1)), whose exact sign decides
-    availability; for a non-uniruled base A.K_Y >= 0 makes it positive
-    outright.
+    That construction tilts the pullback of A equally into the first r-1
+    exceptional directions; the value is positive outright for a
+    non-uniruled base, where A.K_Y >= 0.
+    It decides no witness that s_1 does not: r >= 2 > 1 >= first_bound(1), and
+    s_1*A^2 = A.K_Y + sqrt(A^2*(r - first_bound(1))) >= A.K_Y + sqrt(A^2*(r-1)),
+    so a positive value gives s_1 > 0, where the witness at s_1 holds.
     """
-
-    satisfied: bool
-    value: Exact
-    witness: StrictInclusionWitness | None
-
-
-def uniruled_witness(model: BlowupModel) -> UniruledOutcome:
     if model.r < 2:
         raise PreconditionError("construction needs r >= 2 blown-up points")
-    tilt = sqrt_scalar(Fraction(model.base.a_sq, model.r - 1))
-    value = model.base.a_dot_k + (model.r - 1) * tilt
-    if sign(value) <= 0:
-        return UniruledOutcome(satisfied=False, value=value, witness=None)
-    alpha = model.divisor(list(model.base.a_Y) + [-tilt] * (model.r - 1) + [Fraction(0)])
-    witness = _witness(WitnessConstruction.UNIRULED, model.r, alpha)
-    return UniruledOutcome(satisfied=True, value=value, witness=witness)
+    return model.base.a_dot_k + sqrt_scalar(model.base.a_sq * (model.r - 1))
 
 
 def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
@@ -214,6 +181,6 @@ def gamma_witness(witness: StrictInclusionWitness) -> StrictInclusionWitness:
     k = witness.alpha.model.canonical()
     lam = Fraction(_floor((2 + abs(intersect(curve, k))) / intersect(witness.alpha, k)) + 1)
     return _witness(
-        witness.construction, witness.curve_index, witness.alpha, witness.s, witness.t,
-        lam, curve + lam * witness.alpha, decided=witness.checks,
+        witness.curve_index, witness.alpha, witness.s, witness.t, lam,
+        curve + lam * witness.alpha, decided=witness.checks,
     )

@@ -21,7 +21,7 @@ from surface_cones.segre import (
     pencil_counterexample,
     segre_bounds,
 )
-from surface_cones.strict_inclusion import alpha_from_s, uniruled_witness, witness_parameter
+from surface_cones.strict_inclusion import alpha_from_s, uniruled_value, witness_parameter
 from surface_cones.thresholds import (
     ThresholdContext,
     certify_list,
@@ -56,20 +56,18 @@ def test_criterion_1_plane_threshold_chain():
 
 
 def test_criterion_2_r_greater_ten_double_recovery():
-    ten = uniruled_witness(p2_blowup(10))
-    assert not ten.satisfied and ten.value == Fraction(0)
-    eleven = uniruled_witness(p2_blowup(11))
-    assert eleven.satisfied
-    assert eleven.value == make_scalar(-3, 1, 10)
-    alpha_dot_k = intersect(eleven.witness.alpha, p2_blowup(11).canonical())
-    assert alpha_dot_k == make_scalar(-3, 1, 10)
+    assert uniruled_value(p2_blowup(10)) == Fraction(0)
+    assert uniruled_value(p2_blowup(11)) == make_scalar(-3, 1, 10)
     assert witness_parameter(p2_blowup(10)) == 0
     ten = alpha_from_s(p2_blowup(10), Fraction(0), 1)
     assert not ten.valid and ten.failing == "alpha_dot_K_positive"
     assert witness_parameter(p2_blowup(11)) == make_scalar(-3, 1, 10)
-    assert alpha_from_s(p2_blowup(11), make_scalar(-3, 1, 10), 1).valid
+    eleven = alpha_from_s(p2_blowup(11), make_scalar(-3, 1, 10), 1)
+    assert eleven.valid
+    assert intersect(eleven.alpha, p2_blowup(11).canonical()) == make_scalar(10, -3, 10)
     print("ACCEPTANCE 2 [PASS] r>10 recovered twice: uniruled 0 at r=10, -3+sqrt(10) at r=11;"
-          " s_1 = 0 fails alpha.K > 0 at r=10, s_1 = sqrt(10)-3 holds at r=11")
+          " s_1 = 0 fails alpha.K > 0 at r=10, s_1 = sqrt(10)-3 holds at r=11"
+          " with alpha.K = 10-3*sqrt(10)")
 
 
 def test_criterion_3_certificate_validity_sweep():

@@ -310,6 +310,41 @@ class TestCertifyAndVerify:
         assert (code, out) == (1, "")
         assert "certificates:" in err
 
+    @pytest.mark.parametrize(
+        "command, fixture, key",
+        [("certify-ray", "p2_r12", "n"), ("zariski", None, "coeffs"),
+         ("strict-inclusion", "p2_r11", "s")],
+    )
+    def test_missing_field_named(self, capsys, tmp_path, command, fixture, key):
+        if fixture is None:
+            doc = {"surface": P2_SURFACE, "r": 1, "curves": [{"coords": [0, 1]}], "divisor": [2, 1]}
+            source = write_json(tmp_path, "in.json", doc)
+        else:
+            source = f"fixture:{fixture}"
+        out_path = tmp_path / "out.json"
+        assert run_cli([command, "--input", source, "--output", str(out_path)], capsys)[0] == 0
+        doc = json.loads(out_path.read_text())
+        document = doc["certificates"][0] if "certificates" in doc else doc
+        del document[key]
+        code, out, err = run_cli(["verify", write_json(tmp_path, "bad.json", doc)], capsys)
+        assert (code, out, err) == (1, "", f"error: {key}: missing required field\n")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"surface": P2_SURFACE, "r": 12, "curves": []}, {"surface": P2_SURFACE, "r": 0}],
+        ids=["empty_list", "r_zero"],
+    )
+    def test_no_curve_to_certify_exit_one(self, capsys, tmp_path, doc):
+        out_path = tmp_path / "certs.json"
+        code, out, err = run_cli(
+            ["certify-ray", "--input", write_json(tmp_path, "in.json", doc),
+             "--output", str(out_path)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: curves: ")
+        assert not out_path.exists()
+
     def test_unknown_kind_exit_one(self, capsys, tmp_path):
         path = write_json(tmp_path, "odd.json", {"kind": "mystery"})
         code, _, _ = run_cli(["verify", str(path)], capsys)
@@ -350,6 +385,9 @@ class TestZariski:
         [
             ([NON_REAL, 0], "divisor[0]: non-real scalar: radicand -2 < 0"),
             ([ROOT_2, ROOT_3], "divisor: divisor coordinates must lie in a single radical tower"),
+            # the decomposition's own preconditions
+            ([ROOT_2, 0], "divisor: Zariski decomposition expects rational coordinates"),
+            ([-1, 1], "divisor: divisor must pair nonnegatively with L"),
         ],
     )
     def test_scalar_layer_errors_name_the_divisor(self, capsys, tmp_path, divisor, error):
@@ -603,8 +641,8 @@ class TestStrictInclusion:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("construction", 5), ("construction", "tilted"), ("curve_index", True),
-         ("curve_index", 12)],
+        [("construction", 5), ("construction", "tilted"), ("construction", "uniruled"),
+         ("curve_index", True), ("curve_index", 12)],
     )
     def test_malformed_witness_field_exit_one(self, capsys, tmp_path, field, value):
         out_path = tmp_path / "witness.json"

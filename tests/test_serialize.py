@@ -40,13 +40,10 @@ from surface_cones.scalar import (
 )
 from surface_cones.segre import segre_bounds
 from surface_cones.strict_inclusion import (
-    StrictInclusionWitness,
-    WitnessConstruction,
     alpha_checks,
     alpha_from_s,
     gamma_checks,
     gamma_witness,
-    uniruled_witness,
     witness_parameter,
 )
 from surface_cones.thresholds import (
@@ -253,13 +250,10 @@ class TestRayVerifyRejections:
 
 
 def planted_alpha_dot_k_zero():
-    """A uniruled witness on p2_r10: alpha = L - (E_1 + ... + E_9)/3 is null, alpha.K = 0."""
-    model = p2_blowup(10)
-    alpha = model.divisor([1] + [Fraction(-1, 3)] * 9 + [0])
-    witness = StrictInclusionWitness(
-        WitnessConstruction.UNIRULED, 10, alpha, None, None, None, None, {}, True, None
-    )
-    return serialize.witness_to_json(witness)
+    """The p2_r10 from-s witness at s = 0 marked valid: alpha = 3L - E_2 - ... - E_10, alpha.K = 0."""
+    witness = alpha_from_s(p2_blowup(10), Fraction(0), 1)
+    assert witness.failing == "alpha_dot_K_positive"
+    return {**serialize.witness_to_json(witness), "valid": True, "failing": None}
 
 
 def planted_smaller_t0_root(r):
@@ -1128,12 +1122,6 @@ class TestZariskiVerification:
 
 
 class TestStrictWitnessVerification:
-    def test_uniruled_witness_verifies(self):
-        model = p2_blowup(11)
-        witness = gamma_witness(uniruled_witness(model).witness)
-        doc = serialize.witness_to_json(witness)
-        assert serialize.verify_certificate(doc).ok
-
     def test_from_s_witness_verifies(self):
         model = p2_blowup(11)
         witness = gamma_witness(alpha_from_s(model, witness_parameter(model), 1))
@@ -1141,18 +1129,14 @@ class TestStrictWitnessVerification:
         assert serialize.verify_certificate(doc).ok
 
     def test_tampered_gamma_detected(self):
-        model = p2_blowup(11)
-        witness = gamma_witness(uniruled_witness(model).witness)
-        doc = serialize.witness_to_json(witness)
+        _, _, doc = from_s_witness_doc()
         doc["gamma"][0] = "2"
         result = serialize.verify_certificate(doc)
         assert not result.ok
         assert "gamma" in result.failing
 
     def test_tampered_alpha_detected(self):
-        model = p2_blowup(11)
-        witness = gamma_witness(uniruled_witness(model).witness)
-        doc = serialize.witness_to_json(witness)
+        _, _, doc = from_s_witness_doc()
         doc["alpha"][0] = "2"
         result = serialize.verify_certificate(doc)
         assert not result.ok

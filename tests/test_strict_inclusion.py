@@ -1,4 +1,4 @@
-"""The witness parameter, its three exact facts, both witness routes and their completion."""
+"""The witness parameter, its exact facts, its completion, and the tilted-pullback value."""
 
 from fractions import Fraction
 
@@ -14,7 +14,7 @@ from surface_cones.strict_inclusion import (
     _floor,
     alpha_from_s,
     gamma_witness,
-    uniruled_witness,
+    uniruled_value,
     witness_parameter,
 )
 from surface_cones.thresholds import ThresholdContext, s_threshold
@@ -63,8 +63,7 @@ class TestWitnessParameter:
     @settings(max_examples=200, deadline=None)
     @given(small_bases(r=st.integers(2, 40)))
     def test_uniruled_implies_s1_witness_valid(self, model):
-        outcome = uniruled_witness(model)
-        assume(outcome.satisfied)
+        assume(sign(uniruled_value(model)) > 0)
         _, witness, _ = s1_witness(model)
         assert witness.valid
 
@@ -154,44 +153,31 @@ class TestAlphaFromS:
             alpha_from_s(p2_blowup(2), Fraction(1), 3)
 
 
-class TestUniruledWitness:
+class TestUniruledValue:
     def test_plane_eleven(self):
-        outcome = uniruled_witness(p2_blowup(11))
-        assert outcome.satisfied
-        assert outcome.value == make_scalar(-3, 1, 10)
-        assert outcome.witness.valid
-        assert outcome.witness.curve_index == 11
+        assert uniruled_value(p2_blowup(11)) == make_scalar(-3, 1, 10)
 
     def test_plane_ten_fails_exactly_at_zero(self):
-        outcome = uniruled_witness(p2_blowup(10))
-        assert not outcome.satisfied
-        assert outcome.value == Fraction(0)
-        assert outcome.witness is None
+        assert uniruled_value(p2_blowup(10)) == Fraction(0)
 
     def test_nonnegative_a_dot_k_always_succeeds(self):
         surface = SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(3,), a_Y=(1,))
         for r in (2, 3, 7):
-            outcome = uniruled_witness(BlowupModel(surface, r))
-            assert outcome.satisfied and outcome.witness.valid
-
-    def test_alpha_orthogonal_to_last_exceptional(self):
-        model = p2_blowup(12)
-        outcome = uniruled_witness(model)
-        assert intersect(outcome.witness.alpha, model.exceptional(12)) == 0
+            assert sign(uniruled_value(BlowupModel(surface, r))) > 0
 
     def test_needs_two_points(self):
         with pytest.raises(PreconditionError):
-            uniruled_witness(p2_blowup(1))
+            uniruled_value(p2_blowup(1))
 
 
 class TestUniruledCaseAnalysis:
     def test_verdict_matches_squared_inequality_for_negative_ak(self):
-        # for A.K_Y < 0 the criterion is exactly A^2 (r - 1) > (A.K_Y)^2
+        # for A.K_Y < 0 the value is positive exactly when A^2 (r - 1) > (A.K_Y)^2
         surface = p2_surface()
         for r in range(2, 16):
-            outcome = uniruled_witness(BlowupModel(surface, r))
+            value = uniruled_value(BlowupModel(surface, r))
             squared = surface.a_sq * (r - 1) > surface.a_dot_k ** 2
-            assert outcome.satisfied == squared
+            assert (sign(value) > 0) == squared
 
     def test_always_satisfied_for_nonnegative_ak(self):
         flat = SurfaceModel(chi=1, kY_sq=0, gram_Y=((0, 1), (1, 0)), k_Y=(0, 0), a_Y=(1, 1),
@@ -199,18 +185,18 @@ class TestUniruledCaseAnalysis:
         positive = SurfaceModel(chi=1, kY_sq=9, gram_Y=((1,),), k_Y=(3,), a_Y=(1,))
         for surface in (flat, positive):
             for r in (2, 3, 9):
-                assert uniruled_witness(BlowupModel(surface, r)).satisfied
+                assert sign(uniruled_value(BlowupModel(surface, r))) > 0
 
 
 class TestGammaWitness:
     def test_plane_eleven_values(self):
         model = p2_blowup(11)
-        completed = gamma_witness(uniruled_witness(model).witness)
+        completed = gamma_witness(alpha_from_s(model, witness_parameter(model), 1))
         assert completed.valid
         k = model.canonical()
-        # alpha.K = sqrt(10) - 3, so lambda = floor(3/(sqrt(10) - 3)) + 1 = 19
-        assert completed.lambda_ == 19
-        assert intersect(completed.gamma, k) == make_scalar(-58, 19, 10)
+        # alpha.K = 10 - 3*sqrt(10), so lambda = floor(3/(10 - 3*sqrt(10))) + 1 = 6
+        assert completed.lambda_ == 6
+        assert intersect(completed.gamma, k) == make_scalar(59, -18, 10)
         assert intersect(completed.gamma, completed.gamma) == -1
         assert in_positive_cone(completed.gamma) is ConePosition.OUTSIDE
 
@@ -231,7 +217,7 @@ class TestDoubleRecovery:
     def test_both_routes_first_succeed_at_eleven(self):
         for r in range(2, 11):
             model = p2_blowup(r)
-            assert not uniruled_witness(model).satisfied
+            assert sign(uniruled_value(model)) <= 0
             assert not alpha_from_s(model, witness_parameter(model), 1).valid
-        assert uniruled_witness(p2_blowup(11)).satisfied
+        assert sign(uniruled_value(p2_blowup(11))) > 0
         assert alpha_from_s(p2_blowup(11), witness_parameter(p2_blowup(11)), 1).valid

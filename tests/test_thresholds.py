@@ -41,7 +41,7 @@ from surface_cones.scalar import (
     sqrt_scalar,
 )
 from surface_cones.segre import segre_bounds
-from surface_cones.strict_inclusion import alpha_from_s, uniruled_witness, witness_parameter
+from surface_cones.strict_inclusion import alpha_from_s, witness_parameter
 from surface_cones.thresholds import (
     ConditionCheck,
     ThresholdContext,
@@ -791,9 +791,6 @@ def built_alphas(model, curves):
         pass  # r is below the bound for the list's levels: no certificate is built
     # D_t(s) is 0 at s_1 and A^2 at A.K_Y/A^2 + 1, so this alpha is always null
     alphas.append(alpha_from_s(model, witness_parameter(model), 1).alpha)
-    uniruled = uniruled_witness(model).witness if model.r >= 2 else None
-    if uniruled is not None:
-        alphas.append(uniruled.alpha)
     return alphas
 
 
