@@ -76,7 +76,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _emit_report(args: argparse.Namespace, report: dict) -> None:
     if args.format == "text":
-        _emit(args, _render_text(report))
+        _emit(args, _render_text(report) + "\n")
     else:
         _emit(args, _indented_json(report) + "\n")
 
@@ -183,16 +183,31 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
 
 
 def _render_text(report: dict, indent: str = "") -> str:
+    """One ``key: value`` line per field, a dict as an indented block; no final newline.
+
+    A list of serialized scalars shows each scalar's ``str`` value, any
+    other list of dicts only its length.
+    """
     lines = []
     for key, value in report.items():
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
+        elif isinstance(value, list) and value and (scalars := _scalar_texts(value)) is not None:
+            lines.append(f"{indent}{key}: [{', '.join(scalars)}]")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{indent}{key}: [{len(value)} entries]")
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line)
+
+
+def _scalar_texts(values: list) -> list[str] | None:
+    """The ``str`` of each entry read as a serialized scalar, or None if one is not."""
+    try:
+        return [str(serialize._scalar_from_json(v, "")) for v in values]
+    except MalformedValueError:
+        return None
 
 
 @dataclasses.dataclass

@@ -6,12 +6,14 @@ model, re-derives each stored invariant from the serialized fields alone
 and names the first violation.  Documents carry a ``kind`` tag used for
 dispatch.
 
-It is the one module that recognizes S_r-orbits, on JSON by ``_curve_key``:
-it reads a curve list, and writes and verifies a certificate list, once per
-orbit, and a later member's record links to its orbit's first as its
-``representative``.  It is also the one module that turns a
-representative's ray certificate into a member's: the writer and the
-verifier share the member-alpha rule ``_orbit_alpha``.
+It is the one module that recognizes S_r-orbits on JSON: it reads a curve
+list once per orbit (``_curve_key``), and a later member's record links to
+its orbit's first as its ``representative``.  It is also the one module that
+turns a representative's ray certificate into a member's: the writer builds
+a member's document from its head's, and the verifier accepts a later
+document that equals, type-strictly, the document that rule gives from a
+verified head with the same ``_orbit_key``.  Both share the member-alpha
+rule ``_orbit_alpha``.
 """
 
 from __future__ import annotations
@@ -135,8 +137,12 @@ def divisor_to_json(divisor: DivisorClass) -> list:
 def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
     """The class with coordinate list ``doc``; errors name ``field`` or its malformed coordinate.
 
-    When the entries are all JSON ints or all strings, each distinct value is
-    parsed once.  Coordinates from unrelated radical towers name ``field``.
+    Each distinct value is parsed once per call.  When the entries are all
+    JSON ints or all strings they are their own keys; otherwise (tower-valued
+    entries) a str is its own key and any other value is keyed by its
+    canonical JSON, so that 1, 1.0, true, "1" and a dict's text stay apart,
+    and a value that is not JSON is parsed on its own.  Coordinates from
+    unrelated radical towers name ``field``.
     """
     if not isinstance(doc, list):
         raise ModelValidationError("divisor must be a coordinate list", field)
@@ -146,7 +152,7 @@ def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
             values = {c: scalar_from_json(c) for c in set(doc)}
             coords = tuple(values[c] for c in doc)
         else:
-            coords = tuple(scalar_from_json(c) for c in doc)
+            coords = _mixed_coordinates(doc)
     except (KeyError, ValueError, NonRealScalarError, MixedRadicandError):
         for i, c in enumerate(doc):  # raises at the first malformed coordinate
             _scalar_from_json(c, f"{field}[{i}]")
@@ -157,6 +163,22 @@ def divisor_from_json(model: BlowupModel, doc, field: str) -> DivisorClass:
         return DivisorClass(model, coords)
     except MixedRadicandError as exc:
         raise MalformedValueError(str(exc), field)
+
+
+def _mixed_coordinates(doc: list) -> tuple:
+    """The parsed entries of a mixed-type list, each distinct one parsed once; see the caller."""
+    values: dict = {}
+    coords = []
+    for c in doc:
+        try:
+            key = c if type(c) is str else (_canonical(c),)
+        except (TypeError, ValueError):
+            coords.append(scalar_from_json(c))
+            continue
+        if key not in values:
+            values[key] = scalar_from_json(c)
+        coords.append(values[key])
+    return tuple(coords)
 
 
 def curve_to_json(record: NegativeCurveRecord) -> dict[str, Any]:
@@ -411,49 +433,107 @@ def _verify_documents(documents) -> tuple[int, str] | None:
     """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
 
     Gives the same result, and raises the same errors, as verifying every
-    entry in turn.  The first ray certificate of each key (``_orbit_entry``)
-    is verified in full.  A later one whose alpha is the verified one's
-    ``_orbit_alpha`` at its curve is that document moved by a permutation of
-    the E_i, an isometry fixing K and L, so every invariant of ``ray_checks``
-    and of the curve record holds for it too; any other is verified in full.
+    entry in turn.  A ray certificate verified in full becomes a head of its
+    curve coordinates' ``_orbit_key`` (``_orbit_entry``).  A later one with
+    that key is accepted without re-derivation when ``_is_member`` finds it
+    to be a head's document moved by a permutation of the E_i, an isometry
+    fixing K and L, so that every invariant of ``ray_checks`` and of the
+    curve record holds for it too; any other entry is verified in full.
     """
-    verified = {}  # key -> the _orbit_alpha map of its verified entry
+    heads: dict = {}  # _orbit_key -> the _orbit_head of each entry verified in full
     for i, doc in enumerate(documents):
-        key, coords, alpha, m = _orbit_entry(doc) or (None,) * 4
-        permute = verified.get(key)
-        if permute is not None and permute(coords) == alpha:
-            continue
+        entry = _orbit_entry(doc)
+        if entry is not None:
+            key, coords, m = entry
+            if any(_is_member(doc, coords, head) for head in heads.get(key, ())):
+                continue
         result = verify_certificate(doc)
         if not result.ok:
             return i, result.failing
-        if key is not None and key not in verified:
-            verified[key] = _orbit_alpha(coords, alpha, m)
+        if entry is not None:
+            head = _orbit_head(doc, coords, m)
+            if head is not None:
+                heads.setdefault(key, []).append(head)
     return None
 
 
 def _orbit_entry(doc) -> tuple | None:
-    """(key, curve coordinates, canonical JSON of each alpha coordinate, m), or None.
+    """(``_orbit_key`` of the curve coordinates, the coordinates, m), or None.
 
-    The key is the curve's ``_curve_key`` and the canonical JSON of the other
-    fields but alpha; None unless ``doc`` is a ray certificate with r.
+    None unless ``doc`` is a ray certificate with an int r, an alpha list and
+    curve coordinates that have a key; never raises.
     """
     if not isinstance(doc, dict) or doc.get("kind") != RAY_KIND:
         return None
-    curve, alpha, r = doc.get("curve"), doc.get("alpha"), doc.get("r")
-    if not isinstance(curve, dict) or not isinstance(alpha, list):
+    curve, r = doc.get("curve"), doc.get("r")
+    if not isinstance(curve, dict) or not isinstance(doc.get("alpha"), list):
         return None
     coords = curve.get("coords")
     if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
         return None
     m = len(coords) - r
-    curve_key = _curve_key(curve, m)
-    if curve_key is None:
+    key = _orbit_key(coords, m)
+    return None if key is None else (key, coords, m)
+
+
+def _orbit_head(doc: dict, coords: list, m: int) -> tuple | None:
+    """(a verified entry, its ``_orbit_alpha`` map, its ``_typed_leaves`` outside
+    ``alpha`` and ``curve.coords``, whether its alpha has any), or None
+    when alpha is not a function of the curve.
+    """
+    permute = _orbit_alpha(coords, doc["alpha"], m)
+    if permute is None:
         return None
-    try:
-        rest = _canonical({k: v for k, v in doc.items() if k not in ("curve", "alpha")})
-        return (curve_key, rest), coords, tuple(map(_canonical, alpha)), m
-    except (TypeError, ValueError):
-        return None
+    leaves = _typed_leaves({**doc, "curve": {**doc["curve"], "coords": []}, "alpha": []})
+    return doc, permute, leaves, bool(_typed_leaves(doc["alpha"]))
+
+
+def _is_member(doc: dict, coords: list, head: tuple) -> bool:
+    """Whether ``doc`` is the head's document written for the curve ``coords``.
+
+    That document is what ``_ray_certificates_to_json`` writes for a member:
+    the head's, with ``curve.coords`` the member's and ``alpha`` the
+    ``_orbit_alpha`` of the head's at them.  ``doc`` must equal it under
+    ``==`` and hold its type at every int, float and bool leaf, the only JSON
+    values that ``==`` confuses (1, 1.0 and true).  The shared key gives
+    ``coords`` the head's types, and a verified head's alpha is read only at
+    ints and strings, where ``==`` is exact, so its ``_orbit_alpha`` map,
+    taken under ``==``, is that of its parsed values.
+    """
+    head_doc, permute, leaves, alpha_has_leaves = head
+    alpha = list(permute(coords))
+    written = {**head_doc, "curve": {**head_doc["curve"], "coords": coords}, "alpha": alpha}
+    return (
+        doc == written
+        and _holds_types(doc, leaves)
+        and (not alpha_has_leaves or _holds_types(doc["alpha"], _typed_leaves(alpha)))
+    )
+
+
+def _typed_leaves(value, path: tuple = ()) -> list[tuple[tuple, type]]:
+    """(path, type) of each leaf of a JSON value but its strings and nulls, where ``==`` is exact.
+
+    In JSON that is each int, float and bool leaf; any other Python value is
+    kept with its type too.
+    """
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [] if value is None or type(value) is str else [(path, type(value))]
+    return [leaf for key, item in items for leaf in _typed_leaves(item, path + (key,))]
+
+
+def _holds_types(value, leaves) -> bool:
+    """Whether ``value`` holds each of ``leaves``' types at its path; the paths must exist."""
+    for path, kind in leaves:
+        leaf = value
+        for key in path:
+            leaf = leaf[key]
+        if type(leaf) is not kind:
+            return False
+    return True
 
 
 def _verify_ray(doc) -> str | None:

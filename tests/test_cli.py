@@ -161,6 +161,14 @@ class TestThresholds:
         assert "k_minus_sl_dot_l:\n  a: 0\n  b: -1\n  d: 11" in out
         assert "delta" not in out and "k_minus_sl_dot_h" not in out
 
+    @pytest.mark.parametrize("command", ["analyze", "thresholds"])
+    def test_text_format_shows_irrational_thresholds(self, capsys, command):
+        code, out, _ = run_cli([command, "--input", "fixture:p2_r12", "--format", "text"], capsys)
+        assert code == 0
+        # s_1 = sqrt(11) - 3, a tower value, is shown, not counted
+        assert "\nthresholds: [-3+sqrt(11)]\n" in out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
     def test_k_minus_sl_dot_l_on_the_backward_alpha_input(self, capsys):
         # a_Y = 1/10 at r = 10: A.K_Y = -3/10 and s_1 = 0
         path = str(Path(__file__).parent / "data" / "p2_backward_alpha_r10.json")

@@ -85,10 +85,10 @@ GOLDEN = {
 }
 
 GOLDEN_TEXT = {
-    ("analyze", "k3_generic"): "ea4230f548acd4f8eb6bf72bf150f8f9358bd75badd0f41a1b398623c3ea9cda",
-    ("analyze", "p2_r12"): "f17e40c114c493aa449ec8d33d3fac4dec5a4308dd146537ea26bb404cdbcbe0",
-    ("thresholds", "k3_generic"): "d75dd177ea587581e7c1abb6836703219f81923e486e56afd8812c9927b76b6f",
-    ("thresholds", "p2_r12"): "ee050c7ab87a672dcc8c77af45733cf8ce30c36eaa09ff64156cc707f6f3ea27",
+    ("analyze", "k3_generic"): "042365ed6471414900190fe88886f7ad726c4a5f7c137dfd0ff6c880f772b313",
+    ("analyze", "p2_r12"): "239a0d1a3bacf67e73b8460e06be94169cde280593ee03cf378c4738af958255",
+    ("thresholds", "k3_generic"): "eb4d52911d606ea8337f586d51832a10ec51da5bf9ece319470fcd0c4d63467d",
+    ("thresholds", "p2_r12"): "2a213d8dccef9c883c1c5b3b59365823c9805c4c0bb953dbdb9fa3ae903f0575",
     ("segre-check", "k3_generic"): "9e156945a90a51e8d41d499e765b52bd6c77ad0e63558510125753f13eb807ee",
     ("segre-check", "p2_r12"): "de0d8fe423b4b930d3f8bcf3f7bf3a9323800d4b5f6264428fade5085adbfa06",
 }

@@ -120,6 +120,8 @@ def divisor_outcome(parse, doc):
 
 JSON_COORDINATES = [0, 1, -2, "0", "1", "-1/2", "1/0", "abc", "", True, False, 1.0, None, [1],
                     {"a": "1", "b": "1", "d": "2"}, {"a": 1}]
+# a tower value in the radical tower of the dict above, which forces the mixed-type parse
+TOWER = {"a": "0", "b": "-1/2", "d": "2"}
 
 
 class TestDivisorFromJson:
@@ -152,6 +154,46 @@ class TestDivisorFromJson:
         divisor = serialize.divisor_from_json(p2_blowup(3), ["1", "-1", "-1", "1"], "d")
         assert divisor.coords[1] is divisor.coords[2]
         assert divisor.coords == (1, -1, -1, 1)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([TOWER, "1", TOWER, {"a": "1", "b": "1"}, "1", {"a": "1", "b": "1"}], "alpha[3]"),
+            ([TOWER, 1, True, TOWER, True, 0], "alpha[2]"),
+            ([TOWER, "1/0", TOWER, "1/0", "0", "0"], "alpha[1]"),
+        ],
+    )
+    def test_mixed_list_names_the_first_malformed_coordinate(self, doc, field):
+        # the malformed value repeats after a valid one: the per-call memo must not hide it
+        with pytest.raises(MalformedValueError) as info:
+            serialize.divisor_from_json(p2_blowup(5), doc, "alpha")
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_a_string_is_never_its_canonical_dict(self, order):
+        # the dict and the string of its canonical JSON must get distinct memo keys
+        doc = [TOWER, serialize._canonical(TOWER)][:: 1 - 2 * order]
+        with pytest.raises(MalformedValueError) as info:
+            serialize.divisor_from_json(p2_blowup(1), doc, "alpha")
+        assert info.value.field == f"alpha[{1 - order}]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(JSON_COORDINATES), min_size=0, max_size=6),
+        st.integers(0, 6),
+    )
+    def test_mixed_lists_match_the_per_coordinate_parse(self, doc, position):
+        doc.insert(position, TOWER)
+        model = p2_blowup(len(doc) - 1)
+
+        def parsed(parse):
+            try:
+                divisor = parse(model, doc, "d")
+            except Exception as exc:
+                return type(exc), getattr(exc, "field", None), str(exc)
+            return tuple(divisor.coords), tuple(map(type, divisor.coords))
+
+        assert parsed(serialize.divisor_from_json) == parsed(reference_divisor_from_json)
 
 
 class TestRayVerification:
@@ -557,6 +599,17 @@ def plane_list_text() -> str:
     return json.dumps([serialize.ray_certificate_to_json(model, c) for c in certificates])
 
 
+def integral_alpha_list() -> list[dict]:
+    """The plane list with every integral alpha coordinate of the first orbit written as an int."""
+    documents = json.loads(plane_list_text())
+    orbit = _orbit(documents[0])
+    for doc in documents:
+        if _orbit(doc) == orbit:
+            doc["alpha"] = [int(a) if re.fullmatch(r"-?\d+", a) else a for a in doc["alpha"]]
+    assert all(type(a) is int for a in documents[0]["alpha"])
+    return documents
+
+
 def test_orbit_key_ignores_untyped_coordinates():
     for coords in (
         ["1", 1], [True, False], ["1", 1.0, "0"], [Fraction(1)], [{"a": "1"}], [[1], [0]], [None]
@@ -648,11 +701,38 @@ def edit_checks(docs, index, pick):
         checks[name] = (False, 1)[edit]
 
 
+def retype_leaf(docs, index, pick):
+    """Write one leaf with another type: an equal value under ``==``, or an integral string's int.
+
+    chi = 1 as 1.0 or true, self_int as a float, genus = 0 as false, or an
+    integral string inside s or inside a tower-valued alpha coordinate as
+    that int.
+    """
+    doc = docs[index]
+    curve = doc["curve"]
+    edits = [
+        (doc["surface"], "chi", 1.0),
+        (doc["surface"], "chi", True),
+        (curve, "self_int", float(curve["self_int"])),
+        (curve, "genus", False),
+    ]
+    towers = [value for value in [doc["s"], *doc["alpha"]] if isinstance(value, dict)]
+    for tower in towers:
+        towers += [value for value in tower.values() if isinstance(value, dict)]
+        edits += [
+            (tower, key, int(value))
+            for key, value in tower.items()
+            if isinstance(value, str) and re.fullmatch(r"-?\d+", value)
+        ]
+    container, key, value = edits[pick % len(edits)]
+    container[key] = value
+
+
 EDITS = {
     f.__name__: f
     for f in (
         swap_alpha, foreign_curve, odd_coordinate, tamper_alpha, respell_alpha, odd_field,
-        edit_checks,
+        edit_checks, retype_leaf,
     )
 }
 IN_ORDER = list(range(18))
@@ -681,6 +761,50 @@ class TestOrbitVerify:
         assert serialize._verify_documents(documents) is None
         assert (len(documents), len(calls)) == (153, 2)
 
+    def test_p2_r17_members_make_no_canonical_call(self, monkeypatch, capsys):
+        cli.main(["certify-ray", "--input", "fixture:p2_r17"])
+        documents = json.loads(capsys.readouterr().out)["certificates"]
+        running, outside = [], []  # the full check under way; _canonical calls outside one
+        canonical, full = serialize._canonical, serialize.verify_certificate
+
+        def checked(doc):
+            running.append(doc)
+            try:
+                return full(doc)
+            finally:
+                running.pop()
+
+        def counted(value):
+            if not running:
+                outside.append(value)
+            return canonical(value)
+
+        monkeypatch.setattr(serialize, "verify_certificate", checked)
+        monkeypatch.setattr(serialize, "_canonical", counted)
+        assert serialize._verify_documents(documents) is None
+        assert (len(documents), outside) == (153, [])
+
+    def test_int_alpha_members_skip_rederivation(self, monkeypatch):
+        documents = integral_alpha_list()
+        calls = []
+        full = serialize.verify_certificate
+        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
+        assert serialize._verify_documents(documents) is None
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("index", [0, 1, 15])  # the head and two members of the E_i orbit
+    @pytest.mark.parametrize("retype", [float, bool])
+    def test_int_alpha_leaf_of_another_type_is_caught(self, index, retype):
+        documents = integral_alpha_list()
+        alpha = documents[index]["alpha"]
+        k = next(k for k, a in enumerate(alpha) if retype is float or a in (0, 1))
+        original = alpha[k]
+        alpha[k] = retype(original)
+        assert alpha[k] == original  # only the type tells them apart
+        expected = outcome(reference_verify, documents)
+        assert expected is MalformedValueError
+        assert outcome(serialize._verify_documents, documents) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(
         order=st.permutations(IN_ORDER),
@@ -702,6 +826,15 @@ class TestOrbitVerify:
     @example(order=IN_ORDER, edit="odd_field", index=17, pick=5)  # level = 1.0
     @example(order=IN_ORDER, edit="edit_checks", index=17, pick=0)
     @example(order=IN_ORDER, edit="edit_checks", index=0, pick=3)
+    @example(order=IN_ORDER, edit="retype_leaf", index=15, pick=0)  # chi = 1.0
+    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=1)  # chi = true
+    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=2)  # self_int = -2.0
+    @example(order=IN_ORDER, edit="retype_leaf", index=15, pick=2)  # self_int = -1.0
+    @example(order=IN_ORDER, edit="retype_leaf", index=16, pick=3)  # genus = false
+    @example(order=IN_ORDER, edit="retype_leaf", index=16, pick=5)  # "b": 1 in an alpha tower
+    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=6)  # "b": 2 in an alpha tower
+    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=4)  # "a": -3 in s
+    @example(order=IN_ORDER, edit="retype_leaf", index=13, pick=4)  # a head's "a": -3 in s
     def test_single_edit_matches_reference(self, order, edit, index, pick):
         listed = json.loads(plane_list_text())
         documents = [listed[i] for i in order]
