@@ -85,15 +85,13 @@ def _indented_json(value) -> str:
     """``json.dumps(value, indent=2)``, character for character, written by one recursion.
 
     Strings go through the C ``encode_basestring_ascii``, and a list of only
-    strings or only ints is written with one join.  A dict object met again
-    at the indent of its first text, as orbit members share sub-objects, is
-    copied from it; ``value`` must not change meanwhile.  The types are those
+    strings or only ints is written with one join.  The types are those
     ``json`` writes without a ``default``: dicts with string keys, lists,
     tuples, strings, ints, floats, booleans and None; any other raises
     TypeError.  Unlike ``json.dumps`` it does not check for cycles.
     """
     out: list[str] = []
-    _write_json(value, "\n", out, {})
+    _write_json(value, "\n", out)
     return "".join(out)
 
 
@@ -118,12 +116,8 @@ _ATOMS = {
 }
 
 
-def _write_json(value, newline: str, out: list[str], written: dict) -> None:
-    """Append the text of ``value`` to ``out``; ``newline`` is the line break and indent before it.
-
-    ``written`` maps the id of each dict written to its ``newline`` and span
-    of ``out``; ``value`` keeps those dicts alive, so no id is reused.
-    """
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is the line break and its indent."""
     atom = _ATOMS.get(type(value))
     if atom is not None:
         out.append(atom(value))
@@ -131,12 +125,6 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
         if not value:
             out.append("{}")
             return
-        span = written.get(id(value))
-        if span is not None and span[0] == newline:
-            out.append("".join(out[span[1]:span[2]]))
-            written[id(value)] = newline, len(out) - 1, len(out)
-            return
-        start = len(out)
         inner = newline + "  "
         prefix = "{" + inner
         for key, item in value.items():
@@ -147,10 +135,9 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
                 out.append(prefix + _quote(key) + ": " + atom(item))
             else:
                 out.append(prefix + _quote(key) + ": ")
-                _write_json(item, inner, out, written)
+                _write_json(item, inner, out)
             prefix = "," + inner
         out.append(newline + "}")
-        written[id(value)] = newline, start, len(out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -169,7 +156,7 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
                     out.append(prefix + atom(item))
                 else:
                     out.append(prefix)
-                    _write_json(item, inner, out, written)
+                    _write_json(item, inner, out)
                 prefix = separator
             out.append(newline + "]")
     elif isinstance(value, str):
@@ -185,12 +172,14 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
 def _render_text(report: dict, indent: str = "") -> str:
     """One ``key: value`` line per field, a dict as an indented block; no final newline.
 
-    A list of serialized scalars shows each scalar's ``str`` value, any
-    other list of dicts only its length.
+    A serialized scalar, or a list of them, shows each scalar's ``str``
+    value, any other list of dicts only its length.
     """
     lines = []
     for key, value in report.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and (scalar := _scalar_texts([value])) is not None:
+            lines.append(f"{indent}{key}: {scalar[0]}")
+        elif isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
         elif isinstance(value, list) and value and (scalars := _scalar_texts(value)) is not None:
@@ -382,7 +371,8 @@ def _cmd_certify_ray(args: argparse.Namespace, inp: _Input) -> int:
     _emit_report(args, report)
     invalid = [doc for doc in documents if not doc["valid"]]
     if invalid:
-        sys.stderr.write(f"{len(invalid)} certificate(s) invalid: {invalid[0]['failing']}\n")
+        count, failing = _curve_count(invalid), invalid[0]["failing"]
+        sys.stderr.write(f"{count} certificate(s) invalid: {failing}\n")
         return 2
     return 0
 
@@ -539,8 +529,16 @@ def _cmd_verify(args: argparse.Namespace, doc: dict) -> int:
         index, failing = failure
         sys.stderr.write(f"certificate {index}: {failing}\n")
         return 3
-    _emit(args, f"verified {len(documents)} certificate(s): all invariants hold\n")
+    _emit(args, f"verified {_curve_count(documents)} certificate(s): all invariants hold\n")
     return 0
+
+
+def _curve_count(documents: list[dict]) -> int:
+    """The curves that certificate documents cover: a ray certificate's member rows count too."""
+    return sum(
+        1 + len(doc.get("members", ())) if doc["kind"] == serialize.RAY_KIND else 1
+        for doc in documents
+    )
 
 
 # Each model command's handler and the fields it reads besides surface, r and curves;

@@ -229,7 +229,11 @@ class BlowupModel:
         return self.divisor(list(self.base.k_Y) + [Fraction(1)] * self.r)
 
     def line(self) -> "DivisorClass":
-        """Pullback of the chosen ample class of Y; nef with positive square."""
+        return self._line
+
+    @cached_property
+    def _line(self) -> "DivisorClass":
+        """L, the pullback of the chosen ample class of Y, built once per model; nef, L^2 > 0."""
         return self.pullback(self.base.a_Y)
 
     def ample_h(self, delta: ExactLike) -> "DivisorClass":

@@ -8,19 +8,18 @@ dispatch.
 
 It is the one module that recognizes S_r-orbits on JSON: it reads a curve
 list once per orbit (``_curve_key``), and a later member's record links to
-its orbit's first as its ``representative``.  It is also the one module that
-turns a representative's ray certificate into a member's: the writer builds
-a member's document from its head's, and the verifier accepts a later
-document that equals, type-strictly, the document that rule gives from a
-verified head with the same ``_orbit_key``.  Both share the member-alpha
-rule ``_orbit_alpha``.
+its orbit's first as its ``representative``.  A permutation of the E_i is an
+isometry fixing K and L, so it carries a curve's ray certificate to every
+curve of its orbit: ``certify-ray`` writes one certificate per orbit, with
+the later members as coordinate rows under ``members``, and the verifier
+checks the certificate in full and each row by its ``_orbit_key``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from .errors import (
     CertificateError,
@@ -286,24 +285,6 @@ def _curve_key(entry, m: int) -> tuple | None:
         return None
 
 
-def _orbit_alpha(
-    curve_coords: Sequence, alpha_coords: Sequence, m: int
-) -> Callable[[Sequence], tuple] | None:
-    """The map from a member sigma(C) of C's orbit to the coordinates of sigma(alpha).
-
-    Swapping positions where C has equal values fixes C, so each E-coordinate
-    of alpha must be a function of C's value there; the member's E-coordinate
-    is that function at the member's value, and the base block is kept.  None
-    when alpha is not such a function (compared with ``!=``).
-    """
-    value_at: dict = {}
-    for c, a in zip(curve_coords[m:], alpha_coords[m:]):
-        if value_at.setdefault(c, a) != a:
-            return None
-    base = tuple(alpha_coords[:m])
-    return lambda member_coords: base + tuple(value_at[c] for c in member_coords[m:])
-
-
 def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dict[str, Any]:
     return {
         "kind": RAY_KIND,
@@ -324,38 +305,32 @@ def ray_certificate_to_json(model: BlowupModel, cert: RayContainmentCert) -> dic
 def _ray_certificates_to_json(
     model: BlowupModel, curves: list[NegativeCurveRecord]
 ) -> list[dict[str, Any]]:
-    """``ray_certificate_to_json`` of each certificate of ``certify_list(model, curves)``.
+    """One ``ray_certificate_to_json`` document per S_r-orbit of ``curves``, in listed order.
 
-    A member is its representative moved by a permutation of the E_i, an
-    isometry fixing K and L, so n, p, C.L, s, t0, the checks, the verdict and
-    every raise carry over.  So ``certify_list`` runs on the distinct
-    representatives alone, in the order of first appearance, where it raises
-    as on the whole list, and each of their certificates is serialized once.
-    A later member's document is its representative's with ``curve.coords``
-    its own deferred row, whose integral Fractions print as ``scalar_to_json``
-    writes them, and ``alpha`` the ``_orbit_alpha`` of the serialized curve
-    and alpha at that row, the rule ``_verify_documents`` reads back; the two
-    share every other sub-object.  The row is the member's ``_coords``, as
-    ``_curves_from_json`` gave it to ``NegativeCurveRecord._member``; that
-    pairing is the only code outside ``zariski`` that knows a deferred
-    member's layout.
+    An orbit is the curves sharing a ``representative``.  A member is its
+    orbit's first listed curve moved by a permutation of the E_i, an isometry
+    fixing K and L, so n, p, C.L, s, t0, the checks, the verdict and every
+    raise carry over: ``certify_list`` runs on the first listed curve of each
+    orbit alone, where it raises as on the whole list.  When the orbit has
+    later curves, its document adds ``members``: their coordinate rows in
+    list order, each a deferred member's ``_coords`` (a record listed again,
+    or a representative listed after its member, gives its class's), whose
+    integral Fractions print as ``scalar_to_json`` writes them; that pairing
+    with ``_curves_from_json`` is the only code outside ``zariski`` that
+    knows a deferred member's layout.  A member needs no alpha: for any
+    permutation sigma taking C to the row, sigma(alpha) = t0*sigma(C) -
+    (K - sL), since the head's ``alpha_identity`` holds.
     """
-    heads = {id(curve.representative): curve.representative for curve in curves}
-    m = model.base.rank
-    written = {}  # id of a representative -> its document and the _orbit_alpha map of it
-    for key, cert in zip(heads, certify_list(model, list(heads.values()))):
-        doc = ray_certificate_to_json(model, cert)
-        alpha = doc["alpha"]
-        permute = None if alpha is None else _orbit_alpha(doc["curve"]["coords"], alpha, m)
-        written[key] = doc, permute
-    documents = []
+    orbits: dict[int, list[NegativeCurveRecord]] = {}
     for curve in curves:
-        head = curve.representative
-        doc, permute = written[id(head)]
-        if curve is not head:
-            coords = [str(c) for c in curve._coords]
-            alpha = None if doc["alpha"] is None else list(permute(coords))
-            doc = {**doc, "curve": {**doc["curve"], "coords": coords}, "alpha": alpha}
+        orbits.setdefault(id(curve.representative), []).append(curve)
+    heads = [orbit[0] for orbit in orbits.values()]
+    documents = []
+    for cert, (_, *members) in zip(certify_list(model, heads), orbits.values()):
+        doc = ray_certificate_to_json(model, cert)
+        if members:
+            rows = (member.__dict__.get("_coords") or member.cls.coords for member in members)
+            doc["members"] = [[str(c) for c in row] for row in rows]
         documents.append(doc)
     return documents
 
@@ -430,114 +405,27 @@ def verify_certificate(doc) -> VerifyResult:
 
 
 def _verify_documents(documents) -> tuple[int, str] | None:
-    """Index and failure of the first entry that ``verify_certificate`` rejects, or None.
-
-    Gives the same result, and raises the same errors, as verifying every
-    entry in turn.  A ray certificate verified in full becomes a head of its
-    curve coordinates' ``_orbit_key`` (``_orbit_entry``).  A later one with
-    that key is accepted without re-derivation when ``_is_member`` finds it
-    to be a head's document moved by a permutation of the E_i, an isometry
-    fixing K and L, so that every invariant of ``ray_checks`` and of the
-    curve record holds for it too; any other entry is verified in full.
-    """
-    heads: dict = {}  # _orbit_key -> the _orbit_head of each entry verified in full
+    """Index and failure of the first entry that ``verify_certificate`` rejects, or None."""
     for i, doc in enumerate(documents):
-        entry = _orbit_entry(doc)
-        if entry is not None:
-            key, coords, m = entry
-            if any(_is_member(doc, coords, head) for head in heads.get(key, ())):
-                continue
         result = verify_certificate(doc)
         if not result.ok:
             return i, result.failing
-        if entry is not None:
-            head = _orbit_head(doc, coords, m)
-            if head is not None:
-                heads.setdefault(key, []).append(head)
     return None
 
 
-def _orbit_entry(doc) -> tuple | None:
-    """(``_orbit_key`` of the curve coordinates, the coordinates, m), or None.
-
-    None unless ``doc`` is a ray certificate with an int r, an alpha list and
-    curve coordinates that have a key; never raises.
-    """
-    if not isinstance(doc, dict) or doc.get("kind") != RAY_KIND:
-        return None
-    curve, r = doc.get("curve"), doc.get("r")
-    if not isinstance(curve, dict) or not isinstance(doc.get("alpha"), list):
-        return None
-    coords = curve.get("coords")
-    if not isinstance(coords, list) or type(r) is not int or not 0 <= r <= len(coords):
-        return None
-    m = len(coords) - r
-    key = _orbit_key(coords, m)
-    return None if key is None else (key, coords, m)
-
-
-def _orbit_head(doc: dict, coords: list, m: int) -> tuple | None:
-    """(a verified entry, its ``_orbit_alpha`` map, its ``_typed_leaves`` outside
-    ``alpha`` and ``curve.coords``, whether its alpha has any), or None
-    when alpha is not a function of the curve.
-    """
-    permute = _orbit_alpha(coords, doc["alpha"], m)
-    if permute is None:
-        return None
-    leaves = _typed_leaves({**doc, "curve": {**doc["curve"], "coords": []}, "alpha": []})
-    return doc, permute, leaves, bool(_typed_leaves(doc["alpha"]))
-
-
-def _is_member(doc: dict, coords: list, head: tuple) -> bool:
-    """Whether ``doc`` is the head's document written for the curve ``coords``.
-
-    That document is what ``_ray_certificates_to_json`` writes for a member:
-    the head's, with ``curve.coords`` the member's and ``alpha`` the
-    ``_orbit_alpha`` of the head's at them.  ``doc`` must equal it under
-    ``==`` and hold its type at every int, float and bool leaf, the only JSON
-    values that ``==`` confuses (1, 1.0 and true).  The shared key gives
-    ``coords`` the head's types, and a verified head's alpha is read only at
-    ints and strings, where ``==`` is exact, so its ``_orbit_alpha`` map,
-    taken under ``==``, is that of its parsed values.
-    """
-    head_doc, permute, leaves, alpha_has_leaves = head
-    alpha = list(permute(coords))
-    written = {**head_doc, "curve": {**head_doc["curve"], "coords": coords}, "alpha": alpha}
-    return (
-        doc == written
-        and _holds_types(doc, leaves)
-        and (not alpha_has_leaves or _holds_types(doc["alpha"], _typed_leaves(alpha)))
-    )
-
-
-def _typed_leaves(value, path: tuple = ()) -> list[tuple[tuple, type]]:
-    """(path, type) of each leaf of a JSON value but its strings and nulls, where ``==`` is exact.
-
-    In JSON that is each int, float and bool leaf; any other Python value is
-    kept with its type too.
-    """
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return [] if value is None or type(value) is str else [(path, type(value))]
-    return [leaf for key, item in items for leaf in _typed_leaves(item, path + (key,))]
-
-
-def _holds_types(value, leaves) -> bool:
-    """Whether ``value`` holds each of ``leaves``' types at its path; the paths must exist."""
-    for path, kind in leaves:
-        leaf = value
-        for key in path:
-            leaf = leaf[key]
-        if type(leaf) is not kind:
-            return False
-    return True
-
-
 def _verify_ray(doc) -> str | None:
-    """The builder's ``ray_checks`` on the document's fields, then ``recorded_checks``."""
+    """``ray_checks`` on the document's fields, then ``recorded_checks`` and ``members_in_orbit``.
+
+    Each row of ``members`` must share the curve coordinates' ``_orbit_key``,
+    which must not be None: then a permutation of the E_i, an isometry fixing
+    K and L, maps the checked curve to the row and carries every check over.
+    """
+    members = doc.get("members", [])
+    if not isinstance(members, list):
+        raise MalformedValueError(f"must be a list of coordinate rows, got {members!r}", "members")
+    for i, row in enumerate(members):
+        if not isinstance(row, list):
+            raise MalformedValueError(f"must be a coordinate list, got {row!r}", f"members[{i}]")
     model = blowup_from_json(doc)
     try:
         curve = curve_from_json(model, doc["curve"])
@@ -558,6 +446,10 @@ def _verify_ray(doc) -> str | None:
         alpha=divisor_from_json(model, doc["alpha"], "alpha"),
     )
     checks["recorded_checks"] = _recorded_checks_hold(doc, RECORDED_RAY_CHECKS)
+    m = model.base.rank
+    key = _orbit_key(doc["curve"]["coords"], m)
+    in_orbit = (key is not None and _orbit_key(row, m) == key for row in members)
+    checks["members_in_orbit"] = all(in_orbit)
     failing = first_failing(checks)
     return f"{failing} violated" if failing else None
 

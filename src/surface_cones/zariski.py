@@ -113,8 +113,9 @@ class NegativeCurveRecord:
         one-1-in-the-E-block pattern, hence ``self_int``, ``genus`` and
         ``is_exceptional``, carry over unchecked.  ``coords`` are integral
         Fractions like ``cls``'s, kept as ``_coords``, which
-        ``serialize._ray_certificates_to_json`` writes; the class, its support
-        and G*C are built from them together, when any of them is first read.
+        ``serialize._ray_certificates_to_json`` writes as the member's row of
+        its orbit's certificate; the class, its support and G*C are built
+        from them together, when any of them is first read.
         """
         member = object.__new__(NegativeCurveRecord)
         member.__dict__.update(

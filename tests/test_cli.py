@@ -157,8 +157,8 @@ class TestThresholds:
             ["thresholds", "--input", "fixture:p2_r12", "--format", "text"], capsys
         )
         assert code == 0
-        # -sqrt(11) at r = 12
-        assert "k_minus_sl_dot_l:\n  a: 0\n  b: -1\n  d: 11" in out
+        # -sqrt(11) at r = 12, shown by its str like a threshold
+        assert out.endswith("\nk_minus_sl_dot_l: -sqrt(11)\n")
         assert "delta" not in out and "k_minus_sl_dot_h" not in out
 
     @pytest.mark.parametrize("command", ["analyze", "thresholds"])
@@ -168,6 +168,14 @@ class TestThresholds:
         # s_1 = sqrt(11) - 3, a tower value, is shown, not counted
         assert "\nthresholds: [-3+sqrt(11)]\n" in out
         assert out.endswith("\n") and not out.endswith("\n\n")
+
+    def test_text_format_shows_scalar_fields(self, capsys):
+        code, out, _ = run_cli(["analyze", "--input", "fixture:p2_r12", "--format", "text"], capsys)
+        assert code == 0
+        # s_1 as the thresholds line shows it, not as an a/b/d block
+        assert "\nmain_theorem:\n  s: -3+sqrt(11)\n" in out
+        assert "\nstrict_inclusion:\n  s: -3+sqrt(11)\n  uniruled_value: -3+sqrt(11)\n" in out
+        assert "  a: " not in out
 
     def test_k_minus_sl_dot_l_on_the_backward_alpha_input(self, capsys):
         # a_Y = 1/10 at r = 10: A.K_Y = -3/10 and s_1 = 0
@@ -194,7 +202,9 @@ class TestCertifyAndVerify:
         )
         assert code == 0
         doc = json.loads(certs_path.read_text())
-        assert len(doc["certificates"]) == 78
+        # one certificate per orbit: E_1 and L - E_1 - E_2, the other 76 curves as member rows
+        certificates = doc["certificates"]
+        assert [1 + len(cert["members"]) for cert in certificates] == [12, 66]
         code, out, _ = run_cli(["verify", str(certs_path)], capsys)
         assert code == 0
         assert "78" in out
@@ -281,7 +291,7 @@ class TestCertifyAndVerify:
     def test_zero_denominator_field_exit_one(self, capsys, tmp_path, field, value):
         certs_path = tmp_path / "certs.json"
         run_cli(["certify-ray", "--input", "fixture:p2_r12", "--output", str(certs_path)], capsys)
-        cert = json.loads(certs_path.read_text())["certificates"][3]
+        cert = json.loads(certs_path.read_text())["certificates"][1]
         cert[field] = value
         code, _, err = run_cli(["verify", write_json(tmp_path, "bad.json", cert)], capsys)
         assert code == 1

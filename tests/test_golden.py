@@ -46,15 +46,15 @@ GOLDEN = {
     ("thresholds", "p2_r11"): "c40a24cc2df8b8dc2ef15ebc040f6ff327f06b16e237e562a8448ca376782762",
     ("thresholds", "p2_r12"): "e9d4a5c9ee24889b04326dba5cc6aa740095e2923ebc38e80ce6783f1a2cf50a",
     ("thresholds", "p2_r17"): "214f9814eb2750cc97aacd15348e3e7887a5ab9a24353a2cccfb64d32c08ecbb",
-    ("certify-ray", "abelian"): "3bbc02f761cda56f438595733eebed305502a8e3bb8246e00ea470a5607b0bf9",
-    ("certify-ray", "enriques"): "7b7060ee43afe9813cc5209294db5e05959a3b2898b7582929677c9f79f56198",
-    ("certify-ray", "k3_generic"): "5ba0c4e87e9f63b22df3610e04c640c6ff7435e4ce9634fcf093d11436f7e3c7",
+    ("certify-ray", "abelian"): "616914e50e3087178b2888561ba5759fd294ca3c3e0b3d2e4dd6fa51cafb5621",
+    ("certify-ray", "enriques"): "a8d41a1bfa50724b3dd18514669e85a6370f7dabd21839ce439a4d3f67832803",
+    ("certify-ray", "k3_generic"): "d92a206154e72164bc031e03a9fc2a767f15bee993bdd57780999c40903dcbc9",
     ("certify-ray", "p2_r1"): "8cf8d43f1d650d8df034ce54458548b8e9379db52ea0be12e4fa874ffb7ea501",
-    ("certify-ray", "p2_r9"): "15a6d13cf657e9e8efd3628981c3b0c1baa5cf158f0908e389849785db57cc7b",
-    ("certify-ray", "p2_r10"): "a03146a37a7c505a2567dcc70db1179756c15d5c7f228451620a88dd14512d42",
-    ("certify-ray", "p2_r11"): "0a52fd2ef79d05646285483ccbc0ff2e0b07d6753d8f808f8bdf1d0e289f3912",
-    ("certify-ray", "p2_r12"): "8d2d16569c3b66b0ea0a8e4aea7333afab53115ece33ae8ce08a0586b6b7df60",
-    ("certify-ray", "p2_r17"): "b90037cc531e16a1355db0034948ca7009d1e2895cb3f8345676ae5551de84f2",
+    ("certify-ray", "p2_r9"): "cad3f85ab91ca770f71db86998c290e4c42ccebcc23a999f0facac8fbcb4901a",
+    ("certify-ray", "p2_r10"): "6f18fa623137d05a6badf175d6ebeef0a7f9674f21abce713308f99f7d9a302a",
+    ("certify-ray", "p2_r11"): "8333575548225426c8ce00ab578f5cfd960f571d98acfc5a1ebd599af18d2dda",
+    ("certify-ray", "p2_r12"): "5552be33689d13155dd37d3fb2ec7a98be92cbd0ddfeceb3ec5e1194ef0d6fe7",
+    ("certify-ray", "p2_r17"): "7978684362dd220347d6f47c2e7b4d1b18ccc81d8fe821cfb9c9e5021fae215e",
     ("strict-inclusion", "abelian"): "063e68b6d47faf8bcd22913704ecd10abac75b6673afd7473011017fd14fa4de",
     ("strict-inclusion", "enriques"): "0f9b09708560090e9c44e7b5a1b900dae01b3cb793c55914b7fc420bed9bde37",
     ("strict-inclusion", "k3_generic"): "1cbe69ce7959fd6d75c5ab221824aeab35c912d8b210759734090bb461b5975b",
@@ -85,10 +85,10 @@ GOLDEN = {
 }
 
 GOLDEN_TEXT = {
-    ("analyze", "k3_generic"): "042365ed6471414900190fe88886f7ad726c4a5f7c137dfd0ff6c880f772b313",
-    ("analyze", "p2_r12"): "239a0d1a3bacf67e73b8460e06be94169cde280593ee03cf378c4738af958255",
-    ("thresholds", "k3_generic"): "eb4d52911d606ea8337f586d51832a10ec51da5bf9ece319470fcd0c4d63467d",
-    ("thresholds", "p2_r12"): "2a213d8dccef9c883c1c5b3b59365823c9805c4c0bb953dbdb9fa3ae903f0575",
+    ("analyze", "k3_generic"): "d49ab9c692ad1e9e743fc74c163bbc3f1920c16055aa93297598765d7ee1f546",
+    ("analyze", "p2_r12"): "1e3b7536114bc1e457909b8e05c98cd6904d5dfe4f297e7dcccd142656b7a938",
+    ("thresholds", "k3_generic"): "bf534ab5f7c05f202e98e8e22d8031d6d9d642ff7282c15a6780136a05d4e163",
+    ("thresholds", "p2_r12"): "20c24a891362d65018eba6f80a39f9f9462c76a6c33e8384ae577b612dcc46fc",
     ("segre-check", "k3_generic"): "9e156945a90a51e8d41d499e765b52bd6c77ad0e63558510125753f13eb807ee",
     ("segre-check", "p2_r12"): "de0d8fe423b4b930d3f8bcf3f7bf3a9323800d4b5f6264428fade5085adbfa06",
 }
@@ -123,7 +123,7 @@ GOLDEN_VERIFY = {
     "p2_r11": "b4b2bda47ec9a070366c9989e18b44babde95b7460b867a4ebac1acbc0a8c615",
     "p2_r12": "cc212eb63776b5b05310e2199097e902759ed967966b4030eecf4978b7c953e8",
     "p2_r17": "77651830326e1b6453048cd046c1b7acb891ccf07dedb5502fa3b1e75b105b44",
-    "p2_r17 tampered": "6667af369ba746f6dc8e5140580ed6f4507cdd9f056c33a6e84e37d9acebc269",
+    "p2_r17 tampered": "b020948a2df5d83daf7724490714dcd4e53daaea48977087c81cf6ee92f98898",
 }
 
 # verify on the strict-inclusion witness of each fixture where one exists

@@ -575,7 +575,7 @@ def test_zariski_refuses_the_planted_input(capsys, tmp_path):
 
 
 def reference_verify(documents):
-    """The per-entry loop that ``verify`` ran before it became orbit-aware."""
+    """Each entry checked in full by ``verify_certificate``, in list order."""
     for i, doc in enumerate(documents):
         result = serialize.verify_certificate(doc)
         if not result.ok:
@@ -591,12 +591,82 @@ def outcome(check, documents):
         return type(exc)
 
 
+def orbit_alpha(curve_coords, alpha_coords, m):
+    """The map from a member sigma(C) of C's orbit to the coordinates of sigma(alpha).
+
+    Swapping positions where C has equal values fixes C, so each E-coordinate
+    of alpha must be a function of C's value there; the member's E-coordinate
+    is that function at the member's value, and the base block is kept.  None
+    when alpha is not such a function (compared with ``!=``).  It gives the
+    per-curve documents that an orbit document stands for.
+    """
+    value_at = {}
+    for c, a in zip(curve_coords[m:], alpha_coords[m:]):
+        if value_at.setdefault(c, a) != a:
+            return None
+    base = tuple(alpha_coords[:m])
+    return lambda member_coords: base + tuple(value_at[c] for c in member_coords[m:])
+
+
+def expand(doc):
+    """The per-curve documents of an orbit document: the head's, then one per ``members`` row.
+
+    A row's document is the head's with ``curve.coords`` the row and
+    ``alpha`` moved onto it by ``orbit_alpha``.
+    """
+    head = {key: value for key, value in doc.items() if key != "members"}
+    m = len(head["curve"]["coords"]) - head["r"]
+    permute = None
+    if head["alpha"] is not None:
+        permute = orbit_alpha(head["curve"]["coords"], head["alpha"], m)
+        assert permute is not None
+    return [head] + [
+        {
+            **head,
+            "curve": {**head["curve"], "coords": row},
+            "alpha": None if permute is None else list(permute(row)),
+        }
+        for row in doc.get("members", [])
+    ]
+
+
+def expand_all(documents):
+    return [entry for doc in documents for entry in expand(doc)]
+
+
+def orbit_order(model, curves):
+    """The list indices of ``curves`` orbit by orbit, in the order ``certify-ray`` writes them."""
+    orbits = {}
+    for i, curve in enumerate(curves):
+        orbits.setdefault(id(curve.representative), []).append(i)
+    return [i for orbit in orbits.values() for i in orbit]
+
+
+def in_list_order(documents, order):
+    """The expansion of orbit documents, each entry moved to its curve's place in the list."""
+    listed = [None] * len(order)
+    for i, entry in zip(order, expand_all(documents)):
+        listed[i] = entry
+    return listed
+
+
 @functools.lru_cache(maxsize=1)
 def plane_list_text() -> str:
-    """18 certificates at r = 17 in five orbits of sizes 7, 5, 3, 2 and 1, in list order."""
+    """18 per-curve certificates at r = 17 in five orbits of sizes 7, 5, 3, 2 and 1, in list order.
+
+    This is the list an older ``certify-ray`` wrote: one full document per curve.
+    """
     model = p2_blowup(17)
     certificates = certify_list(model, levels_one_and_two(model))
     return json.dumps([serialize.ray_certificate_to_json(model, c) for c in certificates])
+
+
+def orbit_documents(order) -> list[dict]:
+    """The orbit documents of the five-orbit list at r = 17, its entries taken in ``order``."""
+    model = p2_blowup(17)
+    entries = [serialize.curve_to_json(record) for record in levels_one_and_two(model)]
+    curves = serialize._curves_from_json(model, [entries[i] for i in order])
+    return serialize._ray_certificates_to_json(model, curves)
 
 
 def integral_alpha_list() -> list[dict]:
@@ -621,9 +691,9 @@ def test_orbit_key_ignores_untyped_coordinates():
 
 def test_orbit_alpha_needs_a_function_of_the_curve():
     curve, alpha = ["1", "0", "-1", "-1"], ["a", "b", "c", "c"]
-    assert serialize._orbit_alpha(curve, alpha, 1)(["1", "-1", "0", "-1"]) == ("a", "c", "b", "c")
-    assert serialize._orbit_alpha(curve, alpha, 1)(curve) == tuple(alpha)
-    assert serialize._orbit_alpha(curve, ["a", "b", "c", "d"], 1) is None
+    assert orbit_alpha(curve, alpha, 1)(["1", "-1", "0", "-1"]) == ("a", "c", "b", "c")
+    assert orbit_alpha(curve, alpha, 1)(curve) == tuple(alpha)
+    assert orbit_alpha(curve, ["a", "b", "c", "d"], 1) is None
 
 
 def _e_positions(doc):
@@ -656,19 +726,6 @@ def swap_alpha(docs, index, pick):
     pairs = [(i, j) for i in positions for j in positions if i < j and coords[i] != coords[j]]
     i, j = pairs[pick % len(pairs)]
     alpha[i], alpha[j] = alpha[j], alpha[i]
-
-
-def foreign_curve(docs, index, pick):
-    """Give the entry the curve record of an entry outside its orbit."""
-    others = [d for d in docs if _orbit(d) != _orbit(docs[index])]
-    docs[index]["curve"] = json.loads(json.dumps(others[pick % len(others)]["curve"]))
-
-
-def odd_coordinate(docs, index, pick):
-    """Write one curve coordinate as another JSON value, of another type or spelling."""
-    coords = docs[index]["curve"]["coords"]
-    values = [True, 1.0, 0, "1/1", "-0", {"a": "0", "b": "1", "d": "2"}, [0], None]
-    coords[pick % len(coords)] = values[pick // len(coords) % len(values)]
 
 
 def tamper_alpha(docs, index, pick):
@@ -728,120 +785,162 @@ def retype_leaf(docs, index, pick):
     container[key] = value
 
 
-EDITS = {
+# edits of a head outside its curve coordinates; an edit of those is planted in TestOrbitVerify
+HEAD_EDITS = {
     f.__name__: f
-    for f in (
-        swap_alpha, foreign_curve, odd_coordinate, tamper_alpha, respell_alpha, odd_field,
-        edit_checks, retype_leaf,
-    )
+    for f in (swap_alpha, tamper_alpha, respell_alpha, odd_field, edit_checks, retype_leaf)
 }
 IN_ORDER = list(range(18))
 
 
-class TestOrbitVerify:
-    """``serialize._verify_documents`` against the per-entry reference loop.
+def _first_row(docs):
+    """The first member row of certificate 1, L - E_1 - E_2's orbit, as strings."""
+    return docs[1]["members"][0]
 
-    In list order, entry 0 is the first of the E_i orbit, 13 the first of a
-    quartic orbit, and 15 (E_7) and 17 (a quartic) are later members.
+
+def row_outside_orbit(docs):
+    row = _first_row(docs)
+    row[row.index("-1")] = "-2"
+
+
+def row_of_another_length(docs):
+    _first_row(docs).append("0")
+
+
+def row_of_ints(docs):
+    docs[1]["members"][0] = [int(c) for c in _first_row(docs)]
+
+
+def keyless_head_and_rows(docs):
+    """An int among the strings of the head's coordinates and of each row: none has a key."""
+    for coords in [docs[0]["curve"]["coords"], *docs[0]["members"]]:
+        coords[0] = 0
+
+
+def members_not_a_list(docs):
+    docs[0]["members"] = 5
+
+
+def row_not_a_list(docs):
+    docs[0]["members"][2] = "0"
+
+
+def head_alpha_tampered(docs):
+    docs[1]["alpha"][0] = _plus_one(docs[1]["alpha"][0])
+
+
+def head_s_tampered(docs):
+    docs[0]["s"] = _plus_one(docs[0]["s"])
+
+
+# each planted edit of the p2_r17 orbit list, and verify's exit code and stderr on it
+PLANTED_MEMBER_EDITS = {
+    row_outside_orbit: (3, "certificate 1: members_in_orbit violated\n"),
+    row_of_another_length: (3, "certificate 1: members_in_orbit violated\n"),
+    row_of_ints: (3, "certificate 1: members_in_orbit violated\n"),
+    keyless_head_and_rows: (3, "certificate 0: members_in_orbit violated\n"),
+    members_not_a_list: (1, "error: members: must be a list of coordinate rows, got 5\n"),
+    row_not_a_list: (1, "error: members[2]: must be a coordinate list, got '0'\n"),
+}
+
+
+def verify_run(doc, tmp_path, capsys):
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOrbitVerify:
+    """``verify`` of orbit documents: each head in full, then each member row by its orbit key.
+
+    In the p2_r17 orbit list, certificate 0 is E_1 with the rows of E_2..E_17,
+    and certificate 1 is L - E_1 - E_2 with the rows of the other 135 lines.
     """
 
-    def test_members_are_not_rederived(self, monkeypatch):
+    @pytest.fixture
+    def p2_r17(self, capsys):
+        assert cli.main(["certify-ray", "--input", "fixture:p2_r17"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_p2_r17_fixture_two_full_checks(self, monkeypatch, p2_r17):
+        documents = p2_r17["certificates"]
         calls = []
-        full = serialize.verify_certificate
-        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert serialize._verify_documents(json.loads(plane_list_text())) is None
-        assert len(calls) == 5
+        full = serialize._verify_ray
+        monkeypatch.setattr(serialize, "_verify_ray", lambda d: calls.append(d) or full(d))
+        assert serialize._verify_documents(documents) is None
+        assert [len(doc["members"]) for doc in documents] == [16, 135]
+        assert len(calls) == 2
 
-    def test_p2_r17_fixture_two_full_checks(self, monkeypatch, capsys):
-        cli.main(["certify-ray", "--input", "fixture:p2_r17"])
-        documents = json.loads(capsys.readouterr().out)["certificates"]
+    def test_an_expanded_list_verifies_each_entry_in_full(
+        self, monkeypatch, tmp_path, capsys, p2_r17
+    ):
+        verdict = verify_run(p2_r17, tmp_path, capsys)
+        assert verdict == (0, "verified 153 certificate(s): all invariants hold\n", "")
         calls = []
-        full = serialize.verify_certificate
-        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert serialize._verify_documents(documents) is None
-        assert (len(documents), len(calls)) == (153, 2)
+        full = serialize._verify_ray
+        monkeypatch.setattr(serialize, "_verify_ray", lambda d: calls.append(d) or full(d))
+        expanded = {**p2_r17, "certificates": expand_all(p2_r17["certificates"])}
+        assert verify_run(expanded, tmp_path, capsys) == verdict
+        assert len(calls) == 153
 
-    def test_p2_r17_members_make_no_canonical_call(self, monkeypatch, capsys):
-        cli.main(["certify-ray", "--input", "fixture:p2_r17"])
-        documents = json.loads(capsys.readouterr().out)["certificates"]
-        running, outside = [], []  # the full check under way; _canonical calls outside one
-        canonical, full = serialize._canonical, serialize.verify_certificate
+    @pytest.mark.parametrize("edit", PLANTED_MEMBER_EDITS, ids=lambda edit: edit.__name__)
+    def test_planted_member_edit(self, tmp_path, capsys, p2_r17, edit):
+        edit(p2_r17["certificates"])
+        code, err = PLANTED_MEMBER_EDITS[edit]
+        assert verify_run(p2_r17, tmp_path, capsys) == (code, "", err)
 
-        def checked(doc):
-            running.append(doc)
-            try:
-                return full(doc)
-            finally:
-                running.pop()
-
-        def counted(value):
-            if not running:
-                outside.append(value)
-            return canonical(value)
-
-        monkeypatch.setattr(serialize, "verify_certificate", checked)
-        monkeypatch.setattr(serialize, "_canonical", counted)
-        assert serialize._verify_documents(documents) is None
-        assert (len(documents), outside) == (153, [])
-
-    def test_int_alpha_members_skip_rederivation(self, monkeypatch):
-        documents = integral_alpha_list()
-        calls = []
-        full = serialize.verify_certificate
-        monkeypatch.setattr(serialize, "verify_certificate", lambda d: calls.append(d) or full(d))
-        assert serialize._verify_documents(documents) is None
-        assert len(calls) == 5
+    @pytest.mark.parametrize("edit", [head_alpha_tampered, head_s_tampered])
+    def test_a_tampered_head_fails_as_its_per_curve_documents(
+        self, tmp_path, capsys, p2_r17, edit
+    ):
+        documents = p2_r17["certificates"]
+        edit(documents)
+        index = reference_verify(documents)[0]
+        first = sum(1 + len(doc["members"]) for doc in documents[:index])
+        expected = reference_verify(expand_all(documents))
+        assert expected[0] == first
+        code, out, err = verify_run(p2_r17, tmp_path, capsys)
+        assert (code, out, err) == (3, "", f"certificate {index}: {expected[1]}\n")
 
     @pytest.mark.parametrize("index", [0, 1, 15])  # the head and two members of the E_i orbit
     @pytest.mark.parametrize("retype", [float, bool])
     def test_int_alpha_leaf_of_another_type_is_caught(self, index, retype):
+        # in a per-curve list, as an older certify-ray wrote it
         documents = integral_alpha_list()
         alpha = documents[index]["alpha"]
         k = next(k for k, a in enumerate(alpha) if retype is float or a in (0, 1))
         original = alpha[k]
         alpha[k] = retype(original)
         assert alpha[k] == original  # only the type tells them apart
-        expected = outcome(reference_verify, documents)
-        assert expected is MalformedValueError
-        assert outcome(serialize._verify_documents, documents) == expected
+        assert outcome(serialize._verify_documents, documents) is MalformedValueError
 
     @settings(max_examples=40, deadline=None)
     @given(
         order=st.permutations(IN_ORDER),
-        edit=st.sampled_from(sorted(EDITS)),
-        index=st.integers(0, 17),
+        edit=st.sampled_from(sorted(HEAD_EDITS)),
+        index=st.integers(0, 4),
         pick=st.integers(0, 10_000),
     )
-    @example(order=IN_ORDER, edit="swap_alpha", index=17, pick=0)
-    @example(order=IN_ORDER, edit="swap_alpha", index=15, pick=3)
-    @example(order=IN_ORDER, edit="foreign_curve", index=17, pick=0)
-    @example(order=IN_ORDER, edit="foreign_curve", index=15, pick=4)
-    @example(order=IN_ORDER, edit="odd_coordinate", index=15, pick=18)
+    @example(order=IN_ORDER, edit="swap_alpha", index=3, pick=0)
     @example(order=IN_ORDER, edit="tamper_alpha", index=0, pick=5)
-    @example(order=IN_ORDER, edit="tamper_alpha", index=13, pick=0)
     @example(order=IN_ORDER, edit="respell_alpha", index=0, pick=3)
-    @example(order=IN_ORDER, edit="odd_field", index=15, pick=0)  # n = true where n is 1
-    @example(order=IN_ORDER, edit="odd_field", index=15, pick=3)  # n = 1.0 where n is 1
-    @example(order=IN_ORDER, edit="odd_field", index=17, pick=1)  # s = true
-    @example(order=IN_ORDER, edit="odd_field", index=17, pick=5)  # level = 1.0
-    @example(order=IN_ORDER, edit="edit_checks", index=17, pick=0)
-    @example(order=IN_ORDER, edit="edit_checks", index=0, pick=3)
-    @example(order=IN_ORDER, edit="retype_leaf", index=15, pick=0)  # chi = 1.0
-    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=1)  # chi = true
-    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=2)  # self_int = -2.0
-    @example(order=IN_ORDER, edit="retype_leaf", index=15, pick=2)  # self_int = -1.0
-    @example(order=IN_ORDER, edit="retype_leaf", index=16, pick=3)  # genus = false
-    @example(order=IN_ORDER, edit="retype_leaf", index=16, pick=5)  # "b": 1 in an alpha tower
-    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=6)  # "b": 2 in an alpha tower
-    @example(order=IN_ORDER, edit="retype_leaf", index=17, pick=4)  # "a": -3 in s
-    @example(order=IN_ORDER, edit="retype_leaf", index=13, pick=4)  # a head's "a": -3 in s
-    def test_single_edit_matches_reference(self, order, edit, index, pick):
-        listed = json.loads(plane_list_text())
-        documents = [listed[i] for i in order]
-        EDITS[edit](documents, index, pick)
-        assert outcome(serialize._verify_documents, documents) == outcome(
-            reference_verify, documents
-        )
+    @example(order=IN_ORDER, edit="odd_field", index=0, pick=0)  # n = true where n is 1
+    @example(order=IN_ORDER, edit="odd_field", index=0, pick=3)  # n = 1.0 where n is 1
+    @example(order=IN_ORDER, edit="odd_field", index=3, pick=1)  # s = true
+    @example(order=IN_ORDER, edit="edit_checks", index=3, pick=0)
+    @example(order=IN_ORDER, edit="retype_leaf", index=0, pick=0)  # chi = 1.0
+    @example(order=IN_ORDER, edit="retype_leaf", index=3, pick=2)  # self_int = -2.0
+    @example(order=IN_ORDER, edit="retype_leaf", index=1, pick=3)  # genus = false
+    @example(order=IN_ORDER, edit="retype_leaf", index=3, pick=5)  # an int in an alpha tower
+    @example(order=IN_ORDER, edit="retype_leaf", index=3, pick=4)  # "a": -3 in s
+    def test_a_head_edit_gives_the_head_verdict(self, order, edit, index, pick):
+        """An edited head with rows fails as the head alone; a passing head accepts its rows."""
+        documents = orbit_documents(tuple(order))
+        HEAD_EDITS[edit](documents, index, pick)
+        heads = [{k: v for k, v in doc.items() if k != "members"} for doc in documents]
+        assert outcome(serialize._verify_documents, documents) == outcome(reference_verify, heads)
 
 
 def plane_curve_entries(r: int, spell) -> list[dict]:
@@ -1159,8 +1258,36 @@ def test_certify_list_builds_each_member_like_its_eager_twin(name):
     assert_same_certificates(certify_list(model, curves), certify_list(model, twins))
 
 
+def seeded_plane_input(r: int, seed: int) -> dict:
+    """A shuffled plane list at r: E_i, lines L - E_i - E_j and conics 2L - E_a - ... - E_e."""
+    rng = random.Random(seed)
+    model = p2_blowup(r)
+    line, e = model.pullback([1]), model.exceptional
+    classes = [e(i) for i in range(1, r + 1)]
+    for _ in range(rng.randrange(1, 2 * r)):
+        i, j = rng.sample(range(1, r + 1), 2)
+        classes.append(line - e(i) - e(j))
+    for _ in range(rng.randrange(4)):
+        conic = 2 * line
+        for i in rng.sample(range(1, r + 1), 5):
+            conic = conic - e(i)
+        classes.append(conic)
+    rng.shuffle(classes)
+    spell = rng.choice([int, str])
+    curves = [{"coords": [spell(int(c)) for c in cls.coords]} for cls in classes]
+    return {**serialize.blowup_to_json(model), "curves": curves}
+
+
+def expanded_in_list_order(doc: dict) -> str:
+    """``certify-ray``'s documents for the curves of ``doc``, expanded per curve, as JSON."""
+    model = serialize.blowup_from_json(doc)
+    curves = serialize._document_curves(model, doc)
+    documents = serialize._ray_certificates_to_json(model, curves)
+    return json.dumps(in_list_order(documents, orbit_order(model, curves)))
+
+
 class TestCertifyRayPerOrbit:
-    """``certify-ray`` writes each orbit member from its representative's document."""
+    """``certify-ray`` writes one certificate per orbit, the later members as coordinate rows."""
 
     def run(self, doc, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -1177,14 +1304,19 @@ class TestCertifyRayPerOrbit:
     )
     def test_report_equals_the_per_curve_report(self, name, tmp_path, capsys, monkeypatch):
         doc = certify_ray_input(name)
-        outcome = self.run(doc, tmp_path, capsys)
+        code, out, err = self.run(doc, tmp_path, capsys)
         monkeypatch.setattr(serialize, "_ray_certificates_to_json", per_curve_certificates)
-        assert outcome == self.run(doc, tmp_path, capsys)
-        code, out, err = outcome
-        if code == 0:
+        reference = self.run(doc, tmp_path, capsys)
+        assert (code, err) == (reference[0], reference[2])
+        if out:
             report = json.loads(out)
             assert out == json.dumps(report, indent=2) + "\n"
-            assert serialize._verify_documents(report["certificates"]) is None
+            model = serialize.blowup_from_json(doc)
+            order = orbit_order(model, serialize._document_curves(model, doc))
+            report["certificates"] = in_list_order(report["certificates"], order)
+            assert json.dumps(report) == json.dumps(json.loads(reference[1]))
+        if code == 0:
+            assert serialize._verify_documents(json.loads(out)["certificates"]) is None
         expected = {
             "p2_backward_alpha_r10": (2, "1 certificate(s) invalid: alpha_in_positive_cone\n"),
             "k3_minus_two_curve_r37": (1, "error: mixed radicands: "),
@@ -1193,11 +1325,24 @@ class TestCertifyRayPerOrbit:
         }.get(name, (0, ""))
         assert code == expected[0] and err.startswith(expected[1])
 
+    @settings(max_examples=12, deadline=None)
+    @given(r=st.integers(10, 35), seed=st.integers(0, 2**32))
+    def test_seeded_plane_lists_expand_to_the_per_curve_documents(self, r, seed):
+        doc = seeded_plane_input(r, seed)
+        model = serialize.blowup_from_json(doc)
+        expected = per_curve_certificates(model, per_curve(model, doc["curves"]))
+        assert expanded_in_list_order(doc) == json.dumps(expected)
+
     def test_a_sublist_without_its_representatives(self):
         model, entries = curve_list("plane_r17_declared")
-        curves = serialize._curves_from_json(model, entries)[5:]
+        parsed = serialize._curves_from_json(model, entries)
+        # E_6 heads its orbit; E_1, its representative, follows it, and L - E_1 - E_2 comes twice
+        curves = parsed[5:] + parsed[:1] + parsed[17:18]
         documents = serialize._ray_certificates_to_json(model, curves)
-        assert documents == per_curve_certificates(model, curves)
+        assert [len(doc["members"]) for doc in documents] == [12, 136]
+        assert in_list_order(documents, orbit_order(model, curves)) == per_curve_certificates(
+            model, curves
+        )
         assert cli._indented_json(documents) == json.dumps(documents, indent=2)
 
     def test_members_build_no_class(self, monkeypatch):
@@ -1205,6 +1350,7 @@ class TestCertifyRayPerOrbit:
         model, entries = curve_list("p2_r17")
         curves = serialize._curves_from_json(model, entries)
         heads = [curve for curve in curves if curve.representative is curve]
+        model.line()  # built once per model, before the count
         built = []
         original = lattice.DivisorClass.__post_init__
         monkeypatch.setattr(
@@ -1212,7 +1358,8 @@ class TestCertifyRayPerOrbit:
         )
         certify_list(model, heads)
         per_head = len(built)
-        assert len(serialize._ray_certificates_to_json(model, curves)) == 153
+        documents = serialize._ray_certificates_to_json(model, curves)
+        assert [len(doc["members"]) for doc in documents] == [16, 135]
         assert len(built) == 2 * per_head
         assert not any("cls" in vars(curve) for curve in curves if curve.representative is not curve)
 
